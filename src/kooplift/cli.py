@@ -35,6 +35,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import re
 import sys
 import time
 from pathlib import Path
@@ -352,7 +353,7 @@ def cmd_extract(args) -> int:
     fit = edmd_mod.fit_edmd(P, Q, cutoff=cutoff)
     report = edmd_mod.consistency_index(P, Q, cutoff=cutoff)
     model = extract_normal(fit, nd, source_index=report)
-    if model.readout_rows is None:
+    if model.readout_rows() is None:
         model = with_decoder(model, ss.X)
     out = _out_dir(args)
     payload = model_to_json(model)
@@ -580,9 +581,23 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _attach_negative_values(argv) -> list[str]:
+    """Spell ``--x0 -1.2,3`` as ``--x0=-1.2,3``.
+
+    argparse reads a separate value with a leading minus as an option
+    unless it is a single number, so a state list starting with a negative
+    coordinate would otherwise fail to parse.
+    """
+    argv = list(sys.argv[1:] if argv is None else argv)
+    for i in range(len(argv) - 1, 0, -1):
+        if argv[i - 1] == "--x0" and re.match(r"-\.?\d", argv[i]):
+            argv[i - 1:i + 1] = [f"--x0={argv[i]}"]
+    return argv
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_attach_negative_values(argv))
     try:
         return args.func(args)
     except _USAGE_ERRORS as err:

@@ -6,6 +6,9 @@ a family of autonomous maps; pairing the state with the (held) input gives
 the augmented map ``(x, u) -> (T(x, u), u)`` on which all lifted-model
 numerics in this package operate.
 
+Step maps act on column blocks ``(n, B), (m, B) -> (n, B)``, so a batch of
+experiments advances in lockstep, one column each.
+
 The module also provides an RK4 discretizer for continuous-time dynamics,
 batch experiment generation with seeded randomness, and CSV persistence of
 snapshot datasets.
@@ -54,8 +57,11 @@ class ControlSystem:
     state_dim, input_dim : int
         Dimensions n and m of the state and input vectors.
     step_map : callable
-        Function ``(x, u) -> x+`` mapping ``(n,)`` and ``(m,)`` arrays to an
-        ``(n,)`` array.  Must be total and finite on the boxes.
+        Function ``(X, U) -> X+`` on column blocks: ``(n, B)`` states and
+        ``(m, B)`` inputs map to ``(n, B)`` successors, column j of the
+        result being ``T(X[:, j], U[:, j])``.  Elementwise numpy code
+        (rows unpacked as ``x1, x2 = X``) meets this as written.  Must be
+        total and finite on the boxes.
     state_box, input_box : array, shape (2, n) / (2, m)
         Row 0 holds lower bounds, row 1 upper bounds, used for sampling.
     dt : float or None
@@ -189,22 +195,65 @@ def _check_vector(v, k: int, what: str) -> Array:
     return arr
 
 
-def _apply_step(sys: ControlSystem, x: Array, u: Array) -> Array:
-    xp = np.asarray(sys.step_map(x, u), dtype=float).reshape(-1)
-    if xp.shape != (sys.state_dim,):
+def _advance(sys: ControlSystem, X: Array, U: Array) -> Array:
+    """One step of the map on a column block, shape-checked: ``(n, B) -> (n, B)``."""
+    Xp = np.asarray(sys.step_map(X, U), dtype=float)
+    if Xp.shape != X.shape:
         raise DimensionMismatch(
-            f"step_map of {sys.name!r} returned shape {xp.shape}, expected ({sys.state_dim},)"
+            f"step_map of {sys.name!r} returned shape {Xp.shape}, expected {X.shape}"
         )
-    if not np.all(np.isfinite(xp)):
-        bad = int(np.flatnonzero(~np.isfinite(xp))[0])
-        raise NonFiniteState(
-            f"state coordinate x{bad + 1} became non-finite after one step of {sys.name!r}"
-        )
-    return xp
+    return Xp
 
 
-def _outside(v: Array, box: Array) -> bool:
-    return bool(np.any(v < box[0]) or np.any(v > box[1]))
+def _outside(V: Array, box: Array) -> Array:
+    """Per column of ``V`` (n rows, columns last): does any coordinate lie outside ``box``?"""
+    return np.any((V < box[0][:, None]) | (V > box[1][:, None]), axis=-2)
+
+
+def _non_finite(sys: ControlSystem, xp: Array) -> NonFiniteState:
+    bad = int(np.flatnonzero(~np.isfinite(xp))[0])
+    return NonFiniteState(
+        f"state coordinate x{bad + 1} became non-finite after one step of {sys.name!r}"
+    )
+
+
+def _lockstep(sys: ControlSystem, X0: Array, U: Array):
+    """Advance B experiments together under per-step inputs.
+
+    ``X0`` is ``(n, B)`` and ``U`` is ``(L, m, B)``: ``U[k]`` holds every
+    experiment's input at step k.  Returns ``(states, diverged, outside)``:
+
+    * ``states`` is ``(L+1, n, B)`` with ``states[k+1] = T(states[k], U[k])``;
+    * ``diverged[b]`` is the step at which experiment b first produced a
+      non-finite state, or -1.  That state is stored, and the experiment is
+      not stepped again (its later states are NaN);
+    * ``outside[b]`` counts the steps of experiment b whose state or input
+      started outside the sampling boxes; it is meaningful only for an
+      experiment that did not diverge.
+    """
+    L = U.shape[0]
+    n, B = X0.shape
+    states = np.full((L + 1, n, B), np.nan)
+    states[0] = X0
+    diverged = np.full(B, -1)
+    live = np.arange(B)
+    for k in range(L):
+        everyone = live.size == B
+        x = states[k] if everyone else states[k][:, live]
+        u = U[k] if everyone else U[k][:, live]
+        xp = _advance(sys, x, u)
+        if everyone:
+            states[k + 1] = xp
+        else:
+            states[k + 1][:, live] = xp
+        if not np.isfinite(xp).all():
+            finite = np.all(np.isfinite(xp), axis=0)
+            diverged[live[~finite]] = k
+            live = live[finite]
+            if live.size == 0:
+                break
+    outside = np.sum(_outside(states[:-1], sys.state_box) | _outside(U, sys.input_box), axis=0)
+    return states, diverged, outside
 
 
 def step(sys: ControlSystem, x, u) -> Array:
@@ -216,11 +265,14 @@ def step(sys: ControlSystem, x, u) -> Array:
     """
     x = _check_vector(x, sys.state_dim, "state")
     u = _check_vector(u, sys.input_dim, "input")
-    if _outside(x, sys.state_box):
+    if _outside(x[:, None], sys.state_box)[0]:
         warnings.warn(f"state outside sampling box of {sys.name!r}", OutOfBoxWarning, stacklevel=2)
-    if _outside(u, sys.input_box):
+    if _outside(u[:, None], sys.input_box)[0]:
         warnings.warn(f"input outside sampling box of {sys.name!r}", OutOfBoxWarning, stacklevel=2)
-    return _apply_step(sys, x, u)
+    states, diverged, _ = _lockstep(sys, x[:, None], u[None, :, None])
+    if diverged[0] >= 0:
+        raise _non_finite(sys, states[1, :, 0])
+    return states[1, :, 0]
 
 
 def augmented_step(sys: ControlSystem, x, u) -> tuple[Array, Array]:
@@ -259,25 +311,19 @@ def simulate(sys: ControlSystem, x0, inputs) -> Trajectory:
             f"inputs must be (m, L) with m={sys.input_dim} and L >= 1, got {U.shape}"
         )
     n_steps = U.shape[1]
-    states = np.empty((sys.state_dim, n_steps + 1))
-    states[:, 0] = x
-    outside = 0
-    for k in range(n_steps):
-        u = U[:, k]
-        if _outside(x, sys.state_box) or _outside(u, sys.input_box):
-            outside += 1
-        try:
-            x = _apply_step(sys, x, u)
-        except NonFiniteState as err:
-            raise NonFiniteState(f"{err} (at step {k})") from None
-        states[:, k + 1] = x
+    states, diverged, outside = _lockstep(sys, x[:, None], U.T[:, :, None])
+    k = int(diverged[0])
+    if k >= 0:
+        raise NonFiniteState(f"{_non_finite(sys, states[k + 1, :, 0])} (at step {k})")
+    outside = int(outside[0])
     if outside:
         warnings.warn(
             f"{outside} of {n_steps} steps started outside the sampling box of {sys.name!r}",
             OutOfBoxWarning,
             stacklevel=2,
         )
-    return Trajectory(states=states, inputs=U.copy(), out_of_box_count=outside)
+    return Trajectory(states=states[:, :, 0].T.copy(), inputs=U.copy(),
+                      out_of_box_count=outside)
 
 
 def discretize_rk4(
@@ -293,6 +339,8 @@ def discretize_rk4(
 ) -> ControlSystem:
     """Discretize ``xdot = f(x, u)`` with one classical RK4 step per sample.
 
+    ``ode_rhs`` maps column blocks like a step map: ``(n, B)`` states and
+    ``(m, B)`` inputs to ``(n, B)`` derivatives, one column per point.
     The input is held constant over each interval of length ``dt``
     (zero-order hold).  Classical RK4 is a deliberate, documented choice:
     fixed cost, no adaptivity, empirical order 4 — testable against a
@@ -325,42 +373,33 @@ def run_experiments(sys: ControlSystem, plan: ExperimentPlan) -> SnapshotSet:
 
     Initial conditions are uniform over ``state_box`` and inputs uniform
     over ``input_box``, all drawn from one generator seeded with
-    ``plan.rng_seed`` in a fixed order, so identical plans reproduce
-    bit-identical datasets.  Every consecutive pair ``(x_k, u_k, x_{k+1})``
-    becomes one snapshot; an experiment that produces a non-finite state is
-    dropped whole and counted in ``rejected``.
+    ``plan.rng_seed`` in a fixed order (per experiment: its initial state,
+    then its inputs), so identical plans reproduce bit-identical datasets.
+    All experiments are then stepped together, one column each.  Every
+    consecutive pair ``(x_k, u_k, x_{k+1})`` becomes one snapshot, ordered
+    experiment by experiment; an experiment that produces a non-finite
+    state is dropped whole and counted in ``rejected``.
     """
     rng = np.random.default_rng(plan.rng_seed)
-    lo_x, hi_x = sys.state_box
-    lo_u, hi_u = sys.input_box
+    n, m = sys.state_dim, sys.input_dim
     steps = plan.steps_per_experiment
-    xs, xps, us = [], [], []
-    rejected = 0
-    outside_total = 0
-    for _ in range(plan.num_experiments):
-        x0 = rng.uniform(lo_x, hi_x)
-        if plan.input_mode == "constant":
-            draws = rng.uniform(lo_u, hi_u, size=(1, sys.input_dim))
-            inputs = np.repeat(draws, steps, axis=0).T
-        else:
-            n_holds = math.ceil(steps / plan.hold_steps)
-            draws = rng.uniform(lo_u, hi_u, size=(n_holds, sys.input_dim))
-            inputs = np.repeat(draws, plan.hold_steps, axis=0)[:steps].T
-        try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", OutOfBoxWarning)
-                traj = simulate(sys, x0, inputs)
-        except NonFiniteState:
-            rejected += 1
-            continue
-        outside_total += traj.out_of_box_count
-        xs.append(traj.states[:, :-1])
-        xps.append(traj.states[:, 1:])
-        us.append(traj.inputs)
-    if not xs:
-        raise NonFiniteState(
-            f"all {plan.num_experiments} experiments on {sys.name!r} diverged"
-        )
+    E = plan.num_experiments
+    # One draw per experiment holds its initial state, then its input values;
+    # drawing them as rows of one matrix keeps the generator's order.
+    holds = plan.hold_steps if plan.input_mode == "piecewise" else steps
+    n_holds = math.ceil(steps / holds)
+    lo = np.concatenate([sys.state_box[0], np.tile(sys.input_box[0], n_holds)])
+    hi = np.concatenate([sys.state_box[1], np.tile(sys.input_box[1], n_holds)])
+    draws = rng.uniform(lo, hi, size=(E, n + n_holds * m))
+    X0 = draws[:, :n].T
+    held = draws[:, n:].reshape(E, n_holds, m)
+    U = np.ascontiguousarray(np.repeat(held, holds, axis=1)[:, :steps].transpose(1, 2, 0))
+    states, diverged, outside = _lockstep(sys, X0, U)
+    kept = diverged < 0
+    rejected = int(E - kept.sum())
+    if not kept.any():
+        raise NonFiniteState(f"all {E} experiments on {sys.name!r} diverged")
+    outside_total = int(outside[kept].sum())
     if outside_total:
         warnings.warn(
             f"{outside_total} snapshot states lay outside the sampling box of {sys.name!r}",
@@ -373,10 +412,16 @@ def run_experiments(sys: ControlSystem, plan: ExperimentPlan) -> SnapshotSet:
         "dt": sys.dt,
         "out_of_box": outside_total,
     }
+
+    def columns(A: Array) -> Array:
+        # (steps, rows, E) -> (rows, kept experiments x steps), experiment-major
+        A = A[:, :, kept]
+        return A.transpose(1, 2, 0).reshape(A.shape[1], -1)
+
     return SnapshotSet(
-        X=np.concatenate(xs, axis=1),
-        Xplus=np.concatenate(xps, axis=1),
-        U=np.concatenate(us, axis=1),
+        X=columns(states[:-1]),
+        Xplus=columns(states[1:]),
+        U=columns(U),
         rejected=rejected,
         meta=meta,
     )

@@ -471,14 +471,13 @@ def bilinear_as_separable(model: BilinearLiftedModel) -> SeparableModel:
     if C is not None:
         A12[:k, m * L:] = C
 
-    def gt_fn(u):
-        u = np.asarray(u, dtype=float).reshape(-1)
-        G = np.zeros((n_cols, L))
+    def gt_fn(U):
+        G = np.zeros((n_cols, L, U.shape[1]))
+        diag = np.arange(L)
         for i in range(m):
-            G[i * L:(i + 1) * L] = u[i] * np.eye(L)
-        if C is not None:
-            for i in range(m):
-                G[m * L + i, L - 1] = u[i]
+            G[i * L + diag, diag] = U[i]
+            if C is not None:
+                G[m * L + i, L - 1] = U[i]
         return G
 
     from .observables import InputMatrixFunction

@@ -7,7 +7,8 @@ import pytest
 
 import kooplift as kl
 from kooplift import cli
-from kooplift.models import load_model, rollout, states_from_lifted
+from kooplift.models import (extract_normal, load_model, rollout,
+                             states_from_lifted, with_decoder)
 
 
 def _run(argv):
@@ -144,6 +145,66 @@ class TestExtractPredict:
         Z = rollout(model, [0.3, -0.4], U[None, :], input_dim=1)
         want = states_from_lifted(model, Z)
         np.testing.assert_allclose(pred[:, 1:], want.T, atol=1e-12)
+
+    def test_headless_chain_matches_library(self, poly_dataset, tmp_path):
+        """simulate -> extract -> predict on a dictionary with no state head."""
+        nd = kl.parametric_family("polynomial", state_dim=2, input_dim=1, s=8,
+                                  l=5, fixed_head=None, total_degree=2, seed=2)
+        dict_path = tmp_path / "dictionary.json"
+        kl.save_dictionary(nd, dict_path)
+        assert _run(["extract", "--data", str(poly_dataset),
+                     "--dictionary", str(dict_path), "--out", str(tmp_path)]) == 0
+        U = np.random.default_rng(19).uniform(-1, 1, size=20)
+        inputs = tmp_path / "inputs.csv"
+        inputs.write_text("u1\n" + "\n".join(repr(float(v)) for v in U) + "\n")
+        rc = _run(["predict", "--model", str(tmp_path / "model.json"),
+                   "--x0", "0.3,-0.4", "--inputs", str(inputs),
+                   "--out", str(tmp_path)])
+        assert rc == 0
+        pred = _read_csv_matrix(tmp_path / "prediction.csv")
+
+        ss = kl.load_snapshots(poly_dataset)
+        aug = kl.to_augmented(ss)
+        nd = kl.load_dictionary(dict_path)
+        P, Q = nd.eval_aug(aug.Z), nd.eval_aug(aug.Zplus)
+        model = extract_normal(kl.fit_edmd(P, Q), nd,
+                               source_index=kl.consistency_index(P, Q))
+        assert model.readout_rows() is None
+        model = with_decoder(model, ss.X)
+        Z = rollout(model, [0.3, -0.4], U[None, :], input_dim=1)
+        np.testing.assert_array_equal(pred[:, 1:], states_from_lifted(model, Z).T)
+
+    def test_negative_leading_x0_both_spellings(self, poly_model_file, tmp_path):
+        inputs = tmp_path / "inputs.csv"
+        inputs.write_text("u1\n0.5\n-0.3\n0.1\n")
+        model = str(poly_model_file)
+        for name, x0 in (("separate", ["--x0", "-1.2,3"]), ("joined", ["--x0=-1.2,3"])):
+            out = str(tmp_path / name)
+            assert _run(["predict", "--model", model, *x0,
+                         "--inputs", str(inputs), "--out", out]) == 0
+            assert _run(["compare", "--system", "example_poly", "--models", model,
+                         model, "--steps", "20", *x0, "--out", out]) == 0
+        for fname in ("prediction.csv", "rmse.json", "rmse.csv", "trajectory.csv"):
+            a = (tmp_path / "separate" / fname).read_bytes()
+            assert a == (tmp_path / "joined" / fname).read_bytes(), fname
+        pred = _read_csv_matrix(tmp_path / "separate" / "prediction.csv")
+        np.testing.assert_array_equal(pred[0, 1:], [-1.2, 3.0])
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered",
+                                "ignore:invalid value encountered")
+    def test_diverging_rollout_exits_4(self, poly_model_file, tmp_path, capsys):
+        payload = json.loads(poly_model_file.read_text())
+        payload["A11"] = (np.asarray(payload["A11"]) * 1e200).tolist()
+        blown = tmp_path / "model.json"
+        blown.write_text(json.dumps(payload))
+        inputs = tmp_path / "inputs.csv"
+        inputs.write_text("u1\n" + "0.1\n" * 10)
+        out = tmp_path / "out"
+        rc = _run(["predict", "--model", str(blown), "--x0", "0.3,-0.4",
+                   "--inputs", str(inputs), "--out", str(out)])
+        assert rc == 4
+        assert "diverged" in capsys.readouterr().err
+        assert not (out / "prediction.csv").exists()
 
     def test_empty_input_sequence_rejected(self, poly_model_file, tmp_path,
                                            capsys):

@@ -2,6 +2,9 @@
 
 import dataclasses
 import json
+import math
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -82,7 +85,7 @@ class TestStep:
     def test_non_finite_output_names_coordinate(self):
         bad = kl.ControlSystem(
             state_dim=2, input_dim=1,
-            step_map=lambda x, u: np.array([x[0], np.inf]),
+            step_map=lambda x, u: np.vstack([x[0], np.full_like(x[1], np.inf)]),
             state_box=np.array([[-1.0, -1.0], [1.0, 1.0]]),
             input_box=np.array([[-1.0], [1.0]]),
             name="bad",
@@ -215,8 +218,7 @@ class TestRunExperiments:
     def test_rejection_counts_diverged_experiments(self):
         sometimes = kl.ControlSystem(
             state_dim=1, input_dim=1,
-            step_map=lambda x, u: np.array(
-                [np.inf if x[0] > 0.0 else x[0] * 0.5]),
+            step_map=lambda x, u: np.where(x > 0.0, np.inf, x * 0.5),
             state_box=np.array([[-1.0], [1.0]]),
             input_box=np.array([[-1.0], [1.0]]),
             name="sometimes",
@@ -226,6 +228,34 @@ class TestRunExperiments:
         assert ss.n_snapshots == 2 * (50 - ss.rejected)
         assert np.all(np.isfinite(ss.Xplus))
 
+    @pytest.mark.parametrize("mode, hold", [("constant", 1), ("piecewise", 2)])
+    def test_matches_per_experiment_simulate_reference(self, mode, hold):
+        """Lockstep stepping keeps the per-experiment loop's columns, order and counts."""
+        plan = kl.ExperimentPlan(60, 12, rng_seed=8, input_mode=mode,
+                                 hold_steps=hold)
+        want = _per_experiment_reference(_flare_system(), plan)
+        with pytest.warns(OutOfBoxWarning):
+            got = kl.run_experiments(_flare_system(), plan)
+        assert 1 < len(set(want["diverged_at"])), "experiments should diverge at different steps"
+        assert got.rejected == want["rejected"] == len(want["diverged_at"])
+        assert got.meta["out_of_box"] == want["out_of_box"] > 0
+        np.testing.assert_array_equal(got.X, want["X"])
+        np.testing.assert_array_equal(got.Xplus, want["Xplus"])
+        np.testing.assert_array_equal(got.U, want["U"])
+
+    def test_wrong_step_shape_names_expected_shape(self):
+        flat = kl.ControlSystem(
+            state_dim=2, input_dim=1,
+            step_map=lambda x, u: x[0],
+            state_box=np.array([[-1.0, -1.0], [1.0, 1.0]]),
+            input_box=np.array([[-1.0], [1.0]]),
+            name="flat",
+        )
+        with pytest.raises(DimensionMismatch, match=r"expected \(2, 1\)"):
+            step(flat, [0.0, 0.0], [0.0])
+        with pytest.raises(DimensionMismatch, match=r"expected \(2, 5\)"):
+            kl.run_experiments(flat, kl.ExperimentPlan(5, 3, rng_seed=0))
+
     def test_piecewise_mode_redraws_inputs(self, poly_system):
         plan = kl.ExperimentPlan(1, 6, rng_seed=9, input_mode="piecewise",
                                  hold_steps=2)
@@ -233,6 +263,56 @@ class TestRunExperiments:
         u = ss.U[0]
         assert u[0] == u[1] and u[2] == u[3] and u[4] == u[5]
         assert u[0] != u[2]
+
+
+def _flare_system():
+    """Batched map whose experiments overflow at different steps.
+
+    ``x1`` contracts towards ``10 u`` until it passes 0.5; from then on it
+    is multiplied by 1e150 each step and overflows a few steps later.
+    Experiments with negative inputs stay finite and leave the state box.
+    """
+
+    def flare(x, u):
+        with np.errstate(over="ignore", invalid="ignore"):
+            x1 = np.where(x[0] > 0.5, x[0] * 1e150, 0.9 * x[0] + u[0])
+            return np.vstack([x1, 0.5 * x[1] + x[0]])
+
+    return kl.ControlSystem(
+        state_dim=2, input_dim=1, step_map=flare,
+        state_box=np.array([[-0.5, -1.0], [0.5, 1.0]]),
+        input_box=np.array([[-1.0], [1.0]]),
+        name="flare",
+    )
+
+
+def _per_experiment_reference(system, plan):
+    """The per-experiment loop: draw, simulate, drop on divergence."""
+    rng = np.random.default_rng(plan.rng_seed)
+    lo_x, hi_x = system.state_box
+    lo_u, hi_u = system.input_box
+    steps = plan.steps_per_experiment
+    hold = plan.hold_steps if plan.input_mode == "piecewise" else steps
+    xs, xps, us, diverged_at = [], [], [], []
+    outside = 0
+    for _ in range(plan.num_experiments):
+        x0 = rng.uniform(lo_x, hi_x)
+        draws = rng.uniform(lo_u, hi_u, size=(math.ceil(steps / hold), system.input_dim))
+        inputs = np.repeat(draws, hold, axis=0)[:steps].T
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", OutOfBoxWarning)
+                traj = kl.simulate(system, x0, inputs)
+        except NonFiniteState as err:
+            diverged_at.append(int(re.search(r"at step (\d+)", str(err)).group(1)))
+            continue
+        outside += traj.out_of_box_count
+        xs.append(traj.states[:, :-1])
+        xps.append(traj.states[:, 1:])
+        us.append(traj.inputs)
+    return {"X": np.hstack(xs), "Xplus": np.hstack(xps), "U": np.hstack(us),
+            "rejected": len(diverged_at), "diverged_at": diverged_at,
+            "out_of_box": outside}
 
 
 class TestAugmentedData:

@@ -1,5 +1,6 @@
 """Tests for dictionaries, separable decomposition, and normal forms."""
 
+import itertools
 import json
 
 import numpy as np
@@ -52,6 +53,68 @@ class TestNormalForm:
     def test_builtin_shape(self, poly_basis):
         assert (poly_basis.s, poly_basis.l) == (8, 4)
         assert poly_basis.H.names == ("x1", "x2", "x1^2", "1")
+
+
+def _assert_matches_column_loop(nd, Z):
+    """``eval_aug`` against ``vstack([h, Gtilde(u) @ h])`` built one column at a time.
+
+    The batched contraction may sum in another order, so the tolerance is
+    fixed beforehand from the operands: cols * eps * max|Gtilde| * max|H|.
+    """
+    n = nd.state_dim
+    cols, g_max = [], 0.0
+    for j in range(Z.shape[1]):
+        h = nd.H(Z[:n, j])
+        if nd.Gtilde is None:
+            cols.append(h)
+            continue
+        G = nd.Gtilde(Z[n:, j])
+        g_max = max(g_max, float(np.max(np.abs(G))))
+        cols.append(np.concatenate([h, G @ h]))
+    want = np.column_stack(cols)
+    h_max = float(np.max(np.abs(want[: nd.l])))
+    cols_g = nd.Gtilde.cols if nd.Gtilde is not None else 0
+    tol = cols_g * np.finfo(float).eps * g_max * h_max
+    got = nd.eval_aug(Z)
+    assert got.shape == want.shape
+    np.testing.assert_allclose(got, want, rtol=0, atol=tol)
+
+
+_BOTTOM_ROWS = ("x1*u", "u", "u^2", "sin(u)")
+
+
+class TestBatchedEvalAug:
+    @pytest.mark.parametrize("truncate", [
+        t for r in range(len(_BOTTOM_ROWS) + 1)
+        for t in itertools.combinations(_BOTTOM_ROWS, r)])
+    def test_poly_basis_matches_column_loop(self, truncate):
+        rng = np.random.default_rng(len(truncate))
+        nd = kl.example_poly_normal_basis(truncate=truncate)
+        _assert_matches_column_loop(nd, _random_aug(rng, N=200))
+
+    @pytest.mark.parametrize("with_input_term", [False, True])
+    def test_bilinear_embedding_matches_column_loop(self, with_input_term):
+        from kooplift.models import BilinearLiftedModel, bilinear_as_separable
+
+        rng = np.random.default_rng(4)
+        psi = kl.example_poly_state_basis()
+        model = BilinearLiftedModel(
+            psi=psi, A=rng.normal(size=(4, 4)),
+            Bs=tuple(rng.normal(size=(4, 4)) for _ in range(2)),
+            C=rng.normal(size=(4, 2)) if with_input_term else None)
+        sep = bilinear_as_separable(model)
+        nd = kl.NormalDictionary(sep.H, sep.Gtilde, state_dim=2, input_dim=2)
+        _assert_matches_column_loop(nd, _random_aug(rng, m=2, N=200))
+
+    def test_wrong_gtilde_shape_names_expected_shape(self):
+        gt = kl.InputMatrixFunction(rows=2, cols=4, fn=lambda U: np.zeros((2, 4)),
+                                    domain_dim=1)
+        nd = kl.NormalDictionary(kl.example_poly_state_basis(), gt,
+                                 state_dim=2, input_dim=1)
+        with pytest.raises(DimensionMismatch, match=r"expected \(2, 4, 7\)"):
+            nd.eval_aug(np.zeros((3, 7)))
+        with pytest.raises(DimensionMismatch, match=r"expected \(2, 4, 1\)"):
+            gt([0.5])
 
 
 class TestControlIndependentExtension:
