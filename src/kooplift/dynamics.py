@@ -302,7 +302,28 @@ def simulate(sys: ControlSystem, x0, inputs) -> Trajectory:
         Out-of-box excursions are counted (single aggregated warning), never
         clipped: clipping would silently change the dynamics.
     """
-    x = _check_vector(x0, sys.state_dim, "state")
+    (trajectory,) = _simulate_many(sys, [x0], inputs)
+    if trajectory.out_of_box_count:
+        warnings.warn(
+            f"{trajectory.out_of_box_count} of {trajectory.inputs.shape[1]} steps started "
+            f"outside the sampling box of {sys.name!r}",
+            OutOfBoxWarning,
+            stacklevel=2,
+        )
+    return trajectory
+
+
+def _simulate_many(sys: ControlSystem, x0s, inputs) -> list[Trajectory]:
+    """:func:`simulate` from every state in ``x0s`` under the same inputs, as one block.
+
+    Trajectory b equals ``simulate(sys, x0s[b], inputs)``.  A trajectory
+    that goes non-finite raises the ``NonFiniteState`` that ``simulate``
+    raises for the first such ``x0``.  Nothing is warned: out-of-box
+    steps are only counted.
+    """
+    X0 = np.zeros((sys.state_dim, len(x0s)))
+    for b, x0 in enumerate(x0s):
+        X0[:, b] = _check_vector(x0, sys.state_dim, "state")
     U = np.atleast_2d(np.asarray(inputs, dtype=float))
     if U.shape[0] != sys.input_dim:
         U = U.T
@@ -310,20 +331,14 @@ def simulate(sys: ControlSystem, x0, inputs) -> Trajectory:
         raise DimensionMismatch(
             f"inputs must be (m, L) with m={sys.input_dim} and L >= 1, got {U.shape}"
         )
-    n_steps = U.shape[1]
-    states, diverged, outside = _lockstep(sys, x[:, None], U.T[:, :, None])
-    k = int(diverged[0])
-    if k >= 0:
-        raise NonFiniteState(f"{_non_finite(sys, states[k + 1, :, 0])} (at step {k})")
-    outside = int(outside[0])
-    if outside:
-        warnings.warn(
-            f"{outside} of {n_steps} steps started outside the sampling box of {sys.name!r}",
-            OutOfBoxWarning,
-            stacklevel=2,
-        )
-    return Trajectory(states=states[:, :, 0].T.copy(), inputs=U.copy(),
-                      out_of_box_count=outside)
+    B = X0.shape[1]
+    states, diverged, outside = _lockstep(sys, X0, np.repeat(U.T[:, :, None], B, axis=2))
+    bad = np.flatnonzero(diverged >= 0)
+    if bad.size:
+        k = int(diverged[bad[0]])
+        raise NonFiniteState(f"{_non_finite(sys, states[k + 1, :, bad[0]])} (at step {k})")
+    return [Trajectory(states=states[:, :, b].T.copy(), inputs=U.copy(),
+                       out_of_box_count=int(outside[b])) for b in range(B)]
 
 
 def discretize_rk4(

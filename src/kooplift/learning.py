@@ -13,14 +13,23 @@ loss smooth where the data Gram matrices lose rank.  Reported metrics
 always use the exact, ridge-free definition from :mod:`kooplift.edmd`.
 
 Gradients are exact and computed in closed form (s-by-s solves plus one
-vector-Jacobian product through the dictionary), so no automatic
-differentiation framework is involved:
+reverse pass through the dictionary), so no automatic differentiation
+framework is involved:
 
     dL/dP = 2 Gp^-1 Cpq Gq^-1 (Cpq' Gp^-1 P - Q) + (dL/deps_p) d(eps_p)/dP
     dL/dQ = 2 Gq^-1 Cpq' Gp^-1 (Cpq Gq^-1 Q - P) + (dL/deps_q) d(eps_q)/dQ
 
 including the dependence of the ridge magnitudes on the data, so finite
 differences agree to their noise floor regardless of conditioning.
+
+A training step (:func:`loss_gradient`) makes one forward and one backward
+pass through the dictionary's networks.  The forward pass evaluates H once
+on the ``2B`` state columns ``[X | X+]`` of a batch of ``B`` snapshots, and
+Gtilde once on the input ``U``, which the augmented map holds, so ``Z`` and
+``Z+`` share it; P and Q are read off that one pass.  The backward pass
+takes ``[dL/dP | dL/dQ]`` together: H on ``2B`` columns, Gtilde on ``B``
+columns with the two upstream signals summed.  The per-epoch metrics go
+through ``eval_aug`` and so accept any object that has it.
 
 Training follows the conventional recipe: split the data in half, run a
 moment-based adaptive gradient method (decay 0.9/0.999, stabilizer 1e-8)
@@ -153,9 +162,7 @@ def _columns(aug: AugmentedSnapshots, idx) -> AugmentedSnapshots:
                               state_dim=aug.state_dim, input_dim=aug.input_dim)
 
 
-def _gram_terms(nd: NormalDictionary, batch: AugmentedSnapshots, ridge_scale: float):
-    P = nd.eval_aug(batch.Z)
-    Q = nd.eval_aug(batch.Zplus)
+def _gram_terms(nd, P: Array, Q: Array, ridge_scale: float):
     if not (np.all(np.isfinite(P)) and np.all(np.isfinite(Q))):
         raise NonFiniteLoss(
             f"dictionary evaluation is not finite (parameter norm {_param_norm(nd)})")
@@ -164,7 +171,7 @@ def _gram_terms(nd: NormalDictionary, batch: AugmentedSnapshots, ridge_scale: fl
     eps_q = ridge_scale * float(np.sum(Q * Q)) / s
     Gp = P @ P.T + eps_p * np.eye(s)
     Gq = Q @ Q.T + eps_q * np.eye(s)
-    return P, Q, Gp, Gq
+    return Gp, Gq
 
 
 def loss(nd: NormalDictionary, batch: AugmentedSnapshots, mode: str = "trace",
@@ -182,7 +189,9 @@ def loss(nd: NormalDictionary, batch: AugmentedSnapshots, mode: str = "trace",
         nd.set_params(np.asarray(params, dtype=float))
     if mode not in ("trace", "max_eig"):
         raise ConfigError(f"mode must be 'trace' or 'max_eig', got {mode!r}")
-    P, Q, Gp, Gq = _gram_terms(nd, batch, ridge_scale)
+    P = nd.eval_aug(batch.Z)
+    Q = nd.eval_aug(batch.Zplus)
+    Gp, Gq = _gram_terms(nd, P, Q, ridge_scale)
     s = P.shape[0]
     Cpq = P @ Q.T
     if mode == "trace":
@@ -215,10 +224,23 @@ def loss_gradient(nd: TrainableNormalDictionary, batch: AugmentedSnapshots,
     ``nd.get_params()`` (frozen head rows contribute no entries).  The
     max-eigenvalue mode has no gradient here: its top eigenvector is
     discontinuous at crossings.
+
+    One forward and one backward pass per call: H runs on the ``2B``
+    state columns ``[X | X+]`` and Gtilde once on the inputs, which ``Z``
+    and ``Z+`` share whenever the snapshots come from the augmented map
+    (checked entry by entry; otherwise Gtilde also runs on ``U+``).  The
+    backward pass takes ``[dL/dP | dL/dQ]`` in one block.
     """
     if params is not None:
         nd.set_params(np.asarray(params, dtype=float))
-    P, Q, Gp, Gq = _gram_terms(nd, batch, ridge_scale)
+    n, B = batch.state_dim, batch.n_snapshots
+    U = batch.Z[n:]
+    if not np.array_equal(U, batch.Zplus[n:]):
+        U = np.hstack([U, batch.Zplus[n:]])
+    fwd = nd._forward(np.hstack([batch.Z[:n], batch.Zplus[:n]]), U)
+    Phi = nd._stack(fwd)
+    P, Q = Phi[:, :B], Phi[:, B:]
+    Gp, Gq = _gram_terms(nd, P, Q, ridge_scale)
     s = P.shape[0]
     Cpq = P @ Q.T
     T1 = np.linalg.solve(Gp, Cpq)
@@ -235,7 +257,7 @@ def loss_gradient(nd: TrainableNormalDictionary, batch: AugmentedSnapshots,
     dL_deps_q = float(np.trace(np.linalg.solve(Gq, T2 @ T1)))
     dP = dP + (2.0 * ridge_scale / s) * dL_deps_p * P
     dQ = dQ + (2.0 * ridge_scale / s) * dL_deps_q * Q
-    grad = nd.vjp_aug(batch.Z, dP) + nd.vjp_aug(batch.Zplus, dQ)
+    grad = nd._backward(fwd, np.hstack([dP, dQ]))
     if not np.isfinite(value):
         raise NonFiniteLoss(f"loss is not finite (parameter norm {_param_norm(nd)})")
     if not np.all(np.isfinite(grad)):

@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dynamics import ControlSystem, SnapshotSet, simulate
+from .dynamics import ControlSystem, SnapshotSet, _simulate_many
 from .edmd import ConsistencyReport, EdmdFit, PINV_CUTOFF, _svd_pinv, fit_edmd
 from .errors import (
     ConfigError,
@@ -504,12 +504,9 @@ def evaluate_rollouts(system: ControlSystem, models: dict, x0s, n_steps: int,
     lo, hi = system.input_box
     U = rng.uniform(lo, hi, size=(n_steps, system.input_dim)).T
     x0s = [np.asarray(x0, dtype=float).reshape(-1) for x0 in x0s]
-
-    truths = []
-    for x0 in x0s:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            truths.append(simulate(system, x0, U).states)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        truths = [tr.states for tr in _simulate_many(system, x0s, U)]
 
     results = {}
     trajectories = {"truth": truths, "inputs": U}

@@ -150,18 +150,22 @@ class NormalDictionary:
         The bottom block contracts the batched ``Gtilde(U)`` with ``H(X)``
         column by column: ``Gtilde(u_j) H(x_j)``.
         """
+        X, U = self._split(Z)
+        Hm = eval_matrix(self.H, X)
+        if self.Gtilde is None:
+            return Hm
+        bottom = np.einsum("ijN,jN->iN", self.Gtilde.batch(U), Hm)
+        return np.vstack([Hm, bottom])
+
+    def _split(self, Z: Array) -> tuple[Array, Array]:
+        """``(X, U)`` from stacked data ``Z = [X; U]``, shape-checked."""
         Z = np.atleast_2d(np.asarray(Z, dtype=float))
         n, m = self.state_dim, self.input_dim
         if Z.shape[0] != n + m:
             raise DimensionMismatch(
                 f"augmented data has {Z.shape[0]} rows, expected n+m = {n + m}"
             )
-        X, U = Z[:n], Z[n:]
-        Hm = eval_matrix(self.H, X)
-        if self.Gtilde is None:
-            return Hm
-        bottom = np.einsum("ijN,jN->iN", self.Gtilde.batch(U), Hm)
-        return np.vstack([Hm, bottom])
+        return Z[:n], Z[n:]
 
     def describe(self) -> dict:
         return {
@@ -369,16 +373,18 @@ def verify_normality(G_eval, u_samples, tol: float = DEFAULT_RANK_TOL) -> dict:
 
 
 def _softplus(z: Array) -> Array:
-    return np.logaddexp(0.0, z)
+    """``log(1 + exp(z))`` without overflow: ``max(z, 0) + log1p(exp(-|z|))``."""
+    return np.maximum(z, 0.0) + np.log1p(np.exp(-np.abs(z)))
 
 
 def _sigmoid(z: Array) -> Array:
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    """``1 / (1 + exp(-z))``, with the exponent never positive.
+
+    With ``e = exp(-|z|)`` it is ``1 / (1 + e)`` for ``z >= 0`` and
+    ``e / (1 + e)`` below: one division over the selected numerators.
+    """
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0, e) / (1.0 + e)
 
 
 _ACTIVATIONS = {
@@ -575,6 +581,15 @@ class TrainableNormalDictionary(NormalDictionary):
     ``Gtilde(u)`` from ``g_net``, both exposed through one flat parameter
     vector with exact reverse-accumulation gradients.
 
+    Every evaluation goes through one private forward, which runs each
+    network once and returns the H and Gtilde blocks with their caches,
+    and every gradient through one private backward.  :meth:`eval_aug`
+    and :meth:`vjp_aug` use them on one data block; a training step
+    (:func:`kooplift.learning.loss_gradient`) uses them once for ``Z``
+    and ``Z+`` together: H on both state blocks, and Gtilde once on the
+    input the augmented map holds, so one forward and one backward per
+    step.
+
     ``x_scale`` / ``u_scale`` premultiply incoming coordinates and the
     fixed-head rows are divided by ``x_scale`` again, so a dictionary
     trained on scaled data can be rebased to original coordinates as a
@@ -651,77 +666,97 @@ class TrainableNormalDictionary(NormalDictionary):
             t[r] = 1.0 / self.x_scale[idx]
         return t
 
-    def _eval_H(self, X: Array) -> Array:
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        Xs = X * self.x_scale[:, None]
-        k = len(self.fixed_head)
-        rows = [Xs[list(self.fixed_head)]] if k else []
-        if self.h_net is not None:
-            out, _ = self.h_net.forward(Xs)
-            rows.append(out)
-        Hm = np.vstack(rows) if rows else np.zeros((0, X.shape[1]))
-        return Hm * self._head_rescale()[:, None]
+    def _forward(self, X: Array | None, U: Array | None):
+        """One pass of both networks: ``(Hm, Gt, caches)``.
 
-    def _eval_Gt(self, U: Array) -> Array:
-        """Gtilde stacked over columns: shape (s-l, l, N)."""
-        U = np.atleast_2d(np.asarray(U, dtype=float))
-        Us = U * self.u_scale[:, None]
-        flat, _ = self.g_net.forward(Us)
-        Gt = flat.reshape(self._s - self._l, self._l, U.shape[1])
+        ``Hm`` is H at the columns of ``X``, shape ``(l, Nx)``; ``Gt`` is
+        Gtilde at the columns of ``U``, shape ``(s-l, l, Nu)``.  Either is
+        None when its argument is (``Gt`` also when ``s == l``).  ``caches``
+        holds what :meth:`_backward` needs from the two networks.
+        """
         t = self._head_rescale()
-        return Gt / t[None, :, None]
+        Hm = Gt = h_cache = g_cache = None
+        if X is not None:
+            Xs = X * self.x_scale[:, None]
+            rows = [Xs[list(self.fixed_head)]] if self.fixed_head else []
+            if self.h_net is not None:
+                out, h_cache = self.h_net.forward(Xs)
+                rows.append(out)
+            Hm = (np.vstack(rows) if rows else np.zeros((0, X.shape[1]))) * t[:, None]
+        if U is not None and self.g_net is not None:
+            flat, g_cache = self.g_net.forward(U * self.u_scale[:, None])
+            Gt = flat.reshape(self._s - self._l, self._l, U.shape[1]) / t[None, :, None]
+        return Hm, Gt, (h_cache, g_cache)
 
-    # The batched normal-form evaluation is inherited; binding it here too
-    # lists it among this class's own methods, where perfbench/tracing.py
-    # looks it up.
-    eval_aug = NormalDictionary.eval_aug
+    def _stack(self, fwd) -> Array:
+        """``Phi = [H; Gtilde H]`` from ``fwd = self._forward(X, U)``.
 
-    def vjp_aug(self, Z: Array, Wbar: Array) -> Array:
-        """Gradient of ``sum(Wbar * Phi(Z))`` with respect to the parameters.
+        The columns of ``Hm`` come in ``c`` groups of ``Nu``; column j of
+        every group pairs with ``Gt[:, :, j]``, so data sharing its inputs
+        (Z and Z+ of the augmented map) evaluates Gtilde once.
+        """
+        Hm, Gt, _ = fwd
+        if Gt is None:
+            return Hm
+        (l, Nx), Nu = Hm.shape, Gt.shape[2]
+        bottom = np.einsum("ijN,jcN->icN", Gt, Hm.reshape(l, Nx // max(Nu, 1), Nu))
+        return np.vstack([Hm, bottom.reshape(self._s - l, Nx)])
+
+    def _backward(self, fwd, Wbar: Array) -> Array:
+        """Gradient of ``sum(Wbar * self._stack(fwd))`` with respect to the parameters.
 
         Exact reverse accumulation through the normal-form structure: the
         upstream signal splits into the top block (direct H gradient) and
         the bottom block, which distributes onto both ``H`` (through
-        ``Gtilde(u)``) and ``Gtilde`` (through outer products with H).
+        ``Gtilde(u)``) and ``Gtilde`` (through outer products with H,
+        summed over the column groups that share an input).
         """
-        Z = np.atleast_2d(np.asarray(Z, dtype=float))
-        Wbar = np.asarray(Wbar, dtype=float)
-        n = self._state_dim
-        X, U = Z[:n], Z[n:]
-        Xs = X * self.x_scale[:, None]
+        Hm, Gt, (h_cache, g_cache) = fwd
         t = self._head_rescale()
-        k = len(self.fixed_head)
+        l = self._l
+        dH = Wbar[:l]
         grads = []
-
-        if self._s > self._l:
-            Us = U * self.u_scale[:, None]
-            g_flat, g_cache = self.g_net.forward(Us)
-            Gt = g_flat.reshape(self._s - self._l, self._l, U.shape[1]) / t[None, :, None]
-        if self.h_net is not None:
-            h_out, h_cache = self.h_net.forward(Xs)
-
-        # Reassemble H exactly as _eval_H does.
-        rows = [Xs[list(self.fixed_head)]] if k else []
-        if self.h_net is not None:
-            rows.append(h_out)
-        Hm = (np.vstack(rows) if rows else np.zeros((0, X.shape[1]))) * t[:, None]
-
-        W_top = Wbar[: self._l]
-        dH = W_top.copy()
-        if self._s > self._l:
-            W_bot = Wbar[self._l :]
-            dH = dH + np.einsum("ijN,iN->jN", Gt, W_bot)
-            dGt = W_bot[:, None, :] * Hm[None, :, :]
-            dGt_flat = (dGt / t[None, :, None]).reshape(-1, U.shape[1])
+        if Gt is not None:
+            Nu = Gt.shape[2]
+            c = Hm.shape[1] // max(Nu, 1)
+            W_bot = Wbar[l:].reshape(self._s - l, c, Nu)
+            dH = dH + np.einsum("ijN,icN->jcN", Gt, W_bot).reshape(l, Hm.shape[1])
+            dGt = np.einsum("icN,jcN->ijN", W_bot, Hm.reshape(l, c, Nu))
         # Chain through the head rescale, then drop the frozen head rows.
-        dH_raw = dH * t[:, None]
         if self.h_net is not None:
-            grads.extend(self.h_net.backward(h_cache, dH_raw[k:]))
-        if self._s > self._l:
-            grads.extend(self.g_net.backward(g_cache, dGt_flat))
+            grads.extend(self.h_net.backward(h_cache, (dH * t[:, None])[len(self.fixed_head):]))
+        if Gt is not None:
+            grads.extend(self.g_net.backward(g_cache, (dGt / t[None, :, None]).reshape(-1, Nu)))
         if not grads:
             return np.zeros(0)
         return np.concatenate([g.ravel() for g in grads])
+
+    def _eval_H(self, X: Array) -> Array:
+        return self._forward(X, None)[0]
+
+    def _eval_Gt(self, U: Array) -> Array:
+        """Gtilde stacked over columns: shape (s-l, l, N)."""
+        return self._forward(None, U)[1]
+
+    def eval_aug(self, Z: Array) -> Array:
+        """Evaluate ``Phi`` on stacked data ``Z = [X; U]``: one pass of each network.
+
+        The blocks are evaluated one after the other, so the caches of one
+        network are freed before the other runs: ``Z`` may be a whole
+        dataset, and no backward pass follows.
+        """
+        X, U = self._split(Z)
+        return self._stack((self._eval_H(X), self._eval_Gt(U), None))
+
+    def vjp_aug(self, Z: Array, Wbar: Array) -> Array:
+        """Gradient of ``sum(Wbar * Phi(Z))`` with respect to the parameters.
+
+        One :meth:`_forward` on ``Z`` and one :meth:`_backward` of
+        ``Wbar``.  Training does not come through here: its step runs the
+        same two functions once on ``Z`` and ``Z+`` together.
+        """
+        fwd = self._forward(*self._split(Z))
+        return self._backward(fwd, np.asarray(Wbar, dtype=float))
 
     def with_input_scaling(self, x_scale, u_scale) -> "TrainableNormalDictionary":
         """Rebase onto unscaled coordinates.

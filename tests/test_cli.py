@@ -1,6 +1,10 @@
 """End-to-end tests of the command-line interface (in-process)."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -299,6 +303,35 @@ class TestLearn:
                    "--config", str(config), "--out", str(tmp_path)])
         assert rc == 2
         assert "momentum" in capsys.readouterr().err
+
+
+class TestDeterminism:
+    def test_learn_in_fresh_processes_is_byte_identical_at_one_thread(self, tmp_path):
+        """The contract: same inputs, seed and BLAS thread count give the same bytes."""
+        assert _run(["simulate", "--system", "dc_motor_tanh", "--experiments", "60",
+                     "--steps", "5", "--seed", "2", "--out", str(tmp_path / "data")]) == 0
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({
+            "family": {"kind": "residual_mlp", "blocks": 1, "width": 8},
+            "s": 9, "l": 4, "epochs": 3, "batch_size": 50,
+            "lr_start": 1e-2, "lr_end": 1e-3, "seed": 3,
+        }))
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+                   MKL_NUM_THREADS="1")
+        src = str(Path(kl.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        outputs = []
+        for run in ("a", "b"):
+            out = tmp_path / run
+            subprocess.run([sys.executable, "-m", "kooplift.cli", "learn",
+                            "--data", str(tmp_path / "data" / "snapshots.csv"),
+                            "--config", str(config), "--out", str(out)],
+                           env=env, check=True, capture_output=True, timeout=300)
+            outputs.append({f.name: f.read_bytes() for f in sorted(out.iterdir())
+                            if f.name != "timing.json"})
+        assert sorted(outputs[0]) == ["dictionary.json", "train_curve.csv",
+                                      "train_report.json"]
+        assert outputs[0] == outputs[1]
 
 
 class TestVersion:

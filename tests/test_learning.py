@@ -9,7 +9,7 @@ import pytest
 
 import kooplift as kl
 from kooplift.dynamics import AugmentedSnapshots
-from kooplift.errors import ConfigError
+from kooplift.errors import ConfigError, NonFiniteGradient, NonFiniteLoss
 from kooplift.learning import (PipelineResult, TrainConfig, config_from_json,
                                config_to_json, loss, loss_gradient, pipeline,
                                report_to_csv, report_to_json, train)
@@ -130,6 +130,134 @@ class TestLossGradient:
                                   ridge_scale=1e-13, params=_exact_params())
         assert val <= 1e-8
         assert np.linalg.norm(grad) <= 1e-6
+
+
+def _reference_step(nd, batch, ridge_scale=1e-10):
+    """The training step written out pass by pass: ``eval_aug`` on ``Z`` and
+    on ``Z+``, the Gram terms, and ``vjp_aug`` once per block.
+
+    Returns ``(value, gradient, scale)``, where ``scale`` is the sum of the
+    norms of the two ``vjp_aug`` terms, the size any reordering of their
+    sum is measured against.
+    """
+    P = nd.eval_aug(batch.Z)
+    Q = nd.eval_aug(batch.Zplus)
+    if not (np.all(np.isfinite(P)) and np.all(np.isfinite(Q))):
+        raise NonFiniteLoss("dictionary evaluation is not finite")
+    s = P.shape[0]
+    eps_p = ridge_scale * float(np.sum(P * P)) / s
+    eps_q = ridge_scale * float(np.sum(Q * Q)) / s
+    Gp = P @ P.T + eps_p * np.eye(s)
+    Gq = Q @ Q.T + eps_q * np.eye(s)
+    Cpq = P @ Q.T
+    T1 = np.linalg.solve(Gp, Cpq)
+    T2 = np.linalg.solve(Gq, Cpq.T)
+    value = s - float(np.sum(T1 * T2.T))
+    Xp = np.linalg.solve(Gp, P)
+    Yq = np.linalg.solve(Gq, Q)
+    dP = 2.0 * (T1 @ (T2 @ Xp - Yq))
+    dQ = 2.0 * (T2 @ (T1 @ Yq - Xp))
+    dP = dP + (2.0 * ridge_scale / s) * float(np.trace(np.linalg.solve(Gp, T1 @ T2))) * P
+    dQ = dQ + (2.0 * ridge_scale / s) * float(np.trace(np.linalg.solve(Gq, T2 @ T1))) * Q
+    gP = nd.vjp_aug(batch.Z, dP)
+    gQ = nd.vjp_aug(batch.Zplus, dQ)
+    grad = gP + gQ
+    if not np.isfinite(value):
+        raise NonFiniteLoss("loss is not finite")
+    if not np.all(np.isfinite(grad)):
+        raise NonFiniteGradient("gradient is not finite")
+    return value, grad, np.linalg.norm(gP) + np.linalg.norm(gQ)
+
+
+_FAMILIES = {
+    "polynomial": {"total_degree": 2},
+    "mlp": {"widths": [8, 6]},
+    "residual_mlp": {"blocks": 2, "width": 8},
+}
+
+
+@pytest.fixture(scope="module")
+def motor_augmented():
+    plan = kl.ExperimentPlan(num_experiments=30, steps_per_experiment=5, rng_seed=4)
+    return kl.to_augmented(kl.run_experiments(kl.dc_motor_tanh(), plan))
+
+
+class TestFusedStep:
+    """``loss_gradient`` (one forward, one backward) against the pass-by-pass step."""
+
+    @pytest.mark.parametrize("inputs", ["held", "differ"])
+    @pytest.mark.parametrize("s", [4, 9])
+    @pytest.mark.parametrize("fixed_head", ["state", None])
+    @pytest.mark.parametrize("kind", sorted(_FAMILIES))
+    def test_matches_pass_by_pass_step(self, motor_augmented, kind, fixed_head, s, inputs):
+        batch = motor_augmented
+        if inputs == "differ":
+            rng = np.random.default_rng(8)
+            Zplus = batch.Zplus.copy()
+            Zplus[batch.state_dim:] += rng.uniform(-0.5, 0.5, size=Zplus[batch.state_dim:].shape)
+            batch = AugmentedSnapshots(Z=batch.Z, Zplus=Zplus, state_dim=batch.state_dim,
+                                       input_dim=batch.input_dim)
+        nd = parametric_family(kind, state_dim=2, input_dim=1, s=s, l=4,
+                               fixed_head=fixed_head, seed=9, **_FAMILIES[kind])
+        ref_value, ref_grad, scale = _reference_step(nd, batch)
+        value, grad = loss_gradient(nd, batch)
+        # The forward passes agree bit for bit, so the value does too.  The
+        # backward pass sums the Z and Z+ contributions over 2B columns in
+        # another order: allow 8x the rounding bound of a 2B-term sum, with
+        # the norms of the two vjp_aug terms standing in for the magnitudes.
+        assert value == ref_value
+        assert grad.shape == ref_grad.shape == (nd.n_params,)
+        tol = 8 * (2 * batch.n_snapshots) * np.finfo(float).eps * scale
+        assert np.linalg.norm(grad - ref_grad) <= tol
+
+    def test_non_finite_dictionary_raises_loss_error(self, motor_augmented):
+        Z = motor_augmented.Z.copy()
+        Z[0, 3] = np.inf
+        batch = AugmentedSnapshots(Z=Z, Zplus=motor_augmented.Zplus, state_dim=2, input_dim=1)
+        nd = parametric_family("mlp", state_dim=2, input_dim=1, s=9, l=4, widths=[8], seed=1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            with pytest.raises(NonFiniteLoss):
+                _reference_step(nd, batch)
+            with pytest.raises(NonFiniteLoss):
+                loss_gradient(nd, batch)
+
+    def test_overflowing_backward_raises_gradient_error(self):
+        # States near 4e153 put x^2 features near 1e307; subnormal weights
+        # keep Phi finite, so the loss is finite and the backward pass,
+        # which multiplies by the features again, overflows.
+        rng = np.random.default_rng(0)
+        X, Xplus = rng.uniform(1, 3, size=(2, 2, 400)) * 4e153
+        U = rng.uniform(-1, 1, size=(1, 400))
+        batch = AugmentedSnapshots(Z=np.vstack([X, U]), Zplus=np.vstack([Xplus, U]),
+                                   state_dim=2, input_dim=1)
+        nd = parametric_family("polynomial", state_dim=2, input_dim=1, s=2, l=2,
+                               fixed_head=None, total_degree=2, seed=0)
+        nd.set_params(nd.get_params() * 1e-310)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            with pytest.raises(NonFiniteGradient):
+                _reference_step(nd, batch)
+            with pytest.raises(NonFiniteGradient):
+                loss_gradient(nd, batch)
+
+    def test_train_counts_the_same_bad_batches(self, zero_sine_augmented, monkeypatch):
+        Z = zero_sine_augmented.Z.copy()
+        Z[0, ::97] = np.nan
+        aug = AugmentedSnapshots(Z=Z, Zplus=zero_sine_augmented.Zplus, state_dim=2,
+                                 input_dim=1)
+        config = TrainConfig(family={"kind": "polynomial", "total_degree": 2},
+                             s=7, l=4, epochs=2, batch_size=25, seed=2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            _, fused = train(config, aug)
+            monkeypatch.setattr(kl.learning, "loss_gradient",
+                                lambda nd, batch, ridge_scale: _reference_step(
+                                    nd, batch, ridge_scale)[:2])
+            _, reference = train(config, aug)
+        assert fused.nan_batches == reference.nan_batches > 2
+        assert fused.aborted == reference.aborted
+        assert fused.best_epoch == reference.best_epoch
 
 
 class TestTrainConfig:

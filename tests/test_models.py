@@ -313,6 +313,40 @@ class TestEvaluateRollouts:
         assert np.isinf(out["rmse"]["bad"]["rmse"]).all()
         assert out["rmse"]["bad"]["diverged_at"] is not None
 
+    def test_truth_equals_per_x0_simulate(self):
+        motor = kl.dc_motor_tanh()
+        x0s = [[0.3, -1.0], [-0.8, 2.0], [0.0, 0.0]]
+        out = evaluate_rollouts(motor, {}, x0s, n_steps=120, seed=15)
+        U = out["trajectories"]["inputs"]
+        assert len(out["trajectories"]["truth"]) == len(x0s)
+        for x0, truth in zip(x0s, out["trajectories"]["truth"]):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                np.testing.assert_array_equal(truth, simulate(motor, x0, U).states)
+
+    def test_diverging_truth_raises_what_simulate_raises(self):
+        # x+ = x*x: |x| > 1 overflows, the larger the sooner.  The second
+        # initial state overflows in x2, later than the third does in x1;
+        # the per-x0 loop reaches the second first.
+        def square(x, u):
+            with np.errstate(over="ignore"):
+                return x * x + 0.0 * u
+
+        system = ControlSystem(state_dim=2, input_dim=1, step_map=square,
+                               state_box=np.array([[-1.0, -1.0], [1.0, 1.0]]),
+                               input_box=np.array([[-1.0], [1.0]]), name="square")
+        x0s = [[0.5, -0.9], [0.2, 3.0], [40.0, 0.1]]
+        U = np.zeros((1, 30))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            with pytest.raises(NonFiniteState) as expected:
+                for x0 in x0s:
+                    simulate(system, x0, U)
+            with pytest.raises(NonFiniteState) as got:
+                evaluate_rollouts(system, {}, x0s, n_steps=30, seed=16)
+        assert "x2" in str(expected.value)
+        assert str(got.value) == str(expected.value)
+
     def test_seed_determinism(self, poly_system, poly_model):
         a = evaluate_rollouts(poly_system, {"m": poly_model}, [[0.1, 0.2]],
                               n_steps=5, seed=14)

@@ -2,13 +2,14 @@
 
 import itertools
 import json
+import warnings
 
 import numpy as np
 import pytest
 
 import kooplift as kl
 from kooplift.errors import ConfigError, DimensionMismatch, RankDeficientProbe
-from kooplift.observables import _monomial_exponents
+from kooplift.observables import _monomial_exponents, _sigmoid, _softplus
 
 
 def _random_aug(rng, n=2, m=1, N=30):
@@ -260,6 +261,49 @@ class TestVerifyNormality:
                 lambda u: M8 @ poly_basis.G_of(u), us, tol=1e-8)["normal"]
             assert not kl.verify_normality(
                 lambda u: M2 @ bad(u), us, tol=1e-8)["normal"]
+
+
+def _masked_sigmoid(z):
+    """The sigmoid as formerly written: one exponential per sign, scattered by masks."""
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+class TestActivations:
+    GRID = np.concatenate([
+        [0.0, 1e-300, -1e-300, 5e-324, -5e-324, 37.0, -37.0, 745.0, -745.0,
+         800.0, -800.0, 1e300, -1e300],
+        np.linspace(-800.0, 800.0, 40001),
+    ])
+
+    @staticmethod
+    def _assert_relative(got, ref, rtol):
+        assert got.shape == ref.shape
+        assert np.all(np.abs(got - ref) <= rtol * np.abs(ref))
+
+    def test_softplus_matches_logaddexp(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with np.errstate(all="warn", under="ignore"):
+                got = _softplus(self.GRID)
+        self._assert_relative(got, np.logaddexp(0.0, self.GRID), 4.5e-16)
+
+    def test_sigmoid_matches_masked_formula(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with np.errstate(all="warn", under="ignore"):
+                got = _sigmoid(self.GRID)
+        self._assert_relative(got, _masked_sigmoid(self.GRID), 4.5e-16)
+
+    def test_sigmoid_is_the_derivative_of_softplus(self):
+        z = np.linspace(-30.0, 30.0, 601)
+        h = 1e-5
+        fd = (_softplus(z + h) - _softplus(z - h)) / (2 * h)
+        np.testing.assert_allclose(_sigmoid(z), fd, rtol=1e-8, atol=1e-10)
 
 
 class TestParametricFamily:
