@@ -22,8 +22,7 @@ aug = kl.to_augmented(ss)
 print(f"simulated {aug.n_snapshots} snapshot pairs from {system.name}")
 
 nd = kl.example_poly_normal_basis()
-P = nd.eval_aug(aug.Z)
-Q = nd.eval_aug(aug.Zplus)
+P, Q = nd.eval_pair(aug)
 fit = kl.fit_edmd(P, Q)
 rep = kl.consistency_index(P, Q)
 print(f"dictionary: s = {nd.s} augmented observables, l = {nd.l} state rows")

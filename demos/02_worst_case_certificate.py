@@ -26,12 +26,11 @@ for row in ("x1*u", "u", "u^2", "sin(u)"):
     nd = kl.example_poly_normal_basis(truncate=(row,))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        rep = kl.consistency_index(nd.eval_aug(aug.Z), nd.eval_aug(aug.Zplus))
+        rep = kl.consistency_index(*nd.eval_pair(aug))
     print(f"  without {row:7s}: {rep.sqrt_index:.4f}")
 
 nd = kl.example_poly_normal_basis(truncate=("u",))
-P = nd.eval_aug(aug.Z)
-Q = nd.eval_aug(aug.Zplus)
+P, Q = nd.eval_pair(aug)
 with warnings.catch_warnings():
     warnings.simplefilter("ignore")
     rep = kl.consistency_index(P, Q)

@@ -41,8 +41,7 @@ for epoch in (0, 9, 49, 99, 199):
 print(f"final proximity (train half): {report.final_proximity_train:.3e}")
 print(f"final proximity (test half):  {report.final_proximity_test:.3e}")
 
-P = nd.eval_aug(aug.Z)
-Q = nd.eval_aug(aug.Zplus)
+P, Q = nd.eval_pair(aug)
 fit = kl.fit_edmd(P, Q)
 model = extract_normal(fit, nd, source_index=kl.consistency_index(P, Q))
 

@@ -249,8 +249,7 @@ def cmd_edmd(args) -> int:
     stamp = _stamp(args.seed, cfg)
     _, aug = _load_augmented(args.data)
     nd = _load_dictionary_arg(args.dictionary)
-    P = nd.eval_aug(aug.Z)
-    Q = nd.eval_aug(aug.Zplus)
+    P, Q = nd.eval_pair(aug)
     cutoff = args.tol if args.tol is not None else edmd_mod.PINV_CUTOFF
     fit = edmd_mod.fit_edmd(P, Q, cutoff=cutoff)
     out = _out_dir(args)
@@ -284,8 +283,7 @@ def cmd_consistency(args) -> int:
     stamp = _stamp(args.seed, cfg)
     _, aug = _load_augmented(args.data)
     nd = _load_dictionary_arg(args.dictionary)
-    P = nd.eval_aug(aug.Z)
-    Q = nd.eval_aug(aug.Zplus)
+    P, Q = nd.eval_pair(aug)
     cutoff = args.tol if args.tol is not None else edmd_mod.PINV_CUTOFF
     report = edmd_mod.consistency_index(P, Q, cutoff=cutoff)
     payload = edmd_mod.report_to_json(report)
@@ -347,8 +345,7 @@ def cmd_extract(args) -> int:
     stamp = _stamp(args.seed, cfg)
     ss, aug = _load_augmented(args.data)
     nd = _load_dictionary_arg(args.dictionary)
-    P = nd.eval_aug(aug.Z)
-    Q = nd.eval_aug(aug.Zplus)
+    P, Q = nd.eval_pair(aug)
     cutoff = args.tol if args.tol is not None else edmd_mod.PINV_CUTOFF
     fit = edmd_mod.fit_edmd(P, Q, cutoff=cutoff)
     report = edmd_mod.consistency_index(P, Q, cutoff=cutoff)

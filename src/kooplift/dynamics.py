@@ -17,6 +17,7 @@ snapshot datasets.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import json
 import math
 import warnings
@@ -486,8 +487,7 @@ def save_snapshots(ss: SnapshotSet, csv_path, manifest_extra: dict | None = None
     lines = [_csv_header(n, m)]
     if comment is not None:
         lines.insert(0, "# " + comment)
-    for row in rows:
-        lines.append(",".join(repr(float(v)) for v in row))
+    lines.extend(",".join(map(repr, row.tolist())) for row in rows)
     csv_path.write_text("\n".join(lines) + "\n")
     manifest = {
         "n": n,
@@ -508,11 +508,26 @@ def manifest_path_for(csv_path) -> Path:
     return csv_path.with_name(csv_path.stem + ".manifest.json")
 
 
+def _malformed_row(csv_path, body, width: int) -> ConfigError:
+    """The error naming the first malformed row of ``body``, ``(line number, text)`` pairs."""
+    for i, line in body:
+        parts = line.split(",")
+        if len(parts) != width:
+            return ConfigError(f"{csv_path}: malformed CSV row at line {i} (expected {width} fields)")
+        try:
+            [float(p) for p in parts]
+        except ValueError:
+            return ConfigError(f"{csv_path}: malformed CSV row at line {i} (non-numeric field)")
+    return ConfigError(f"{csv_path}: malformed snapshot CSV")
+
+
 def load_snapshots(csv_path) -> SnapshotSet:
     """Load a snapshot CSV written by :func:`save_snapshots`.
 
     Lines starting with ``#`` are skipped.  Raises :class:`ConfigError`
-    naming the file line number on any malformed row.
+    naming the file line number on any malformed row.  All fields are
+    parsed in one pass with ``float``'s grammar; the rows are rescanned
+    one by one only to name a malformed one.
     """
     csv_path = Path(csv_path)
     raw = csv_path.read_text().split("\n")
@@ -526,15 +541,15 @@ def load_snapshots(csv_path) -> SnapshotSet:
     if n == 0 or m == 0 or header != _csv_header(n, m).split(","):
         raise ConfigError(f"{csv_path}: unrecognized snapshot CSV header {rows[0][1]!r}")
     width = 2 * n + m
-    data = np.empty((len(rows) - 1, width))
-    for k, (i, line) in enumerate(rows[1:]):
-        parts = line.split(",")
-        if len(parts) != width:
-            raise ConfigError(f"{csv_path}: malformed CSV row at line {i} (expected {width} fields)")
-        try:
-            data[k] = [float(p) for p in parts]
-        except ValueError:
-            raise ConfigError(f"{csv_path}: malformed CSV row at line {i} (non-numeric field)") from None
+    body = rows[1:]
+    if any(line.count(",") != width - 1 for _, line in body):
+        raise _malformed_row(csv_path, body, width)
+    fields = itertools.chain.from_iterable(line.split(",") for _, line in body)
+    try:
+        data = np.fromiter(map(float, fields), float, len(body) * width)
+    except ValueError:
+        raise _malformed_row(csv_path, body, width) from None
+    data = data.reshape(len(body), width)
     meta = {}
     mpath = manifest_path_for(csv_path)
     if mpath.exists():

@@ -256,8 +256,7 @@ def invariance_proximity(nd: NormalDictionary, aug: AugmentedSnapshots,
     relative one-step prediction error over the spanned space, and the
     quantity the dictionary-learning loss drives down.
     """
-    P = nd.eval_aug(aug.Z)
-    Q = nd.eval_aug(aug.Zplus)
+    P, Q = nd.eval_pair(aug)
     return consistency_index(P, Q, cutoff=cutoff)
 
 

@@ -29,7 +29,14 @@ Gtilde once on the input ``U``, which the augmented map holds, so ``Z`` and
 ``Z+`` share it; P and Q are read off that one pass.  The backward pass
 takes ``[dL/dP | dL/dQ]`` together: H on ``2B`` columns, Gtilde on ``B``
 columns with the two upstream signals summed.  The per-epoch metrics go
-through ``eval_aug`` and so accept any object that has it.
+through ``eval_pair``, which evaluates ``P`` and ``Q`` with Gtilde run
+once on the held input; :func:`loss` also accepts any object that only
+has ``eval_aug``, and then evaluates it on ``Z`` and ``Z+`` in turn.
+
+The pipeline reuses the training-half consistency report that
+:func:`train` computes for its final metrics as the certificate of the
+extracted model, and compares models on held-out data through the
+models' batched transition protocol (:mod:`kooplift.models`).
 
 Training follows the conventional recipe: split the data in half, run a
 moment-based adaptive gradient method (decay 0.9/0.999, stabilizer 1e-8)
@@ -53,7 +60,7 @@ from .dynamics import (
     run_experiments,
     to_augmented,
 )
-from .edmd import consistency_index, fit_edmd, invariance_proximity
+from .edmd import ConsistencyReport, consistency_index, fit_edmd, invariance_proximity
 from .errors import ConfigError, DegenerateData, NonFiniteGradient, NonFiniteLoss
 from .models import (
     SeparableModel,
@@ -62,7 +69,6 @@ from .models import (
     fit_bilinear_baseline,
     fit_linear_baseline,
     head_dictionary,
-    rollout,
     states_from_lifted,
 )
 from .observables import (
@@ -133,6 +139,9 @@ class TrainReport:
     selection.  Final proximities are ridge-free and computed in original
     coordinates.  ``wall_time`` is informational and excluded from the
     deterministic JSON so that metric files are byte-reproducible.
+    ``train_consistency`` is the consistency report behind
+    ``final_proximity_train`` (None when it could not be computed); like
+    the index arrays, it is not serialized.
     """
 
     train_curve: list
@@ -147,6 +156,7 @@ class TrainReport:
     data_rejections: int = 0
     train_indices: Array | None = dataclasses.field(default=None, repr=False)
     val_indices: Array | None = dataclasses.field(default=None, repr=False)
+    train_consistency: ConsistencyReport | None = dataclasses.field(default=None, repr=False)
 
 
 def _scaled(aug: AugmentedSnapshots, x_scale, u_scale) -> AugmentedSnapshots:
@@ -189,8 +199,10 @@ def loss(nd: NormalDictionary, batch: AugmentedSnapshots, mode: str = "trace",
         nd.set_params(np.asarray(params, dtype=float))
     if mode not in ("trace", "max_eig"):
         raise ConfigError(f"mode must be 'trace' or 'max_eig', got {mode!r}")
-    P = nd.eval_aug(batch.Z)
-    Q = nd.eval_aug(batch.Zplus)
+    if isinstance(nd, NormalDictionary):
+        P, Q = nd.eval_pair(batch)
+    else:
+        P, Q = nd.eval_aug(batch.Z), nd.eval_aug(batch.Zplus)
     Gp, Gq = _gram_terms(nd, P, Q, ridge_scale)
     s = P.shape[0]
     Cpq = P @ Q.T
@@ -238,7 +250,7 @@ def loss_gradient(nd: TrainableNormalDictionary, batch: AugmentedSnapshots,
     if not np.array_equal(U, batch.Zplus[n:]):
         U = np.hstack([U, batch.Zplus[n:]])
     fwd = nd._forward(np.hstack([batch.Z[:n], batch.Zplus[:n]]), U)
-    Phi = nd._stack(fwd)
+    Phi = nd._stack(fwd[0], fwd[1])
     P, Q = Phi[:, :B], Phi[:, B:]
     Gp, Gq = _gram_terms(nd, P, Q, ridge_scale)
     s = P.shape[0]
@@ -286,17 +298,21 @@ def _proximity(nd: NormalDictionary, batch: AugmentedSnapshots,
     return float(np.sqrt(np.clip(lam, 0.0, 1.0)))
 
 
-def _final_proximity(nd: NormalDictionary, aug: AugmentedSnapshots) -> float:
-    """Ridge-free proximity for the report; NaN when not computable.
+def _final_consistency(nd: NormalDictionary, aug: AugmentedSnapshots):
+    """Ridge-free consistency report for the final metrics; None when not computable.
 
     Aborted runs can leave non-finite data or parameters behind; the
-    report must still be returned, so evaluation failures degrade to NaN
-    instead of raising.
+    report must still be returned, so evaluation failures degrade to None
+    (a NaN proximity) instead of raising.
     """
     try:
-        return invariance_proximity(nd, aug).sqrt_index
+        return invariance_proximity(nd, aug)
     except (np.linalg.LinAlgError, DegenerateData, NonFiniteLoss, ValueError):
-        return float("nan")
+        return None
+
+
+def _sqrt_index(report) -> float:
+    return float("nan") if report is None else report.sqrt_index
 
 
 def train(config: TrainConfig, data: AugmentedSnapshots):
@@ -330,13 +346,15 @@ def train(config: TrainConfig, data: AugmentedSnapshots):
 
     trainable = isinstance(nd, TrainableNormalDictionary) and nd.n_params > 0
     if not trainable:
+        train_consistency = _final_consistency(nd, train_aug)
         report = TrainReport(
             train_curve=[], val_curve=[], lr_schedule=[],
-            final_proximity_train=_final_proximity(nd, train_aug),
-            final_proximity_test=_final_proximity(nd, val_aug),
+            final_proximity_train=_sqrt_index(train_consistency),
+            final_proximity_test=_sqrt_index(_final_consistency(nd, val_aug)),
             wall_time=time.perf_counter() - t0,
             nan_batches=0, aborted=False, best_epoch=0,
             train_indices=train_idx, val_indices=val_idx,
+            train_consistency=train_consistency,
         )
         return nd, report
 
@@ -412,18 +430,20 @@ def train(config: TrainConfig, data: AugmentedSnapshots):
 
     nd.set_params(best_theta)
     final_nd = nd.with_input_scaling(x_scale, u_scale)
+    train_consistency = _final_consistency(final_nd, train_aug)
     report = TrainReport(
         train_curve=train_curve,
         val_curve=val_curve,
         lr_schedule=lr_schedule,
-        final_proximity_train=_final_proximity(final_nd, train_aug),
-        final_proximity_test=_final_proximity(final_nd, val_aug),
+        final_proximity_train=_sqrt_index(train_consistency),
+        final_proximity_test=_sqrt_index(_final_consistency(final_nd, val_aug)),
         wall_time=time.perf_counter() - t0,
         nan_batches=nan_batches,
         aborted=aborted,
         best_epoch=best_epoch,
         train_indices=train_idx,
         val_indices=val_idx,
+        train_consistency=train_consistency,
     )
     return final_nd, report
 
@@ -443,13 +463,15 @@ class PipelineResult:
 
 
 def _one_step_state_errors(models: dict, ss: SnapshotSet) -> dict:
+    """Relative one-step state error of each model: every snapshot in one batched step."""
     out = {}
     denom = float(np.linalg.norm(ss.Xplus))
     for name, model in models.items():
-        preds = np.empty_like(ss.Xplus)
-        for j in range(ss.X.shape[1]):
-            z = model.step_lifted(model.lift(ss.X[:, j]), ss.U[:, j])
-            preds[:, j] = states_from_lifted(model, z[:, None])[:, 0]
+        A, b = model.transitions(ss.U)
+        Zp = np.einsum("Nij,jN->iN", A, model.lift(ss.X))
+        if b is not None:
+            Zp += b
+        preds = states_from_lifted(model, Zp)
         out[name] = float(np.linalg.norm(preds - ss.Xplus) / max(denom, 1e-300))
     return out
 
@@ -481,10 +503,13 @@ def pipeline(config: TrainConfig, system_or_dataset, plan=None, *,
     train_aug = _columns(aug, report.train_indices)
     val_aug = _columns(aug, report.val_indices)
 
-    P = nd.eval_aug(train_aug.Z)
-    Q = nd.eval_aug(train_aug.Zplus)
+    P, Q = nd.eval_pair(train_aug)
     fit = fit_edmd(P, Q)
-    consistency = consistency_index(P, Q)
+    # ``train`` certified this dictionary on these columns already; only a
+    # failed certificate (an aborted run) is recomputed, to raise its error.
+    consistency = report.train_consistency
+    if consistency is None:
+        consistency = consistency_index(P, Q)
     separable = extract_normal(fit, nd, consistency)
 
     X_tr, U_tr, Xp_tr = train_aug.split()

@@ -6,6 +6,18 @@ A12 Gtilde(u)``.  Lifted linear, bilinear, and switched-linear models are
 special cases; this module fits all of them from snapshot data, converts
 between them where exact embeddings exist, and rolls out predictions.
 
+Every lifted model speaks one transition protocol, the universal form
+``z_{k+1} = A_k z_k + b_k``: ``transitions(U)`` returns the per-step maps
+for a whole input sequence ``U`` (m, T) in one batch, ``A`` of shape
+(T, L, L) and ``b`` of shape (L, T) or None.  The separable model runs
+Gtilde once over all T inputs (``A_k = A11 + A12 Gtilde(u_k)``); the
+bilinear model gives ``A + sum_i u_i B_i`` with ``b = C u``, the linear
+one ``A`` with ``b = B u``, the switched one ``matrices[u_k]``.  Each
+model also has ``input_dim`` and lifts one state ``(n,)`` or a block of
+states ``(n, B)``.  Rollouts step an (L, B) block of lifted states
+through these maps, so a model's initial conditions roll out together;
+``step_lifted`` keeps each model's one-step definition in its own terms.
+
 State estimates are read from lifted trajectories by the fixed-head
 convention (rows of H named ``x1..xn`` hold the state) whenever those
 rows exist; otherwise a least-squares decoder is fitted and carried with
@@ -66,6 +78,33 @@ def head_dictionary(nd: NormalDictionary) -> StateDictionary:
     return psi
 
 
+def _lift(psi: StateDictionary, x) -> Array:
+    """``psi`` at one state ``(n,)``, or at every column of an ``(n, B)`` block."""
+    x = np.asarray(x, dtype=float)
+    if x.ndim == 2:
+        return eval_matrix(psi, x)
+    return psi(x.reshape(-1))
+
+
+class _LiftedModel:
+    """What every lifted model shares: its state dictionary ``basis``."""
+
+    @property
+    def basis(self) -> StateDictionary:
+        return self.psi
+
+    @property
+    def state_dim(self) -> int:
+        return self.basis.domain_dim
+
+    def lift(self, x) -> Array:
+        """The lifted state of one state ``(n,)``, or of each column of ``(n, B)``."""
+        return _lift(self.basis, x)
+
+    def readout_rows(self):
+        return _head_rows(self.basis.names, self.state_dim)
+
+
 def fit_state_decoder(psi: StateDictionary, X: Array):
     """Least-squares map D with ``X ~ D psi(X)``; returns (D, residual).
 
@@ -79,7 +118,7 @@ def fit_state_decoder(psi: StateDictionary, X: Array):
 
 
 @dataclasses.dataclass
-class SeparableModel:
+class SeparableModel(_LiftedModel):
     """Lifted model ``z+ = (A11 + A12 Gtilde(u)) z`` with ``z = H(x)``.
 
     ``A12`` and ``Gtilde`` are None when the dictionary has no input
@@ -110,8 +149,13 @@ class SeparableModel:
         return self.l if self.A12 is None else self.l + self.A12.shape[1]
 
     @property
-    def state_dim(self) -> int:
-        return self.H.domain_dim
+    def basis(self) -> StateDictionary:
+        return self.H
+
+    @property
+    def input_dim(self) -> int | None:
+        """m, or None when the model has no input rows (it then ignores inputs)."""
+        return None if self.A12 is None else self.Gtilde.domain_dim
 
     def A_of(self, u) -> Array:
         """Input-dependent lifted transition matrix ``A11 + A12 Gtilde(u)``."""
@@ -120,18 +164,22 @@ class SeparableModel:
         u = np.asarray(u, dtype=float).reshape(-1)
         return self.A11 + self.A12 @ self.Gtilde(u)
 
-    def lift(self, x) -> Array:
-        return self.H(np.asarray(x, dtype=float).reshape(-1))
+    def transitions(self, U: Array) -> tuple[Array, None]:
+        """``A_of(u_k)`` for every column of ``U``: Gtilde runs once over all of them."""
+        U = np.asarray(U, dtype=float)
+        T = U.shape[1]
+        if self.A12 is None:
+            return np.broadcast_to(self.A11, (T, self.l, self.l)), None
+        # Contiguous slices, so that each product is the BLAS call ``A_of`` makes.
+        G = np.ascontiguousarray(self.Gtilde.batch(U).transpose(2, 0, 1))
+        return self.A11 + self.A12 @ G, None
 
     def step_lifted(self, z: Array, u) -> Array:
         return self.A_of(u) @ z
 
-    def readout_rows(self):
-        return _head_rows(self.H.names, self.state_dim)
-
 
 @dataclasses.dataclass
-class LinearLiftedModel:
+class LinearLiftedModel(_LiftedModel):
     """Lifted linear model ``psi(x+) ~ A psi(x) + B u``."""
 
     psi: StateDictionary
@@ -140,22 +188,20 @@ class LinearLiftedModel:
     decoder: tuple | None = None
 
     @property
-    def state_dim(self) -> int:
-        return self.psi.domain_dim
+    def input_dim(self) -> int:
+        return self.B.shape[1]
 
-    def lift(self, x) -> Array:
-        return self.psi(np.asarray(x, dtype=float).reshape(-1))
+    def transitions(self, U: Array) -> tuple[Array, Array]:
+        U = np.asarray(U, dtype=float)
+        return np.broadcast_to(self.A, (U.shape[1],) + self.A.shape), self.B @ U
 
     def step_lifted(self, z: Array, u) -> Array:
         u = np.asarray(u, dtype=float).reshape(-1)
         return self.A @ z + self.B @ u
 
-    def readout_rows(self):
-        return _head_rows(self.psi.names, self.state_dim)
-
 
 @dataclasses.dataclass
-class BilinearLiftedModel:
+class BilinearLiftedModel(_LiftedModel):
     """Lifted bilinear model ``psi(x+) ~ A psi(x) + sum_i u_i B_i psi(x) [+ C u]``."""
 
     psi: StateDictionary
@@ -166,15 +212,14 @@ class BilinearLiftedModel:
     advisory: bool = False
 
     @property
-    def state_dim(self) -> int:
-        return self.psi.domain_dim
-
-    @property
     def input_dim(self) -> int:
         return len(self.Bs)
 
-    def lift(self, x) -> Array:
-        return self.psi(np.asarray(x, dtype=float).reshape(-1))
+    def transitions(self, U: Array) -> tuple[Array, Array | None]:
+        """``A + sum_i u_i B_i`` at every column of ``U``, with ``b = C u``."""
+        U = np.asarray(U, dtype=float)
+        A = self.A + np.tensordot(U.T, np.stack(self.Bs), axes=1)
+        return A, None if self.C is None else self.C @ U
 
     def step_lifted(self, z: Array, u) -> Array:
         u = np.asarray(u, dtype=float).reshape(-1)
@@ -185,12 +230,9 @@ class BilinearLiftedModel:
             out = out + self.C @ u
         return out
 
-    def readout_rows(self):
-        return _head_rows(self.psi.names, self.state_dim)
-
 
 @dataclasses.dataclass
-class SwitchedLinearModel:
+class SwitchedLinearModel(_LiftedModel):
     """One lifted transition matrix per input value in a finite set."""
 
     psi: StateDictionary
@@ -198,8 +240,8 @@ class SwitchedLinearModel:
     decoder: tuple | None = None
 
     @property
-    def state_dim(self) -> int:
-        return self.psi.domain_dim
+    def input_dim(self) -> int | None:
+        return len(next(iter(self.matrices))) if self.matrices else None
 
     def matrix_at(self, u) -> Array:
         key = tuple(float(v) for v in np.asarray(u, dtype=float).reshape(-1))
@@ -211,14 +253,14 @@ class SwitchedLinearModel:
                 f"no matrix fitted for input {key}; known values: {known}"
             ) from None
 
-    def lift(self, x) -> Array:
-        return self.psi(np.asarray(x, dtype=float).reshape(-1))
+    def transitions(self, U: Array) -> tuple[Array, None]:
+        """``matrix_at(u_k)`` for every column; an unknown value raises as there."""
+        U = np.asarray(U, dtype=float)
+        L = self.psi.dim
+        return np.array([self.matrix_at(u) for u in U.T]).reshape(-1, L, L), None
 
     def step_lifted(self, z: Array, u) -> Array:
         return self.matrix_at(u) @ z
-
-    def readout_rows(self):
-        return _head_rows(self.psi.names, self.state_dim)
 
 
 def extract_normal(fit: EdmdFit, nd: NormalDictionary, source_index=None) -> SeparableModel:
@@ -291,39 +333,58 @@ def _coerce_inputs(inputs, input_dim: int) -> Array:
     return U
 
 
-def rollout(model, x0, inputs, input_dim: int | None = None) -> Array:
-    """Open-loop lifted rollout: columns ``z_0 = lift(x0)``, ``z_{k+1} = step(z_k, u_k)``.
+def _roll(model, Z0: Array, U: Array) -> tuple[Array, Array]:
+    """Step the lifted block ``Z0`` (L, B) through the inputs ``U`` (m, T).
 
-    Works for any lifted model (separable, linear, bilinear, switched).
-    ``inputs`` is (m, L) (an empty list yields the single column
-    ``lift(x0)``).  Raises :class:`NonFiniteState` with the step index on
-    overflow.  Multi-step error is not certified: the source_index bound
-    is one-step only, so rollouts are reported without a guarantee.
+    Returns the trajectories, shape (L, T+1, B), and for each column the
+    first step at which it became non-finite (0 if it never did).  A
+    failed column is reset to zero, so it raises no further overflow, and
+    its later entries mean nothing; the loop ends once every column has
+    failed.
+    """
+    T = U.shape[1]
+    out = np.empty((T + 1,) + Z0.shape)
+    out[0] = Z0
+    failed = np.zeros(Z0.shape[1], dtype=int)
+    A, b = model.transitions(U) if T else (None, None)
+    for k in range(T):
+        Z = out[k + 1]
+        np.matmul(A[k], out[k], out=Z)
+        if b is not None:
+            Z += b[:, k, None]
+        if not np.isfinite(Z).all():
+            failed[(failed == 0) & ~np.isfinite(Z).all(axis=0)] = k + 1
+            if failed.all():
+                break
+            Z[:, failed > 0] = 0.0
+    return out.transpose(1, 0, 2), failed
+
+
+def rollout(model, x0, inputs, input_dim: int | None = None) -> Array:
+    """Open-loop lifted rollout: columns ``z_0 = lift(x0)``, ``z_{k+1} = A_k z_k + b_k``.
+
+    Works for any lifted model (separable, linear, bilinear, switched)
+    through its ``transitions``.  ``inputs`` is (m, L) (an empty list
+    yields the single column ``lift(x0)``); ``input_dim`` defaults to the
+    model's, and to the row count of ``inputs`` for a model that ignores
+    its inputs.  Returns the (L, T+1) lifted trajectory.  Raises
+    :class:`NonFiniteState` with the step index on overflow.  Multi-step
+    error is not certified: the source_index bound is one-step only, so
+    rollouts are reported without a guarantee.
     """
     if input_dim is None:
-        if isinstance(model, SeparableModel) and model.A12 is not None:
-            input_dim = model.Gtilde.domain_dim
-        elif isinstance(model, LinearLiftedModel):
-            input_dim = model.B.shape[1]
-        elif isinstance(model, BilinearLiftedModel):
-            input_dim = model.input_dim
-        elif isinstance(model, SwitchedLinearModel) and model.matrices:
-            input_dim = len(next(iter(model.matrices)))
-        else:
-            U0 = np.atleast_2d(np.asarray(inputs, dtype=float))
-            input_dim = U0.shape[0] if U0.size else 1
+        input_dim = model.input_dim
+    if input_dim is None:
+        U0 = np.atleast_2d(np.asarray(inputs, dtype=float))
+        input_dim = U0.shape[0] if U0.size else 1
     U = _coerce_inputs(inputs, input_dim)
-    z = model.lift(x0)
-    out = np.empty((z.shape[0], U.shape[1] + 1))
-    out[:, 0] = z
-    for k in range(U.shape[1]):
-        z = model.step_lifted(z, U[:, k])
-        if not np.all(np.isfinite(z)):
-            err = NonFiniteState(f"lifted state became non-finite at step {k + 1}")
-            err.step = k + 1
-            raise err
-        out[:, k + 1] = z
-    return out
+    z0 = model.lift(np.asarray(x0, dtype=float).reshape(-1))
+    Z, failed = _roll(model, z0[:, None], U)
+    if failed[0]:
+        err = NonFiniteState(f"lifted state became non-finite at step {failed[0]}")
+        err.step = int(failed[0])
+        raise err
+    return np.ascontiguousarray(Z[:, :, 0])
 
 
 def states_from_lifted(model, Z_lift: Array) -> Array:
@@ -351,8 +412,7 @@ def with_decoder(model, X: Array):
     The decoder maps lifted coordinates back to states; its relative
     training residual rides along as ``model.decoder[1]``.
     """
-    psi = model.H if isinstance(model, SeparableModel) else model.psi
-    D, resid = fit_state_decoder(psi, X)
+    D, resid = fit_state_decoder(model.basis, X)
     return dataclasses.replace(model, decoder=(D, resid))
 
 
@@ -499,6 +559,11 @@ def evaluate_rollouts(system: ControlSystem, models: dict, x0s, n_steps: int,
     Returns per-model, per-state RMSE (aggregated over all initial
     conditions and steps; a diverged rollout scores infinity and records
     its divergence step) plus the per-step trajectories.
+
+    Each model rolls all ``x0s`` as one lifted block through its
+    ``transitions``, which it computes once for the test signal.  A
+    column that goes non-finite records its step; ``diverged_at`` is the
+    earliest of them, and that ``x0``'s trajectory is None.
     """
     rng = np.random.default_rng(seed)
     lo, hi = system.input_box
@@ -510,17 +575,17 @@ def evaluate_rollouts(system: ControlSystem, models: dict, x0s, n_steps: int,
 
     results = {}
     trajectories = {"truth": truths, "inputs": U}
+    X0 = np.column_stack(x0s)
     for name, model in models.items():
-        preds = []
-        diverged_at = None
-        for x0 in x0s:
-            try:
-                Z = rollout(model, x0, U, input_dim=system.input_dim)
-                preds.append(states_from_lifted(model, Z))
-            except NonFiniteState as err:
-                step_idx = getattr(err, "step", U.shape[1])
-                diverged_at = step_idx if diverged_at is None else min(diverged_at, step_idx)
-                preds.append(None)
+        Z, failed = _roll(model, model.lift(X0), U)
+        preds = [None] * len(x0s)
+        kept = np.flatnonzero(failed == 0)
+        if kept.size:
+            states = states_from_lifted(model, Z[:, :, kept].reshape(Z.shape[0], -1))
+            states = states.reshape(states.shape[0], Z.shape[1], kept.size)
+            for pos, j in enumerate(kept):
+                preds[j] = states[:, :, pos]
+        diverged_at = int(failed[failed > 0].min()) if failed.any() else None
         err_sq = np.zeros(system.state_dim)
         count = 0
         finite = True

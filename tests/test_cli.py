@@ -178,6 +178,47 @@ class TestExtractPredict:
         Z = rollout(model, [0.3, -0.4], U[None, :], input_dim=1)
         np.testing.assert_array_equal(pred[:, 1:], states_from_lifted(model, Z).T)
 
+    def test_headless_learned_chain_matches_library(self, poly_dataset, tmp_path):
+        """simulate -> learn -> extract -> predict on a learned family with no state head."""
+        config = {
+            "family": {"kind": "polynomial", "total_degree": 2, "fixed_head": None},
+            "s": 8, "l": 5, "epochs": 2, "batch_size": 50,
+            "lr_start": 1e-2, "lr_end": 1e-3, "seed": 6,
+        }
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(config))
+        assert _run(["learn", "--data", str(poly_dataset), "--config", str(config_path),
+                     "--out", str(tmp_path / "learn")]) == 0
+        dict_path = tmp_path / "learn" / "dictionary.json"
+        assert _run(["extract", "--data", str(poly_dataset), "--dictionary",
+                     str(dict_path), "--out", str(tmp_path / "extract")]) == 0
+        U = np.random.default_rng(23).uniform(-1, 1, size=15)
+        inputs = tmp_path / "inputs.csv"
+        inputs.write_text("u1\n" + "\n".join(repr(float(v)) for v in U) + "\n")
+        assert _run(["predict", "--model", str(tmp_path / "extract" / "model.json"),
+                     "--x0", "-0.2,0.5", "--inputs", str(inputs),
+                     "--out", str(tmp_path / "predict")]) == 0
+        pred = _read_csv_matrix(tmp_path / "predict" / "prediction.csv")
+
+        ss = kl.load_snapshots(poly_dataset)
+        aug = kl.to_augmented(ss)
+        nd, report = kl.learning.train(kl.learning.config_from_json(config), aug)
+        assert nd.fixed_head == ()
+        cli_report = json.loads((tmp_path / "learn" / "train_report.json").read_text())
+        assert cli_report["final_proximity_train"] == report.final_proximity_train
+        np.testing.assert_array_equal(kl.load_dictionary(dict_path).get_params(),
+                                      nd.get_params())
+        P, Q = nd.eval_pair(aug)
+        model = extract_normal(kl.fit_edmd(P, Q), nd,
+                               source_index=kl.consistency_index(P, Q))
+        assert model.readout_rows() is None
+        model = with_decoder(model, ss.X)
+        saved = load_model(tmp_path / "extract" / "model.json")
+        np.testing.assert_array_equal(saved.A11, model.A11)
+        np.testing.assert_array_equal(saved.decoder[0], model.decoder[0])
+        Z = rollout(model, [-0.2, 0.5], U[None, :], input_dim=1)
+        np.testing.assert_array_equal(pred[:, 1:], states_from_lifted(model, Z).T)
+
     def test_negative_leading_x0_both_spellings(self, poly_model_file, tmp_path):
         inputs = tmp_path / "inputs.csv"
         inputs.write_text("u1\n0.5\n-0.3\n0.1\n")

@@ -377,6 +377,49 @@ class TestSnapshotCsv:
         with pytest.raises(ConfigError, match="empty"):
             kl.load_snapshots(path)
 
+    def test_bytes_equal_per_value_repr_formatter(self, tmp_path):
+        # Values with every repr shape: long mantissas, exponents, signed
+        # zero, integers, subnormals, and the extremes of the float range.
+        rng = np.random.default_rng(5)
+        X = rng.normal(size=(2, 40)) * 10.0 ** rng.integers(-300, 300, size=(2, 40))
+        X[:, :6] = [[0.0, -0.0, 1.0, 5e-324, 1.7976931348623157e308, -2.5e-310],
+                    [3.0, 1e16, 1e-5, 0.1, -123456789.0, 2.0**-1074]]
+        U = rng.uniform(-1, 1, size=(1, 40))
+        Xplus = rng.normal(size=(2, 40))
+        ss = kl.SnapshotSet(X=X, Xplus=Xplus, U=U)
+        path = tmp_path / "snaps.csv"
+        kl.save_snapshots(ss, path, comment="stamp")
+        rows = np.vstack([X, U, Xplus]).T
+        want = ["# stamp", "x1,x2,u1,x1p,x2p"]
+        want += [",".join(repr(float(v)) for v in row) for row in rows]
+        assert path.read_bytes() == ("\n".join(want) + "\n").encode()
+        loaded = kl.load_snapshots(path)
+        for got, ref in ((loaded.X, X), (loaded.U, U), (loaded.Xplus, Xplus)):
+            np.testing.assert_array_equal(got, ref)
+            np.testing.assert_array_equal(np.signbit(got), np.signbit(ref))
+
+    @pytest.mark.parametrize("case", ["short", "non_numeric", "comment_before"])
+    def test_malformed_row_error_texts(self, poly_snapshots, tmp_path, case):
+        path = tmp_path / "snaps.csv"
+        kl.save_snapshots(poly_snapshots, path)
+        lines = path.read_text().split("\n")
+        # lines[0] is the header: lines[5] is the fifth snapshot, line 6.
+        lines[9] = "1.0,2.0"  # a later bad row must not be the one named
+        if case == "short":
+            lines[5] = lines[5].rsplit(",", 1)[0]
+            want = "malformed CSV row at line 6 (expected 5 fields)"
+        elif case == "non_numeric":
+            lines[5] = lines[5].replace(",", ",abc,", 1).rsplit(",", 1)[0]
+            want = "malformed CSV row at line 6 (non-numeric field)"
+        else:
+            lines.insert(3, "# a comment line")
+            lines[6] = lines[6].rsplit(",", 1)[0] + ",1.0.0"
+            want = "malformed CSV row at line 7 (non-numeric field)"
+        path.write_text("\n".join(lines))
+        with pytest.raises(ConfigError) as exc:
+            kl.load_snapshots(path)
+        assert str(exc.value) == f"{path}: {want}"
+
 
 class TestBuiltins:
     def test_get_system_unknown_lists_builtins(self):

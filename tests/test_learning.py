@@ -428,6 +428,38 @@ class TestPipeline:
         assert rmse["linear"]["rmse"][1] > rmse["separable"]["rmse"][1]
         assert rmse["bilinear"]["rmse"][1] > rmse["separable"]["rmse"][1]
 
+    @pytest.mark.parametrize("family", [{"kind": "example_poly_basis"},
+                                        {"kind": "polynomial", "total_degree": 2}])
+    def test_certificate_is_the_one_train_computed(self, poly_system, family):
+        plan = kl.ExperimentPlan(num_experiments=60, steps_per_experiment=5,
+                                 rng_seed=37)
+        ss = kl.run_experiments(poly_system, plan)
+        config = TrainConfig(family=family, s=7, l=4, epochs=2, batch_size=50, seed=3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            res = pipeline(config, ss)
+        rep = res.train_report
+        assert res.consistency is rep.train_consistency
+        assert res.consistency.sqrt_index == rep.final_proximity_train
+        assert "train_consistency" not in report_to_json(rep)
+        assert "train_consistency" not in repr(rep)
+
+    def test_aborted_run_raises_what_the_fit_raises(self):
+        # Every training column is non-finite: train aborts and cannot
+        # certify, and the pipeline's own fit then fails on the same data.
+        rng = np.random.default_rng(3)
+        X = rng.normal(size=(2, 50))
+        X[0] = np.inf
+        ss = kl.SnapshotSet(X=X, Xplus=rng.normal(size=(2, 50)), U=rng.normal(size=(1, 50)))
+        config = TrainConfig(family={"kind": "polynomial", "total_degree": 2},
+                             s=7, l=4, epochs=1, batch_size=5, seed=0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            _, report = train(config, kl.to_augmented(ss))
+            assert report.aborted and report.train_consistency is None
+            with pytest.raises(np.linalg.LinAlgError, match="SVD did not converge"):
+                pipeline(config, ss)
+
     def test_system_without_plan_rejected(self, poly_system):
         config = TrainConfig(family={"kind": "example_poly_basis"})
         with pytest.raises(ConfigError):

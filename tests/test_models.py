@@ -137,6 +137,142 @@ class TestRollout:
         assert exc.value.step == 2
 
 
+def _protocol_models(poly_model, poly_augmented, poly_snapshots):
+    """One model of every kind, on the polynomial example's data."""
+    psi = head_dictionary(kl.example_poly_normal_basis())
+    none = kl.example_poly_normal_basis(truncate=("x1*u", "u", "u^2", "sin(u)"))
+    headless = kl.parametric_family("polynomial", state_dim=2, input_dim=1, s=8,
+                                    l=5, fixed_head=None, total_degree=2, seed=2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RankWarning)
+        headless_model = with_decoder(
+            extract_normal(kl.fit_edmd(*headless.eval_pair(poly_augmented)), headless),
+            poly_snapshots.X)
+        return {
+            "separable": poly_model,
+            "separable_without_A12": extract_normal(
+                kl.fit_edmd(*none.eval_pair(poly_augmented)), none),
+            "linear": fit_linear_baseline(psi, poly_snapshots),
+            "bilinear": fit_bilinear_baseline(psi, poly_snapshots),
+            "bilinear_with_C": fit_bilinear_baseline(psi, poly_snapshots,
+                                                     include_input_term=True),
+            "switched": kl.models.SwitchedLinearModel(
+                psi=psi, matrices={(v,): poly_model.A_of([v]) for v in _SWITCH_VALUES}),
+            "headless_with_decoder": headless_model,
+        }
+
+
+_SWITCH_VALUES = (-0.5, 0.0, 0.25, 1.0)
+
+
+def _step_lifted_loop(model, x0, U):
+    """Reference rollout: ``step_lifted`` one step and one initial state at a time."""
+    z = model.lift(x0)
+    cols = [z]
+    for k in range(U.shape[1]):
+        z = model.step_lifted(z, U[:, k])
+        cols.append(z)
+    return np.column_stack(cols)
+
+
+def _assert_within_rounding(got, ref, name):
+    """Columns of ``got`` within 64 eps of the largest reference column.
+
+    A block step sums the same products as ``step_lifted`` in another
+    order (and the bilinear one folds ``sum_i u_i B_i`` into the matrix
+    first); over these 25-step rollouts that moves a state by at most
+    about 5 eps times the trajectory's size.
+    """
+    tol = 64 * np.finfo(float).eps * np.max(np.linalg.norm(ref, axis=0))
+    assert got.shape == ref.shape, name
+    assert np.max(np.linalg.norm(got - ref, axis=0)) <= tol, name
+
+
+_X0S = ([0.3, -0.4], [-0.7, 0.9], [0.05, 0.6])
+
+
+class TestTransitionProtocol:
+    """Every lifted model rolls out through ``transitions`` on (L, B) blocks."""
+
+    @pytest.fixture(scope="class")
+    def zoo(self, poly_model, poly_augmented, poly_snapshots):
+        return _protocol_models(poly_model, poly_augmented, poly_snapshots)
+
+    @pytest.fixture(scope="class")
+    def inputs(self):
+        return np.random.default_rng(40).choice(_SWITCH_VALUES, size=(1, 25))
+
+    @pytest.mark.parametrize("name", ["separable", "separable_without_A12", "linear",
+                                      "bilinear", "bilinear_with_C", "switched",
+                                      "headless_with_decoder"])
+    @pytest.mark.parametrize("B", [1, 3])
+    def test_block_rollout_matches_step_lifted_loop(self, zoo, inputs, name, B):
+        model = zoo[name]
+        x0s = [np.asarray(x0) for x0 in _X0S[:B]]
+        Z, failed = kl.models._roll(model, model.lift(np.column_stack(x0s)), inputs)
+        assert Z.shape == (model.lift(x0s[0]).shape[0], inputs.shape[1] + 1, B)
+        assert not failed.any()
+        for j, x0 in enumerate(x0s):
+            ref = _step_lifted_loop(model, x0, inputs)
+            _assert_within_rounding(Z[:, :, j], ref, name)
+            if B == 1:
+                got = rollout(model, x0, inputs)
+                assert got.flags.c_contiguous
+                _assert_within_rounding(got, ref, name)
+
+    @pytest.mark.parametrize("name", ["separable", "linear", "bilinear_with_C",
+                                      "headless_with_decoder"])
+    def test_evaluate_rollouts_matches_per_x0_loop(self, zoo, poly_system, name):
+        model = zoo[name]
+        out = evaluate_rollouts(poly_system, {name: model}, _X0S, n_steps=20, seed=41)
+        U = out["trajectories"]["inputs"]
+        for x0, pred in zip(_X0S, out["trajectories"][name]):
+            ref = _step_lifted_loop(model, np.asarray(x0), U)
+            _assert_within_rounding(pred, states_from_lifted(model, ref), name)
+
+    def test_input_dim_of_every_kind(self, zoo):
+        assert {name: m.input_dim for name, m in zoo.items()} == {
+            "separable": 1, "separable_without_A12": None, "linear": 1, "bilinear": 1,
+            "bilinear_with_C": 1, "switched": 1, "headless_with_decoder": 1}
+
+    def test_lift_of_a_block_is_lift_of_each_column(self, zoo):
+        X = np.array(_X0S).T
+        for name, model in zoo.items():
+            block = model.lift(X)
+            for j in range(X.shape[1]):
+                np.testing.assert_allclose(block[:, j], model.lift(X[:, j]),
+                                           rtol=1e-15, atol=0, err_msg=name)
+
+    def test_switched_unknown_value_still_raises(self, zoo):
+        with pytest.raises(UnknownInputValue, match="0.3"):
+            rollout(zoo["switched"], [0.1, 0.2], np.array([[0.0, 0.3]]))
+
+    def test_each_x0_diverges_at_its_own_step(self):
+        # x1 contracts; x2 grows by 1e100 a step, so an x2 of 1e-191 first
+        # overflows at step 5 and one of 1e10 at step 3.  The first x0 has
+        # no x2 and stays finite.
+        psi = _identity_basis()
+        model = kl.models.LinearLiftedModel(
+            psi=psi, A=np.diag([0.5, 1e100]), B=np.array([[1.0], [0.0]]))
+        system = ControlSystem(state_dim=2, input_dim=1,
+                               step_map=lambda x, u: 0.5 * x + 0.0 * u,
+                               state_box=np.array([[-1.0, -1.0], [1.0, 1.0]]),
+                               input_box=np.array([[-1.0], [1.0]]), name="contract")
+        x0s = [[0.8, 0.0], [0.4, 1e-191], [-0.3, 1e10]]
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = evaluate_rollouts(system, {"m": model}, x0s, n_steps=12, seed=42)
+            U = out["trajectories"]["inputs"]
+            for x0, step in zip(x0s[1:], (5, 3)):
+                with pytest.raises(NonFiniteState) as exc:
+                    rollout(model, x0, U)
+                assert exc.value.step == step
+        assert out["rmse"]["m"]["diverged_at"] == 3
+        assert np.isinf(out["rmse"]["m"]["rmse"]).all()
+        first, second, third = out["trajectories"]["m"]
+        assert second is None and third is None
+        np.testing.assert_array_equal(first, rollout(model, x0s[0], U))
+
+
 class TestPredictObservable:
     def test_state_component_formula(self, poly_model, poly_system):
         p = poly_system.params

@@ -118,6 +118,67 @@ class TestBatchedEvalAug:
             gt([0.5])
 
 
+def _pair_data(rng, inputs, N=150):
+    """Augmented snapshots on random states: held inputs, or input rows that differ."""
+    Z = _random_aug(rng, N=N)
+    Zplus = np.vstack([rng.uniform(-1, 1, (2, N)), Z[2:]])
+    if inputs == "differ":
+        Zplus[2:] = rng.uniform(-2, 2, (1, N))
+    return kl.AugmentedSnapshots(Z=Z, Zplus=Zplus, state_dim=2, input_dim=1)
+
+
+def _assert_pair_is_two_eval_aug(nd, aug):
+    P, Q = nd.eval_pair(aug)
+    np.testing.assert_array_equal(P, nd.eval_aug(aug.Z))
+    np.testing.assert_array_equal(Q, nd.eval_aug(aug.Zplus))
+    assert P.shape == Q.shape == (nd.s, aug.n_snapshots)
+
+
+class TestEvalPair:
+    """``eval_pair`` is ``(eval_aug(Z), eval_aug(Z+))`` bit for bit."""
+
+    @pytest.mark.parametrize("inputs", ["held", "differ"])
+    @pytest.mark.parametrize("truncate", [
+        t for r in range(len(_BOTTOM_ROWS) + 1)
+        for t in itertools.combinations(_BOTTOM_ROWS, r)])
+    def test_poly_basis_and_truncations(self, truncate, inputs):
+        rng = np.random.default_rng(len(truncate))
+        nd = kl.example_poly_normal_basis(truncate=truncate)
+        _assert_pair_is_two_eval_aug(nd, _pair_data(rng, inputs))
+
+    @pytest.mark.parametrize("inputs", ["held", "differ"])
+    @pytest.mark.parametrize("s", [4, 9])
+    @pytest.mark.parametrize("fixed_head", ["state", None])
+    @pytest.mark.parametrize("kind, spec", [
+        ("polynomial", {"total_degree": 2}),
+        ("mlp", {"widths": [8, 6]}),
+        ("residual_mlp", {"blocks": 2, "width": 8}),
+    ])
+    def test_parametric_families(self, kind, spec, fixed_head, s, inputs):
+        rng = np.random.default_rng(s)
+        nd = kl.parametric_family(kind, state_dim=2, input_dim=1, s=s, l=4,
+                                  fixed_head=fixed_head, seed=3, **spec)
+        nd = nd.with_input_scaling([0.5, 2.0], [0.25])
+        _assert_pair_is_two_eval_aug(nd, _pair_data(rng, inputs))
+
+    def test_on_snapshots_of_the_augmented_map(self, poly_basis, poly_augmented):
+        _assert_pair_is_two_eval_aug(poly_basis, poly_augmented)
+
+    @pytest.mark.parametrize("inputs, calls", [("held", 1), ("differ", 2)])
+    def test_gtilde_runs_once_on_held_inputs(self, inputs, calls):
+        base = kl.example_poly_normal_basis()
+        seen = []
+
+        def fn(U):
+            seen.append(U.shape)
+            return base.Gtilde.fn(U)
+
+        gt = kl.InputMatrixFunction(rows=4, cols=4, fn=fn, domain_dim=1)
+        nd = kl.NormalDictionary(base.H, gt, state_dim=2, input_dim=1)
+        nd.eval_pair(_pair_data(np.random.default_rng(0), inputs, N=40))
+        assert seen == [(1, 40)] * calls
+
+
 class TestControlIndependentExtension:
     def test_zero_padding(self, poly_basis):
         ext = kl.control_independent_extension([1.0, 0.0, 0.0, 0.0], poly_basis)
