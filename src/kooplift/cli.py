@@ -347,9 +347,8 @@ def cmd_extract(args) -> int:
     nd = _load_dictionary_arg(args.dictionary)
     P, Q = nd.eval_pair(aug)
     cutoff = args.tol if args.tol is not None else edmd_mod.PINV_CUTOFF
-    fit = edmd_mod.fit_edmd(P, Q, cutoff=cutoff)
     report = edmd_mod.consistency_index(P, Q, cutoff=cutoff)
-    model = extract_normal(fit, nd, source_index=report)
+    model = extract_normal(report.fit, nd, source_index=report)
     if model.readout_rows() is None:
         model = with_decoder(model, ss.X)
     out = _out_dir(args)

@@ -11,17 +11,36 @@ where ``K_F = Q P+`` and ``K_B = P Q+`` are the forward and backward EDMD
 matrices.  Although ``M_C`` itself is not symmetric, it is similar to a
 symmetric PSD matrix, and its spectrum is exactly ``sin^2`` of the
 principal angles between the row spaces of ``Q`` and ``P`` (padded with
-exact ones for rank deficits).  This module computes the index from the
-singular values of the sine matrix ``V_q - V_p (V_p' V_q)`` built from
-the right singular subspaces: unlike the cosine route ``1 - cos^2``,
-the sine route has no cancellation near invariance, so an invariant
-dictionary scores ~1e-28 instead of ~1e-16, and the square root stays
-meaningful.  Its right singular vectors are the Q-side principal
-directions, which yield the worst-case certificate directly.
-Symmetrizing ``I - K_F K_B`` entrywise would NOT be correct — on generic
-data its asymmetry is O(1) and naive symmetrization shifts the top
-eigenvalue; the similar symmetric matrix ``U_q (I - C C') U_q'`` is what
-"symmetrized M_C" means here.
+exact ones for rank deficits).  Symmetrizing ``I - K_F K_B`` entrywise
+would NOT be correct: on generic data its asymmetry is O(1).
+
+Every result comes from one factorization of the data, the triangular
+factor of a tall-skinny QR (principal angles: Bjorck and Golub, 1973):
+
+    [X' Y'] = [Q1 Q2] [[R11, R12], [0, R22]]
+
+for data ``X`` (a, N) and ``Y`` (b, N), so ``X = R11' Q1'`` and ``Y =
+R12' Q1' + R22' Q2'`` with orthonormal ``[Q1 Q2]``; with fewer than
+``a + b`` snapshots R is padded with zero rows to be square.  Only the
+small blocks are factored further:
+
+* least squares: ``Y pinv(X) = R12' pinv(R11')``, the pseudo-inverse
+  taken from the SVD of the a-by-a block ``R11``, whose singular values
+  are those of ``X`` (the rank checks run on them);
+* the index: with ``W S V' = svd([R12; R22])``, the columns of
+  ``[Q1 Q2] W`` are an orthonormal basis of row(Q), and their components
+  outside row(P) are ``[Ua_perp' W[:s]; W[s:]]``, where ``Ua_perp`` holds
+  the left singular vectors of ``R11`` past its rank.  The singular
+  values of that matrix are the sines of the principal angles.  They are
+  read off directly, never formed as ``1 - cos^2``, so the route has no
+  cancellation near invariance: an invariant dictionary scores ~1e-28
+  instead of ~1e-16, and the square root stays meaningful.  With
+  full-rank ``P`` the top block is empty and the sines are those of the
+  R22 rows of ``W`` alone.
+* the certificate: a right singular vector ``b`` of the sine matrix is a
+  Q-side principal direction, and ``w = V (b / S)`` is the dictionary
+  function that attains it;
+* ``K_F = R12' pinv(R11')`` and ``K_B = R11' W[:s] S^-1 V'``.
 """
 
 from __future__ import annotations
@@ -40,12 +59,46 @@ Array = np.ndarray
 PINV_CUTOFF = 1e-10
 
 
-def _svd_pinv(P: Array, cutoff: float) -> Array:
-    U, sv, Vt = np.linalg.svd(P, full_matrices=False)
-    keep = sv > cutoff * (sv[0] if sv.size else 0.0)
-    inv = np.zeros_like(sv)
-    inv[keep] = 1.0 / sv[keep]
-    return (Vt.T * inv) @ U.T
+def _r_blocks(X: Array, Y: Array):
+    """``R11`` (a, a), ``R12`` (a, b) and ``R22`` (b, b) of ``qr([X' Y'])``.
+
+    The one factorization of a data-sized operand; R is padded with zero
+    rows to be square when there are fewer than ``a + b`` snapshots.
+    """
+    a, k = X.shape[0], X.shape[0] + Y.shape[0]
+    R = np.linalg.qr(np.vstack([X, Y]).T, mode="r")
+    if R.shape[0] < k:
+        R = np.vstack([R, np.zeros((k - R.shape[0], k))])
+    return R[:a, :a], R[:a, a:], R[a:, a:]
+
+
+def _rank(sv: Array, cutoff: float) -> int:
+    """Singular values above ``cutoff`` times the largest (sorted descending)."""
+    return int(np.sum(sv > cutoff * sv[0]))
+
+
+def _solve(R11: Array, R12: Array, cutoff: float):
+    """``Y pinv(X) = R12' pinv(R11')`` and the SVD of ``R11`` behind it.
+
+    Returns ``(K, Ua, sv, rank)``: ``R11 = Ua diag(sv) Va'``, whose
+    singular values are those of ``X``; the ones at or below ``cutoff``
+    times the largest are treated as zero.
+    """
+    Ua, sv, Vat = np.linalg.svd(R11)
+    rank = _rank(sv, cutoff)
+    K = ((R12.T @ Ua[:, :rank]) / sv[:rank]) @ Vat[:rank]
+    return K, Ua, sv, rank
+
+
+def _lstsq(X: Array, Y: Array, cutoff: float = PINV_CUTOFF):
+    """``(Y pinv(X), singular values of X)`` from one QR of ``[X' Y']``.
+
+    ``X`` is (a, N) and ``Y`` (b, N); the ``min(a, N)`` singular values
+    are sorted descending, for the caller's rank checks.
+    """
+    R11, R12, _ = _r_blocks(X, Y)
+    K, _, sv, _ = _solve(R11, R12, cutoff)
+    return K, sv[:min(X.shape)]
 
 
 @dataclasses.dataclass
@@ -80,15 +133,13 @@ class ConsistencyReport:
         attains ``sqrt_index`` (the certificate), and no function in the
         span does worse.
     K_F, K_B : array, shape (s, s)
-        Forward and backward EDMD matrices.
+        Forward and backward EDMD matrices; ``K_F`` is bit for bit the
+        ``K`` of :func:`fit_edmd` on the same data (see :attr:`fit`).
     eigenvalues : array
         Full spectrum of ``M_C`` (clamped), descending.
     pre_clamp_index : float
         Index before clamping; its excess over [0, 1] is a numerical
         health diagnostic.
-    asymmetry : float
-        Relative Frobenius asymmetry of the raw ``I - K_F K_B`` (large on
-        generic data; diagnostic only).
     rank_flags : dict
         Row-rank checks for both data matrices; when either fails the
         report is advisory.
@@ -104,41 +155,63 @@ class ConsistencyReport:
     K_B: Array
     eigenvalues: Array
     pre_clamp_index: float
-    asymmetry: float
     rank_flags: dict
     advisory: bool
 
+    @property
+    def fit(self) -> EdmdFit:
+        """The forward EDMD fit with these rank checks, as :func:`fit_edmd` gives it."""
+        return EdmdFit(K=self.K_F, rank_report=dict(self.rank_flags))
 
-def fit_edmd(Psi_X: Array, Psi_Xplus: Array, cutoff: float = PINV_CUTOFF) -> EdmdFit:
-    """Fit ``K = Psi_Xplus @ pinv(Psi_X)`` (SVD pseudo-inverse).
 
-    Singular values below ``cutoff`` times the largest are treated as
-    zero.  Raises :class:`DegenerateData` when ``Psi_X`` is identically
-    zero; a mere rank deficiency only warns (:class:`RankWarning`).
-    """
+def _pair(Psi_X: Array, Psi_Xplus: Array):
     P = np.atleast_2d(np.asarray(Psi_X, dtype=float))
     Q = np.atleast_2d(np.asarray(Psi_Xplus, dtype=float))
     if P.shape != Q.shape:
         raise DimensionMismatch(f"data shapes differ: {P.shape} vs {Q.shape}")
     if not np.any(P):
         raise DegenerateData("Psi(X) is identically zero")
-    s = P.shape[0]
-    sp = np.linalg.svd(P, compute_uv=False)
-    sq = np.linalg.svd(Q, compute_uv=False)
-    rank_p = int(np.sum(sp > cutoff * sp[0]))
-    rank_q = int(np.sum(sq > cutoff * (sq[0] if sq.size and sq[0] > 0 else 1.0)))
-    report = {
+    return P, Q
+
+
+def _factor_pair(P: Array, Q: Array, cutoff: float):
+    """The shared start of :func:`fit_edmd` and :func:`consistency_index`.
+
+    One QR of ``[P' Q']``, then ``K_F`` with the SVD of ``R11``, the SVD
+    ``W S V'`` of ``[R12; R22]`` (the singular values of Q) and the rank
+    checks of both.
+    """
+    s, N = P.shape
+    R11, R12, R22 = _r_blocks(P, Q)
+    K_F, Ua, sp, rank_p = _solve(R11, R12, cutoff)
+    W, sq, Vt = np.linalg.svd(np.vstack([R12, R22]), full_matrices=False)
+    rank_q = _rank(sq, cutoff)
+    n = min(s, N)
+    rank_flags = {
         "row_rank_ok_X": rank_p == s,
         "row_rank_ok_Xplus": rank_q == s,
-        "min_singular_values": (float(sp[-1]), float(sq[-1]) if sq.size else 0.0),
+        "min_singular_values": (float(sp[n - 1]), float(sq[n - 1])),
     }
+    return K_F, (R11, Ua, rank_p), (W, sq, Vt, rank_q), rank_flags
+
+
+def fit_edmd(Psi_X: Array, Psi_Xplus: Array, cutoff: float = PINV_CUTOFF) -> EdmdFit:
+    """Fit ``K = Psi_Xplus @ pinv(Psi_X)`` from one QR of ``[Psi_X' Psi_Xplus']``.
+
+    Singular values below ``cutoff`` times the largest are treated as
+    zero.  Raises :class:`DegenerateData` when ``Psi_X`` is identically
+    zero; a mere rank deficiency only warns (:class:`RankWarning`).  The
+    result equals ``consistency_index(Psi_X, Psi_Xplus).fit`` bit for bit.
+    """
+    P, Q = _pair(Psi_X, Psi_Xplus)
+    K, (_, _, rank_p), _, report = _factor_pair(P, Q, cutoff)
     if not report["row_rank_ok_X"]:
         warnings.warn(
-            f"Psi(X) row rank {rank_p} < {s}: EDMD solution is not unique",
+            f"Psi(X) row rank {rank_p} < {P.shape[0]}: EDMD solution is not unique",
             RankWarning,
             stacklevel=2,
         )
-    return EdmdFit(K=Q @ _svd_pinv(P, cutoff), rank_report=report)
+    return EdmdFit(K=K, rank_report=report)
 
 
 def _pick_maximizer(candidates: list[Array]) -> Array:
@@ -164,38 +237,24 @@ def consistency_index(Psi_X: Array, Psi_Xplus: Array,
     """Consistency index, trace bounds, and worst-case certificate.
 
     Computed from the principal angles between the row spaces of the two
-    data matrices (see the module docstring): with thin SVDs
-    ``P = U_p S_p V_p'`` and ``Q = U_q S_q V_q'``, the singular values of
-    the sine matrix ``S = V_q - V_p (V_p' V_q)`` are the sines of the
-    principal angles, the spectrum of ``M_C`` is their squares (padded
-    with exact ones for a rank deficit of ``Q``), and the worst-case
-    function is ``w = U_q S_q^{-1} b_max`` for the right singular
-    direction of the largest sine.
+    data matrices, read off the R factor of one QR of ``[P' Q']`` (see
+    the module docstring): the sines are the singular values of
+    ``[Ua_perp' W[:s]; W[s:]]``, taken directly rather than as ``1 -
+    cos^2``, so they carry no cancellation near invariance.  The spectrum
+    of ``M_C`` is their squares, padded with exact ones for a rank
+    deficit of ``Q``, and the worst-case function is ``w = V (b_max /
+    S)`` for the right singular direction ``b_max`` of the largest sine.
 
     The maximum of the relative prediction error over the span is
     attained at ``worst_coeffs`` and equals ``sqrt_index``; both matrices
     full row rank is the nominal regime, anything else flags the report
     advisory.
     """
-    P = np.atleast_2d(np.asarray(Psi_X, dtype=float))
-    Q = np.atleast_2d(np.asarray(Psi_Xplus, dtype=float))
-    if P.shape != Q.shape:
-        raise DimensionMismatch(f"data shapes differ: {P.shape} vs {Q.shape}")
-    if not np.any(P):
-        raise DegenerateData("Psi(X) is identically zero")
+    P, Q = _pair(Psi_X, Psi_Xplus)
     if not np.any(Q):
         raise DegenerateData("Psi(Xplus) is identically zero")
     s = P.shape[0]
-
-    Up, sp, Vpt = np.linalg.svd(P, full_matrices=False)
-    Uq, sq, Vqt = np.linalg.svd(Q, full_matrices=False)
-    rank_p = int(np.sum(sp > cutoff * sp[0]))
-    rank_q = int(np.sum(sq > cutoff * sq[0]))
-    rank_flags = {
-        "row_rank_ok_X": rank_p == s,
-        "row_rank_ok_Xplus": rank_q == s,
-        "min_singular_values": (float(sp[-1]), float(sq[-1])),
-    }
+    K_F, (R11, Ua, rank_p), (W, sq, Vt, rank_q), rank_flags = _factor_pair(P, Q, cutoff)
     advisory = not (rank_flags["row_rank_ok_X"] and rank_flags["row_rank_ok_Xplus"])
     if advisory:
         warnings.warn(
@@ -204,10 +263,9 @@ def consistency_index(Psi_X: Array, Psi_Xplus: Array,
             stacklevel=2,
         )
 
-    Vp = Vpt[:rank_p].T
-    Vq = Vqt[:rank_q].T
-    S = Vq - Vp @ (Vp.T @ Vq)
-    _, sines, Bt = np.linalg.svd(S, full_matrices=False)
+    Wr, sr, Vr = W[:, :rank_q], sq[:rank_q], Vt[:rank_q].T
+    _, sines, Bt = np.linalg.svd(np.vstack([Ua[:, rank_p:].T @ Wr[:s], Wr[s:]]),
+                                 full_matrices=False)
     # Spectrum within the row space of Q (sines, descending), plus exact
     # ones for any rank deficit of Q.
     within = sines**2
@@ -222,16 +280,10 @@ def consistency_index(Psi_X: Array, Psi_Xplus: Array,
     # the error ratio has a nonzero denominator.
     top = within.max()
     cand_idx = np.flatnonzero(within >= top - 1e-12)
-    candidates = [Uq[:, :rank_q] @ (Bt[i] / sq[:rank_q]) for i in cand_idx]
-    worst = _pick_maximizer(candidates)
+    worst = _pick_maximizer([Vr @ (Bt[i] / sr) for i in cand_idx])
 
-    K_F = Q @ _svd_pinv(P, cutoff)
-    K_B = P @ _svd_pinv(Q, cutoff)
-    M_raw = np.eye(s) - K_F @ K_B
-    denom = max(1.0, float(np.linalg.norm(M_raw)))
-    asymmetry = float(np.linalg.norm(M_raw - M_raw.T) / denom)
+    K_B = ((R11.T @ Wr[:s]) / sr) @ Vr.T
 
-    eigs_sorted = np.sort(eigs)[::-1]
     return ConsistencyReport(
         index=index,
         sqrt_index=float(np.sqrt(index)),
@@ -240,9 +292,8 @@ def consistency_index(Psi_X: Array, Psi_Xplus: Array,
         worst_coeffs=worst,
         K_F=K_F,
         K_B=K_B,
-        eigenvalues=eigs_sorted,
+        eigenvalues=np.sort(eigs)[::-1],
         pre_clamp_index=pre_clamp_index,
-        asymmetry=asymmetry,
         rank_flags=rank_flags,
         advisory=advisory,
     )

@@ -9,8 +9,9 @@ where ``Gp = P P' + eps_p I``, ``Gq = Q Q' + eps_q I`` and ``Cpq = P Q'``.
 Without the ridge terms this is exactly ``Tr(M_C) = Tr(I - K_F K_B)``,
 an upper bound on the index that sandwiches it together with ``Tr/s``;
 the ridge (scaled by the mean squared dictionary magnitude) makes the
-loss smooth where the data Gram matrices lose rank.  Reported metrics
-always use the exact, ridge-free definition from :mod:`kooplift.edmd`.
+loss smooth where the data Gram matrices lose rank.  Reported metrics,
+the per-epoch held-out one included, always use the exact, ridge-free
+index of :mod:`kooplift.edmd` (one QR of the data per evaluation).
 
 Gradients are exact and computed in closed form (s-by-s solves plus one
 reverse pass through the dictionary), so no automatic differentiation
@@ -28,15 +29,22 @@ on the ``2B`` state columns ``[X | X+]`` of a batch of ``B`` snapshots, and
 Gtilde once on the input ``U``, which the augmented map holds, so ``Z`` and
 ``Z+`` share it; P and Q are read off that one pass.  The backward pass
 takes ``[dL/dP | dL/dQ]`` together: H on ``2B`` columns, Gtilde on ``B``
-columns with the two upstream signals summed.  The per-epoch metrics go
-through ``eval_pair``, which evaluates ``P`` and ``Q`` with Gtilde run
-once on the held input; :func:`loss` also accepts any object that only
-has ``eval_aug``, and then evaluates it on ``Z`` and ``Z+`` in turn.
+columns with the two upstream signals summed.  :func:`loss` evaluates
+through ``eval_pair``, which runs Gtilde once on the held input; it also
+accepts any object that only has ``eval_aug``, and then evaluates it on
+``Z`` and ``Z+`` in turn.
+
+Each epoch costs one extra pass, on the held-out half only: the training
+curve is the mean of the epoch's minibatch losses, which the steps have
+already computed, and the validation curve is the exact held-out
+invariance proximity (``sqrt_index`` of :func:`~kooplift.edmd.
+consistency_index`), which also selects the checkpoint.
 
 The pipeline reuses the training-half consistency report that
-:func:`train` computes for its final metrics as the certificate of the
-extracted model, and compares models on held-out data through the
-models' batched transition protocol (:mod:`kooplift.models`).
+:func:`train` computes for its final metrics, both as the certificate of
+the extracted model and as its EDMD fit (``report.fit``: the same
+factorization gives ``K_F``), and compares models on held-out data
+through the models' batched transition protocol (:mod:`kooplift.models`).
 
 Training follows the conventional recipe: split the data in half, run a
 moment-based adaptive gradient method (decay 0.9/0.999, stabilizer 1e-8)
@@ -49,6 +57,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -61,7 +70,7 @@ from .dynamics import (
     to_augmented,
 )
 from .edmd import ConsistencyReport, consistency_index, fit_edmd, invariance_proximity
-from .errors import ConfigError, DegenerateData, NonFiniteGradient, NonFiniteLoss
+from .errors import ConfigError, DegenerateData, NonFiniteGradient, NonFiniteLoss, RankWarning
 from .models import (
     SeparableModel,
     evaluate_rollouts,
@@ -92,10 +101,10 @@ class TrainConfig:
     skips optimization entirely.  ``s`` and ``l`` are the augmented and
     state dictionary dimensions (taken from the basis for the frozen
     kind).  The learning rate decreases linearly from ``lr_start`` to
-    ``lr_end`` over the epochs.  ``loss_mode`` selects the metric
-    recorded in the loss curves; optimization always uses trace-mode
-    gradients (the max-eigenvalue mode is evaluation-only, since its
-    gradient degenerates at eigenvalue crossings).  ``x_scale`` and
+    ``lr_end`` over the epochs.  Optimization minimizes the trace loss;
+    the held-out metric is the exact index, so there is no metric to
+    choose (the former ``loss_mode`` key is accepted by
+    :func:`config_from_json` for old files and ignored).  ``x_scale`` and
     ``u_scale`` are per-coordinate multipliers applied to the data before
     training and folded back into the dictionary afterwards, so reported
     proximities always refer to original coordinates.
@@ -109,7 +118,6 @@ class TrainConfig:
     lr_start: float = 5e-4
     lr_end: float = 1e-6
     seed: int = 0
-    loss_mode: str = "trace"
     x_scale: object = None
     u_scale: object = None
     ridge_scale: float = 1e-10
@@ -123,8 +131,6 @@ class TrainConfig:
         if not (0.0 < self.lr_end <= self.lr_start):
             raise ConfigError(
                 f"need 0 < lr_end <= lr_start, got {self.lr_start} -> {self.lr_end}")
-        if self.loss_mode not in ("trace", "max_eig"):
-            raise ConfigError(f"loss_mode must be 'trace' or 'max_eig', got {self.loss_mode!r}")
         if not (0.0 < self.split_fraction < 1.0):
             raise ConfigError("split_fraction must be in (0, 1)")
 
@@ -133,12 +139,17 @@ class TrainConfig:
 class TrainReport:
     """Per-epoch curves, final metrics, and counters from one training run.
 
-    ``train_curve`` records the loss (in ``loss_mode``) on the training
-    half after each epoch; ``val_curve`` records the held-out invariance
-    proximity (max-eigenvalue based, in [0, 1]) used for checkpoint
-    selection.  Final proximities are ridge-free and computed in original
-    coordinates.  ``wall_time`` is informational and excluded from the
-    deterministic JSON so that metric files are byte-reproducible.
+    ``train_curve`` records, per epoch, the mean trace loss of that
+    epoch's minibatches (those that stayed finite; NaN when none did),
+    in the scaled training coordinates.  ``val_curve`` records the exact,
+    ridge-free invariance proximity of the held-out half after each epoch
+    (the ``sqrt_index`` of the consistency index, in [0, 1]; NaN when it
+    could not be evaluated), which selects the checkpoint; it is computed
+    in the scaled coordinates, an invertible change that leaves the index
+    unchanged up to rounding.  Final proximities are ridge-free and
+    computed in original coordinates.  ``wall_time`` is informational and
+    excluded from the deterministic JSON so that metric files are
+    byte-reproducible.
     ``train_consistency`` is the consistency report behind
     ``final_proximity_train`` (None when it could not be computed); like
     the index arrays, it is not serialized.
@@ -184,21 +195,19 @@ def _gram_terms(nd, P: Array, Q: Array, ridge_scale: float):
     return Gp, Gq
 
 
-def loss(nd: NormalDictionary, batch: AugmentedSnapshots, mode: str = "trace",
+def loss(nd: NormalDictionary, batch: AugmentedSnapshots,
          ridge_scale: float = 1e-10, params=None) -> float:
     """Ridge-regularized non-invariance loss of a dictionary on a batch.
 
-    ``trace`` mode returns ``Tr(M_C)``, the training surrogate;
-    ``max_eig`` returns ``lambda_max(M_C)``, the consistency index
-    itself.  Both replace pseudo-inverses with ridge solves (scale set by
-    ``ridge_scale`` times the mean squared dictionary magnitude), so on
-    rank-deficient batches they remain finite and smooth.  ``params``
-    optionally sets the dictionary parameters first.
+    Returns ``Tr(M_C)``, the training surrogate, with pseudo-inverses
+    replaced by ridge solves (scale set by ``ridge_scale`` times the mean
+    squared dictionary magnitude), so on rank-deficient batches it stays
+    finite and smooth.  It lies between the consistency index and ``s``
+    times it (up to the ridge).  ``params`` optionally sets the
+    dictionary parameters first.
     """
     if params is not None:
         nd.set_params(np.asarray(params, dtype=float))
-    if mode not in ("trace", "max_eig"):
-        raise ConfigError(f"mode must be 'trace' or 'max_eig', got {mode!r}")
     if isinstance(nd, NormalDictionary):
         P, Q = nd.eval_pair(batch)
     else:
@@ -206,15 +215,9 @@ def loss(nd: NormalDictionary, batch: AugmentedSnapshots, mode: str = "trace",
     Gp, Gq = _gram_terms(nd, P, Q, ridge_scale)
     s = P.shape[0]
     Cpq = P @ Q.T
-    if mode == "trace":
-        T1 = np.linalg.solve(Gp, Cpq)
-        T2 = np.linalg.solve(Gq, Cpq.T)
-        value = s - float(np.sum(T1 * T2.T))
-    else:
-        K_F = np.linalg.solve(Gp, Cpq).T
-        K_B = np.linalg.solve(Gq, Cpq.T).T
-        M = np.eye(s) - K_F @ K_B
-        value = float(np.max(np.linalg.eigvals(M).real))
+    T1 = np.linalg.solve(Gp, Cpq)
+    T2 = np.linalg.solve(Gq, Cpq.T)
+    value = s - float(np.sum(T1 * T2.T))
     if not np.isfinite(value):
         pnorm = _param_norm(nd)
         raise NonFiniteLoss(f"loss is not finite (parameter norm {pnorm})")
@@ -230,12 +233,10 @@ def _param_norm(nd) -> str:
 
 def loss_gradient(nd: TrainableNormalDictionary, batch: AugmentedSnapshots,
                   ridge_scale: float = 1e-10, params=None):
-    """Trace-mode loss and its exact parameter gradient.
+    """The trace loss and its exact parameter gradient.
 
     Returns ``(value, gradient)`` with the gradient laid out like
-    ``nd.get_params()`` (frozen head rows contribute no entries).  The
-    max-eigenvalue mode has no gradient here: its top eigenvector is
-    discontinuous at crossings.
+    ``nd.get_params()`` (frozen head rows contribute no entries).
 
     One forward and one backward pass per call: H runs on the ``2B``
     state columns ``[X | X+]`` and Gtilde once on the inputs, which ``Z``
@@ -249,7 +250,7 @@ def loss_gradient(nd: TrainableNormalDictionary, batch: AugmentedSnapshots,
     U = batch.Z[n:]
     if not np.array_equal(U, batch.Zplus[n:]):
         U = np.hstack([U, batch.Zplus[n:]])
-    fwd = nd._forward(np.hstack([batch.Z[:n], batch.Zplus[:n]]), U)
+    fwd = nd._forward(np.hstack([batch.Z[:n], batch.Zplus[:n]]), U, grad=True)
     Phi = nd._stack(fwd[0], fwd[1])
     P, Q = Phi[:, :B], Phi[:, B:]
     Gp, Gq = _gram_terms(nd, P, Q, ridge_scale)
@@ -292,10 +293,20 @@ def _build_dictionary(config: TrainConfig, state_dim: int, input_dim: int):
                              s=config.s, l=config.l, **fam)
 
 
-def _proximity(nd: NormalDictionary, batch: AugmentedSnapshots,
-               ridge_scale: float) -> float:
-    lam = loss(nd, batch, mode="max_eig", ridge_scale=ridge_scale)
-    return float(np.sqrt(np.clip(lam, 0.0, 1.0)))
+def _held_out_proximity(nd: NormalDictionary, batch: AugmentedSnapshots) -> float:
+    """Exact invariance proximity of ``nd`` on ``batch``: the per-epoch metric.
+
+    Raises :class:`NonFiniteLoss` on a non-finite evaluation; the rank
+    warnings are left to the final reports, so the loop does not warn
+    once per epoch.
+    """
+    P, Q = nd.eval_pair(batch)
+    if not (np.all(np.isfinite(P)) and np.all(np.isfinite(Q))):
+        raise NonFiniteLoss(
+            f"dictionary evaluation is not finite (parameter norm {_param_norm(nd)})")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RankWarning)
+        return consistency_index(P, Q).sqrt_index
 
 
 def _final_consistency(nd: NormalDictionary, aug: AugmentedSnapshots):
@@ -389,12 +400,13 @@ def train(config: TrainConfig, data: AugmentedSnapshots):
         lr_schedule.append(float(lr))
 
         order = shuffler.permutation(n_train)
+        batch_losses = []
         for start in range(0, n_train, config.batch_size):
             cols = order[start:start + config.batch_size]
             batch = _columns(train_s, cols)
             try:
                 nd.set_params(theta)
-                _, grad = loss_gradient(nd, batch, ridge_scale=config.ridge_scale)
+                value, grad = loss_gradient(nd, batch, ridge_scale=config.ridge_scale)
             except (NonFiniteLoss, NonFiniteGradient):
                 nan_batches += 1
                 consecutive_bad += 1
@@ -403,6 +415,7 @@ def train(config: TrainConfig, data: AugmentedSnapshots):
                     break
                 continue
             consecutive_bad = 0
+            batch_losses.append(value)
             t_step += 1
             m = beta1 * m + (1 - beta1) * grad
             v = beta2 * v + (1 - beta2) * grad * grad
@@ -412,14 +425,12 @@ def train(config: TrainConfig, data: AugmentedSnapshots):
         if aborted:
             break
 
+        train_curve.append(float(np.mean(batch_losses)) if batch_losses else float("nan"))
         nd.set_params(theta)
         try:
-            train_curve.append(loss(nd, train_s, mode=config.loss_mode,
-                                    ridge_scale=config.ridge_scale))
-            val_metric = _proximity(nd, val_s, config.ridge_scale)
-        except NonFiniteLoss:
+            val_metric = _held_out_proximity(nd, val_s)
+        except (NonFiniteLoss, DegenerateData, np.linalg.LinAlgError):
             nan_batches += 1
-            train_curve.append(float("nan"))
             val_curve.append(float("nan"))
             continue
         val_curve.append(val_metric)
@@ -503,13 +514,16 @@ def pipeline(config: TrainConfig, system_or_dataset, plan=None, *,
     train_aug = _columns(aug, report.train_indices)
     val_aug = _columns(aug, report.val_indices)
 
-    P, Q = nd.eval_pair(train_aug)
-    fit = fit_edmd(P, Q)
-    # ``train`` certified this dictionary on these columns already; only a
-    # failed certificate (an aborted run) is recomputed, to raise its error.
+    # ``train`` certified this dictionary on these columns already, and the
+    # certificate's factorization holds the fit; only a failed certificate
+    # (an aborted run) is recomputed, to raise its error.
     consistency = report.train_consistency
     if consistency is None:
+        P, Q = nd.eval_pair(train_aug)
+        fit = fit_edmd(P, Q)
         consistency = consistency_index(P, Q)
+    else:
+        fit = consistency.fit
     separable = extract_normal(fit, nd, consistency)
 
     X_tr, U_tr, Xp_tr = train_aug.split()
@@ -557,6 +571,16 @@ def config_to_json(config: TrainConfig) -> dict:
 
 
 def config_from_json(obj: dict) -> TrainConfig:
+    """TrainConfig from its JSON form, rejecting unknown keys.
+
+    Files written before the held-out metric became the exact index carry
+    ``loss_mode``: ``"trace"`` and ``"max_eig"`` are dropped, since the
+    metric is no longer a choice; any other value is an error.
+    """
+    obj = dict(obj)
+    legacy = obj.pop("loss_mode", "trace")
+    if legacy not in ("trace", "max_eig"):
+        raise ConfigError(f"loss_mode must be 'trace' or 'max_eig', got {legacy!r}")
     fields = {f.name for f in dataclasses.fields(TrainConfig)}
     unknown = set(obj) - fields
     if unknown:

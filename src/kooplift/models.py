@@ -34,7 +34,7 @@ from pathlib import Path
 import numpy as np
 
 from .dynamics import ControlSystem, SnapshotSet, _simulate_many
-from .edmd import ConsistencyReport, EdmdFit, PINV_CUTOFF, _svd_pinv, fit_edmd
+from .edmd import ConsistencyReport, EdmdFit, PINV_CUTOFF, _lstsq, fit_edmd
 from .errors import (
     ConfigError,
     DegenerateData,
@@ -112,7 +112,7 @@ def fit_state_decoder(psi: StateDictionary, X: Array):
     whether the dictionary actually resolves the state.
     """
     PX = eval_matrix(psi, X)
-    D = np.asarray(X, dtype=float) @ _svd_pinv(PX, PINV_CUTOFF)
+    D, _ = _lstsq(PX, np.asarray(X, dtype=float))
     resid = float(np.linalg.norm(X - D @ PX) / max(np.linalg.norm(X), 1e-300))
     return D, resid
 
@@ -436,11 +436,10 @@ def fit_linear_baseline(psi: StateDictionary, ss: SnapshotSet) -> LinearLiftedMo
     R = np.vstack([PX, ss.U])
     if not np.any(R):
         raise DegenerateData("regressor [psi(X); U] is identically zero")
-    sv = np.linalg.svd(R, compute_uv=False)
+    AB, sv = _lstsq(R, PXp)
     if sv[-1] <= PINV_CUTOFF * sv[0]:
         warnings.warn("regressor [psi(X); U] is rank-deficient; fit is not unique",
                       RankWarning, stacklevel=2)
-    AB = PXp @ _svd_pinv(R, PINV_CUTOFF)
     k = PX.shape[0]
     return LinearLiftedModel(psi=psi, A=AB[:, :k], B=AB[:, k:])
 
@@ -464,12 +463,11 @@ def fit_bilinear_baseline(psi: StateDictionary, ss: SnapshotSet,
     R = np.vstack(blocks)
     if not np.any(R):
         raise DegenerateData("bilinear regressor is identically zero")
-    sv = np.linalg.svd(R, compute_uv=False)
+    AB, sv = _lstsq(R, PXp)
     advisory = bool(sv[-1] <= PINV_CUTOFF * sv[0])
     if advisory:
         warnings.warn("bilinear regressor is rank-deficient; fit is not unique",
                       RankWarning, stacklevel=2)
-    AB = PXp @ _svd_pinv(R, PINV_CUTOFF)
     k = PX.shape[0]
     A = AB[:, :k]
     Bs = tuple(AB[:, (i + 1) * k:(i + 2) * k] for i in range(m))

@@ -405,25 +405,57 @@ def verify_normality(G_eval, u_samples, tol: float = DEFAULT_RANK_TOL) -> dict:
 # gradient contract that is tested against central finite differences.
 
 
+def _exp_neg_abs(z: Array) -> Array:
+    """``exp(-|z|)``, in one new array."""
+    e = np.abs(z)
+    np.negative(e, out=e)
+    return np.exp(e, out=e)
+
+
 def _softplus(z: Array) -> Array:
     """``log(1 + exp(z))`` without overflow: ``max(z, 0) + log1p(exp(-|z|))``."""
-    return np.maximum(z, 0.0) + np.log1p(np.exp(-np.abs(z)))
+    e = _exp_neg_abs(z)
+    np.log1p(e, out=e)
+    a = np.maximum(z, 0.0)
+    a += e
+    return a
+
+
+def _softplus_and_sigmoid(z: Array):
+    """Softplus and its derivative, the sigmoid, from one ``e = exp(-|z|)``.
+
+    The sigmoid is ``exp(min(z, 0)) / (1 + e)``: the numerator is ``1``
+    for ``z >= 0`` and ``e`` below, so no exponent is ever positive and
+    no mask is built.
+    """
+    e = _exp_neg_abs(z)
+    a = np.maximum(z, 0.0)
+    a += np.log1p(e)
+    d = np.minimum(z, 0.0)
+    np.exp(d, out=d)
+    e += 1.0
+    d /= e
+    return a, d
 
 
 def _sigmoid(z: Array) -> Array:
-    """``1 / (1 + exp(-z))``, with the exponent never positive.
-
-    With ``e = exp(-|z|)`` it is ``1 / (1 + e)`` for ``z >= 0`` and
-    ``e / (1 + e)`` below: one division over the selected numerators.
-    """
-    e = np.exp(-np.abs(z))
-    return np.where(z >= 0, 1.0, e) / (1.0 + e)
+    """``1 / (1 + exp(-z))``, with the exponent never positive."""
+    return _softplus_and_sigmoid(z)[1]
 
 
+def _tanh_and_derivative(z: Array):
+    t = np.tanh(z)
+    return t, 1.0 - t**2
+
+
+# name -> (activation, activation with its derivative).  A forward pass
+# that will be differentiated caches the derivative in place of the
+# pre-activation, so the backward pass only multiplies by it.
 _ACTIVATIONS = {
-    "softplus": (_softplus, _sigmoid),
-    "relu": (lambda z: np.maximum(z, 0.0), lambda z: (z > 0.0).astype(float)),
-    "tanh": (np.tanh, lambda z: 1.0 - np.tanh(z) ** 2),
+    "softplus": (_softplus, _softplus_and_sigmoid),
+    "relu": (lambda z: np.maximum(z, 0.0),
+             lambda z: (np.maximum(z, 0.0), (z > 0.0).astype(float))),
+    "tanh": (np.tanh, _tanh_and_derivative),
 }
 
 
@@ -438,7 +470,7 @@ class _LinearMap:
     def params_list(self):
         return [self.W]
 
-    def forward(self, X: Array):
+    def forward(self, X: Array, grad: bool = False):
         T = self.featurize(X)
         return self.W @ T, T
 
@@ -454,7 +486,7 @@ class _MLP:
         act = _ACTIVATIONS.get(activation)
         if act is None:
             raise ConfigError(f"unknown activation {activation!r}")
-        self.act, self.act_deriv = act
+        self.act, self.act_and_deriv = act
         sizes = [in_dim, *widths, out_dim]
         self.Ws = []
         self.bs = []
@@ -468,25 +500,32 @@ class _MLP:
             out.extend([W, b])
         return out
 
-    def forward(self, X: Array):
+    def forward(self, X: Array, grad: bool = False):
+        """``(output, cache)``; the cache, for :meth:`backward`, only with ``grad``."""
         acts = [X]
-        pres = []
+        derivs = []
         h = X
         last = len(self.Ws) - 1
         for i, (W, b) in enumerate(zip(self.Ws, self.bs)):
-            z = W @ h + b[:, None]
-            pres.append(z)
-            h = z if i == last else self.act(z)
-            acts.append(h)
-        return h, (acts, pres)
+            h = W @ h
+            h += b[:, None]
+            if i == last:
+                break
+            if grad:
+                h, d = self.act_and_deriv(h)
+                acts.append(h)
+                derivs.append(d)
+            else:
+                h = self.act(h)
+        return h, ((acts, derivs) if grad else None)
 
     def backward(self, cache, Gout: Array):
-        acts, pres = cache
+        acts, derivs = cache
         grads = [None] * (2 * len(self.Ws))
         g = Gout
         for i in range(len(self.Ws) - 1, -1, -1):
             if i != len(self.Ws) - 1:
-                g = g * self.act_deriv(pres[i])
+                g = g * derivs[i]
             grads[2 * i] = g @ acts[i].T
             grads[2 * i + 1] = g.sum(axis=1)
             if i > 0:
@@ -505,7 +544,7 @@ class _ResidualMLP:
         act = _ACTIVATIONS.get(activation)
         if act is None:
             raise ConfigError(f"unknown activation {activation!r}")
-        self.act, self.act_deriv = act
+        self.act, self.act_and_deriv = act
         self.W0 = rng.standard_normal((width, in_dim)) * np.sqrt(2.0 / in_dim)
         self.b0 = np.zeros(width)
         self.blocks = []
@@ -525,32 +564,42 @@ class _ResidualMLP:
         out.extend([self.Wh, self.bh])
         return out
 
-    def forward(self, X: Array):
-        y = self.W0 @ X + self.b0[:, None]
-        trace = [(X, y)]
+    def forward(self, X: Array, grad: bool = False):
+        """``(output, cache)``; the cache, for :meth:`backward`, only with ``grad``."""
+        # Sums are accumulated into the product just made, in the order
+        # of ``y + W2 @ a + b2``, so no temporary the size of the data
+        # is allocated for them.
+        y = self.W0 @ X
+        y += self.b0[:, None]
         block_caches = []
         for W1, b1, W2, b2 in self.blocks:
-            z = W1 @ y + b1[:, None]
-            a = self.act(z)
-            y_next = y + W2 @ a + b2[:, None]
-            block_caches.append((y, z, a))
+            z = W1 @ y
+            z += b1[:, None]
+            if grad:
+                a, d = self.act_and_deriv(z)
+                block_caches.append((y, d, a))
+            else:
+                a = self.act(z)
+            y_next = W2 @ a
+            y_next += y
+            y_next += b2[:, None]
             y = y_next
-        out = self.Wh @ y + self.bh[:, None]
-        return out, (trace, block_caches, y)
+        out = self.Wh @ y
+        out += self.bh[:, None]
+        return out, ((X, block_caches, y) if grad else None)
 
     def backward(self, cache, Gout: Array):
-        trace, block_caches, y_final = cache
-        X = trace[0][0]
+        X, block_caches, y_final = cache
         g_Wh = Gout @ y_final.T
         g_bh = Gout.sum(axis=1)
         gy = self.Wh.T @ Gout
         block_grads = []
-        for (W1, b1, W2, b2), (y_in, z, a) in zip(reversed(self.blocks),
+        for (W1, b1, W2, b2), (y_in, d, a) in zip(reversed(self.blocks),
                                                   reversed(block_caches)):
             g_W2 = gy @ a.T
             g_b2 = gy.sum(axis=1)
             ga = W2.T @ gy
-            gz = ga * self.act_deriv(z)
+            gz = ga * d
             g_W1 = gz @ y_in.T
             g_b1 = gz.sum(axis=1)
             block_grads.append([g_W1, g_b1, g_W2, g_b2])
@@ -700,13 +749,15 @@ class TrainableNormalDictionary(NormalDictionary):
             t[r] = 1.0 / self.x_scale[idx]
         return t
 
-    def _forward(self, X: Array | None, U: Array | None):
+    def _forward(self, X: Array | None, U: Array | None, grad: bool = False):
         """One pass of both networks: ``(Hm, Gt, caches)``.
 
         ``Hm`` is H at the columns of ``X``, shape ``(l, Nx)``; ``Gt`` is
         Gtilde at the columns of ``U``, shape ``(s-l, l, Nu)``.  Either is
-        None when its argument is (``Gt`` also when ``s == l``).  ``caches``
-        holds what :meth:`_backward` needs from the two networks.
+        None when its argument is (``Gt`` also when ``s == l``).  With
+        ``grad``, ``caches`` holds what :meth:`_backward` needs from the two
+        networks, the activation derivatives included; without it the
+        networks keep no caches and compute no derivatives.
         """
         t = self._head_rescale()
         Hm = Gt = h_cache = g_cache = None
@@ -714,11 +765,11 @@ class TrainableNormalDictionary(NormalDictionary):
             Xs = X * self.x_scale[:, None]
             rows = [Xs[list(self.fixed_head)]] if self.fixed_head else []
             if self.h_net is not None:
-                out, h_cache = self.h_net.forward(Xs)
+                out, h_cache = self.h_net.forward(Xs, grad)
                 rows.append(out)
             Hm = (np.vstack(rows) if rows else np.zeros((0, X.shape[1]))) * t[:, None]
         if U is not None and self.g_net is not None:
-            flat, g_cache = self.g_net.forward(U * self.u_scale[:, None])
+            flat, g_cache = self.g_net.forward(U * self.u_scale[:, None], grad)
             Gt = flat.reshape(self._s - self._l, self._l, U.shape[1]) / t[None, :, None]
         return Hm, Gt, (h_cache, g_cache)
 
@@ -770,7 +821,7 @@ class TrainableNormalDictionary(NormalDictionary):
         ``Wbar``.  Training does not come through here: its step runs the
         same two functions once on ``Z`` and ``Z+`` together.
         """
-        fwd = self._forward(*self._split(Z))
+        fwd = self._forward(*self._split(Z), grad=True)
         return self._backward(fwd, np.asarray(Wbar, dtype=float))
 
     def with_input_scaling(self, x_scale, u_scale) -> "TrainableNormalDictionary":

@@ -12,7 +12,8 @@ import kooplift as kl
 DEMOS = Path(__file__).resolve().parents[1] / "demos"
 
 
-@pytest.mark.parametrize("script", ["01_exact_recovery.py", "02_worst_case_certificate.py"])
+@pytest.mark.parametrize("script", ["01_exact_recovery.py", "02_worst_case_certificate.py",
+                                    "03_learn_invariant_dictionary.py"])
 def test_demo_exits_zero(script):
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
                MKL_NUM_THREADS="1")

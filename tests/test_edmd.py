@@ -1,5 +1,6 @@
 """Tests for EDMD fits, the consistency index, and its certificate."""
 
+import itertools
 import warnings
 
 import numpy as np
@@ -226,3 +227,128 @@ class TestProjectionResidual:
             Delta = 1e-3 * rng.normal(size=(4, 4))
             perturbed = np.linalg.norm(Q - (fit.K + Delta) @ P)
             assert perturbed >= base - 1e-12
+
+
+# ----------------------------------------------------------------------
+# The QR kernel against the SVD route it replaced
+
+
+def _svd_pinv(A, cutoff=PINV_CUTOFF):
+    U, sv, Vt = np.linalg.svd(A, full_matrices=False)
+    keep = sv > cutoff * (sv[0] if sv.size else 0.0)
+    inv = np.zeros_like(sv)
+    inv[keep] = 1.0 / sv[keep]
+    return (Vt.T * inv) @ U.T
+
+
+def _svd_route(P, Q, cutoff=PINV_CUTOFF):
+    """The consistency index from thin SVDs of P, Q and the N x s sine matrix."""
+    s = P.shape[0]
+    Up, sp, Vpt = np.linalg.svd(P, full_matrices=False)
+    Uq, sq, Vqt = np.linalg.svd(Q, full_matrices=False)
+    rank_p = int(np.sum(sp > cutoff * sp[0]))
+    rank_q = int(np.sum(sq > cutoff * sq[0]))
+    Vp, Vq = Vpt[:rank_p].T, Vqt[:rank_q].T
+    _, sines, Bt = np.linalg.svd(Vq - Vp @ (Vp.T @ Vq), full_matrices=False)
+    within = sines**2
+    eigs = np.concatenate([within, np.ones(s - rank_q)])
+    cand = np.flatnonzero(within >= within.max() - 1e-12)
+    return {
+        "index": float(np.clip(eigs, 0.0, 1.0).max()),
+        "pre_clamp_index": float(eigs.max()),
+        "eigenvalues": np.sort(np.clip(eigs, 0.0, 1.0))[::-1],
+        "worst_coeffs": [Uq[:, :rank_q] @ (Bt[i] / sq[:rank_q]) for i in cand],
+        "K_F": Q @ _svd_pinv(P, cutoff),
+        "K_B": P @ _svd_pinv(Q, cutoff),
+        "rank_ok": (rank_p == s, rank_q == s),
+    }
+
+
+def _kernel_cases():
+    rng = np.random.default_rng(40)
+    cases = []
+    for kind in ("full rank", "rank-deficient P", "rank-deficient Q", "N < 2s"):
+        for _ in range(25):
+            s = int(rng.integers(2, 8))
+            N = int(rng.integers(s, 2 * s)) if kind == "N < 2s" else int(rng.integers(2 * s + 1, 80))
+            P = rng.normal(size=(s, N))
+            Q = P + rng.uniform(0.0, 0.5) * rng.normal(size=(s, N))
+            if kind == "rank-deficient P":
+                P[-1] = P[0] - 2.0 * P[1 % (s - 1)]
+            elif kind == "rank-deficient Q":
+                Q[-1] = 3.0 * Q[0]
+            cases.append((kind, P, Q))
+    return cases
+
+
+_CASES = _kernel_cases()
+_BOTTOM_ROWS = ("x1*u", "u", "u^2", "sin(u)")
+_TRUNCATIONS = [t for r in range(len(_BOTTOM_ROWS) + 1)
+                for t in itertools.combinations(_BOTTOM_ROWS, r)]
+
+
+def _assert_matches_svd_route(P, Q):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RankWarning)
+        rep = kl.consistency_index(P, Q)
+        fit = kl.fit_edmd(P, Q)
+    ref = _svd_route(P, Q)
+    assert (rep.rank_flags["row_rank_ok_X"], rep.rank_flags["row_rank_ok_Xplus"]) == ref["rank_ok"]
+    assert abs(rep.index - ref["index"]) <= 1e-13
+    assert abs(rep.pre_clamp_index - ref["pre_clamp_index"]) <= 1e-13
+    np.testing.assert_allclose(rep.eigenvalues, ref["eigenvalues"], rtol=0, atol=1e-13)
+    for got, want in ((rep.K_F, ref["K_F"]), (rep.K_B, ref["K_B"])):
+        assert np.linalg.norm(got - want) <= 1e-12 * max(1.0, np.linalg.norm(want))
+    np.testing.assert_array_equal(fit.K, rep.K_F)
+    np.testing.assert_array_equal(rep.fit.K, fit.K)
+    assert rep.fit.rank_report == fit.rank_report == rep.rank_flags
+    # With N <= 2s, or a tied top sine (the rank-deficient-Q cases have an
+    # exact one), another maximizer may be picked; it attains the index.
+    top = ref["eigenvalues"]
+    if P.shape[1] > 2 * P.shape[0] and (top.size < 2 or top[0] - top[1] > 1e-8):
+        # Up to sign, against one of the reference's tied maximizers.
+        w = rep.worst_coeffs
+        assert min(min(np.linalg.norm(w - c / np.linalg.norm(c)),
+                       np.linalg.norm(w + c / np.linalg.norm(c)))
+                   for c in ref["worst_coeffs"]) <= 1e-8
+    else:
+        assert abs(_relative_error(rep.worst_coeffs, P, Q) - rep.sqrt_index) <= 1e-8
+
+
+class TestQrKernel:
+    @pytest.mark.parametrize("case", range(len(_CASES)),
+                             ids=[f"{kind}-{i}" for i, (kind, _, _) in enumerate(_CASES)])
+    def test_random_cases_match_svd_route(self, case):
+        _assert_matches_svd_route(*_CASES[case][1:])
+
+    @pytest.mark.parametrize("truncate", _TRUNCATIONS)
+    def test_example_basis_truncations_match_svd_route(self, poly_augmented, truncate):
+        _assert_matches_svd_route(*kl.example_poly_normal_basis(truncate=truncate)
+                                  .eval_pair(poly_augmented))
+
+    def test_invariant_basis_floor_no_higher(self, poly_basis, poly_augmented):
+        P, Q = poly_basis.eval_pair(poly_augmented)
+        rep = kl.consistency_index(P, Q)
+        ref = _svd_route(P, Q)
+        assert rep.sqrt_index <= max(np.sqrt(ref["index"]), 1.5e-13)
+        assert not rep.advisory
+
+    def test_one_factorization_of_the_data(self, monkeypatch):
+        rng = np.random.default_rng(41)
+        P = rng.normal(size=(6, 500))
+        Q = P + 0.1 * rng.normal(size=(6, 500))
+        calls = []
+        for name in ("svd", "svdvals", "qr", "pinv", "lstsq", "eig", "eigh", "eigvals"):
+            fn = getattr(np.linalg, name, None)
+            if fn is None:
+                continue
+
+            def counting(a, *args, _fn=fn, _name=name, **kwargs):
+                calls.append((_name, np.shape(a)))
+                return _fn(a, *args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counting)
+        kl.consistency_index(P, Q)
+        data_sized = [c for c in calls if max(c[1]) >= P.shape[1]]
+        assert data_sized == [("qr", (500, 12))]
+        assert all(max(shape) <= 12 for _, shape in calls[1:])

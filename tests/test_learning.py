@@ -61,18 +61,18 @@ class TestLoss:
                                                   poly_augmented):
         # the spec-level ridge leaves a measurable floor; a tiny ridge
         # exposes the true near-zero loss of the invariant basis
-        for mode in ("trace", "max_eig"):
-            val = loss(poly_basis, poly_augmented, mode=mode,
-                       ridge_scale=1e-13)
-            assert 0.0 <= val <= 1e-8
+        val = loss(poly_basis, poly_augmented, ridge_scale=1e-13)
+        assert 0.0 <= val <= 1e-8
+        # and the exact index, which the held-out curve now records
+        assert kl.invariance_proximity(poly_basis, poly_augmented).index <= 1e-8
 
-    def test_trace_dominates_max_eig(self, poly_augmented):
+    def test_trace_sandwiches_the_index(self, poly_augmented):
         nd = kl.example_poly_normal_basis(truncate=("u^2",))
-        tr = loss(nd, poly_augmented, mode="trace", ridge_scale=1e-12)
-        me = loss(nd, poly_augmented, mode="max_eig", ridge_scale=1e-12)
+        tr = loss(nd, poly_augmented, ridge_scale=1e-12)
+        index = kl.invariance_proximity(nd, poly_augmented).index
         s = 7
-        assert me <= tr + 1e-12
-        assert tr <= s * me + 1e-12
+        assert index <= tr + 1e-12
+        assert tr <= s * index + 1e-12
 
     def test_recombination_invariance(self, poly_augmented):
         nd = kl.example_poly_normal_basis(truncate=("u^2",))
@@ -88,20 +88,14 @@ class TestLoss:
         # the ridge magnitude follows the recombined data scale, so drift
         # is linear in ridge_scale; a near-zero ridge exposes the exact
         # basis invariance
-        for mode in ("trace", "max_eig"):
-            base = loss(nd, poly_augmented, mode=mode, ridge_scale=1e-16)
-            for _ in range(3):
-                while True:
-                    M = rng.normal(size=(7, 7))
-                    if np.linalg.cond(M) <= 1e2:
-                        break
-                other = loss(Recombined(nd, M), poly_augmented, mode=mode,
-                             ridge_scale=1e-16)
-                assert abs(other - base) <= 1e-9
-
-    def test_unknown_mode_rejected(self, poly_basis, poly_augmented):
-        with pytest.raises(ConfigError):
-            loss(poly_basis, poly_augmented, mode="frobenius")
+        base = loss(nd, poly_augmented, ridge_scale=1e-16)
+        for _ in range(3):
+            while True:
+                M = rng.normal(size=(7, 7))
+                if np.linalg.cond(M) <= 1e2:
+                    break
+            other = loss(Recombined(nd, M), poly_augmented, ridge_scale=1e-16)
+            assert abs(other - base) <= 1e-9
 
 
 class TestLossGradient:
@@ -272,9 +266,17 @@ class TestTrainConfig:
         with pytest.raises(ConfigError):
             TrainConfig(family=fam, lr_end=0.0)
         with pytest.raises(ConfigError):
-            TrainConfig(family=fam, loss_mode="hinge")
+            config_from_json({"family": fam, "loss_mode": "hinge"})
         with pytest.raises(ConfigError):
             TrainConfig(family=fam, split_fraction=1.0)
+
+    @pytest.mark.parametrize("mode", ["trace", "max_eig"])
+    def test_legacy_loss_mode_still_loads(self, mode):
+        obj = {"family": {"kind": "polynomial", "total_degree": 2}, "s": 7, "l": 4,
+               "loss_mode": mode}
+        cfg = config_from_json(obj)
+        assert cfg == TrainConfig(family=obj["family"], s=7, l=4)
+        assert "loss_mode" in obj and "loss_mode" not in config_to_json(cfg)
 
     def test_json_round_trip(self):
         cfg = TrainConfig(family={"kind": "polynomial", "total_degree": 2},
@@ -381,6 +383,73 @@ class TestTrain:
         lines = path.read_text().strip().split("\n")
         assert lines[0] == "epoch,lr,train_loss,val_proximity"
         assert len(lines) == 3
+
+
+class TestEpochMetrics:
+    """The per-epoch curves: minibatch-loss means and the exact held-out index."""
+
+    @pytest.mark.parametrize("family", [
+        {"kind": "polynomial", "total_degree": 2},
+        {"kind": "residual_mlp", "blocks": 1, "width": 8},
+    ])
+    def test_best_val_is_the_final_test_proximity(self, zero_sine_augmented, family):
+        config = TrainConfig(family=family, s=7, l=4, epochs=4, batch_size=50,
+                             lr_start=1e-2, lr_end=1e-3, seed=5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            _, report = train(config, zero_sine_augmented)
+        assert report.val_curve[report.best_epoch] == report.final_proximity_test
+
+    def test_train_curve_is_the_mean_of_the_epoch_losses(self, zero_sine_augmented,
+                                                         monkeypatch):
+        values = []
+
+        def recording(nd, batch, ridge_scale):
+            value, grad = loss_gradient(nd, batch, ridge_scale=ridge_scale)
+            values.append(value)
+            return value, grad
+
+        monkeypatch.setattr(kl.learning, "loss_gradient", recording)
+        config = TrainConfig(family={"kind": "polynomial", "total_degree": 2},
+                             s=7, l=4, epochs=3, batch_size=60, seed=1)
+        _, report = train(config, zero_sine_augmented)
+        per_epoch = -(-(zero_sine_augmented.n_snapshots // 2) // 60)
+        assert len(values) == 3 * per_epoch
+        for e in range(3):
+            assert report.train_curve[e] == float(
+                np.mean(values[e * per_epoch:(e + 1) * per_epoch]))
+
+    def test_failed_held_out_evaluation_counts_and_skips(self, zero_sine_augmented):
+        config = TrainConfig(family={"kind": "polynomial", "total_degree": 2},
+                             s=7, l=4, epochs=3, batch_size=50, seed=4)
+        _, clean = train(config, zero_sine_augmented)
+        Z = zero_sine_augmented.Z.copy()
+        Z[0, clean.val_indices[3]] = np.nan
+        aug = AugmentedSnapshots(Z=Z, Zplus=zero_sine_augmented.Zplus, state_dim=2,
+                                 input_dim=1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            _, report = train(config, aug)
+        assert report.train_curve == clean.train_curve
+        assert all(np.isnan(report.val_curve)) and len(report.val_curve) == 3
+        assert report.nan_batches == 3 and not report.aborted
+        assert report.best_epoch == 0
+
+    def test_no_rank_warning_per_epoch(self, zero_sine_augmented):
+        # With every input at zero, the input block of the dictionary
+        # vanishes and both data matrices lose rank.
+        Z, Zplus = zero_sine_augmented.Z.copy(), zero_sine_augmented.Zplus.copy()
+        Z[2] = Zplus[2] = 0.0
+        aug = AugmentedSnapshots(Z=Z, Zplus=Zplus, state_dim=2, input_dim=1)
+        config = TrainConfig(family={"kind": "polynomial", "total_degree": 2},
+                             s=7, l=4, epochs=5, batch_size=100, seed=2)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            _, report = train(config, aug)
+        assert len(report.val_curve) == 5
+        rank = [w for w in caught if issubclass(w.category, kl.errors.RankWarning)]
+        # the two final reports, training and held-out half
+        assert len(rank) == 2
 
 
 class TestPipeline:

@@ -569,3 +569,64 @@ class TestModelSerialization:
                                             B=np.zeros((2, 1)))
         with pytest.raises(ConfigError):
             model_to_json(model)
+
+
+class TestLeastSquaresKernel:
+    """Baselines and the decoder from the QR kernel, against ``np.linalg.lstsq``."""
+
+    def _poly_psi(self):
+        return head_dictionary(kl.example_poly_normal_basis())
+
+    @staticmethod
+    def _lstsq(R, Y):
+        return np.linalg.lstsq(R.T, Y.T, rcond=None)[0].T
+
+    def test_linear_baseline(self, poly_snapshots):
+        psi = self._poly_psi()
+        model = fit_linear_baseline(psi, poly_snapshots)
+        PX = eval_matrix(psi, poly_snapshots.X)
+        AB = self._lstsq(np.vstack([PX, poly_snapshots.U]), eval_matrix(psi, poly_snapshots.Xplus))
+        np.testing.assert_allclose(np.hstack([model.A, model.B]), AB, rtol=0, atol=1e-10)
+
+    @pytest.mark.parametrize("include_input_term", [False, True])
+    def test_bilinear_baseline(self, poly_snapshots, include_input_term):
+        psi = self._poly_psi()
+        ss = poly_snapshots
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RankWarning)
+            model = fit_bilinear_baseline(psi, ss, include_input_term=include_input_term)
+        PX = eval_matrix(psi, ss.X)
+        blocks = [PX, PX * ss.U[0]] + ([ss.U] if include_input_term else [])
+        AB = self._lstsq(np.vstack(blocks), eval_matrix(psi, ss.Xplus))
+        got = np.hstack([model.A, *model.Bs] + ([model.C] if include_input_term else []))
+        np.testing.assert_allclose(got, AB, rtol=0, atol=1e-10)
+        # psi holds the constant function, so with the U block the row
+        # 1*u appears twice: rank-deficient, and lstsq's minimum-norm fit.
+        assert model.advisory == include_input_term
+
+    def test_rank_warnings_unchanged(self):
+        rng = np.random.default_rng(12)
+        X = rng.normal(size=(2, 40))
+        # A constant input channel makes the bilinear blocks collinear and
+        # the linear regressor [X; U] stays full rank.
+        ss = SnapshotSet(X=X, Xplus=0.5 * X, U=np.ones((1, 40)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RankWarning)
+            fit_linear_baseline(_identity_basis(), ss)
+        with pytest.warns(RankWarning, match="bilinear regressor"):
+            fit_bilinear_baseline(_identity_basis(), ss)
+        dup = SnapshotSet(X=np.vstack([X[0], X[0]]), Xplus=X, U=rng.normal(size=(1, 40)))
+        with pytest.warns(RankWarning, match=r"regressor \[psi\(X\); U\]"):
+            model = fit_linear_baseline(_identity_basis(), dup)
+        # the minimum-norm solution, as lstsq gives it
+        R = np.vstack([dup.X, dup.U])
+        np.testing.assert_allclose(np.hstack([model.A, model.B]), self._lstsq(R, dup.Xplus),
+                                   rtol=0, atol=1e-10)
+
+    def test_state_decoder(self, poly_snapshots):
+        psi = StateDictionary(dim=3, fn=lambda x: np.array([x[0] + x[1], x[0] - x[1], x[0] ** 2]),
+                              names=("sum", "diff", "sq"), domain_dim=2)
+        X = poly_snapshots.X
+        D, resid = kl.models.fit_state_decoder(psi, X)
+        np.testing.assert_allclose(D, self._lstsq(eval_matrix(psi, X), X), rtol=0, atol=1e-12)
+        assert resid <= 1e-12
