@@ -249,9 +249,9 @@ def cmd_edmd(args) -> int:
     stamp = _stamp(args.seed, cfg)
     _, aug = _load_augmented(args.data)
     nd = _load_dictionary_arg(args.dictionary)
-    P, Q = nd.eval_pair(aug)
+    d = edmd_mod._stream_r(nd, aug)
     cutoff = args.tol if args.tol is not None else edmd_mod.PINV_CUTOFF
-    fit = edmd_mod.fit_edmd(P, Q, cutoff=cutoff)
+    fit = edmd_mod.fit_edmd(d.cols("P").T, d.cols("Q").T, cutoff=cutoff)
     out = _out_dir(args)
     _write_csv(out / "K.csv", stamp,
                ",".join(f"k{j+1}" for j in range(fit.K.shape[1])),
@@ -283,9 +283,8 @@ def cmd_consistency(args) -> int:
     stamp = _stamp(args.seed, cfg)
     _, aug = _load_augmented(args.data)
     nd = _load_dictionary_arg(args.dictionary)
-    P, Q = nd.eval_pair(aug)
     cutoff = args.tol if args.tol is not None else edmd_mod.PINV_CUTOFF
-    report = edmd_mod.consistency_index(P, Q, cutoff=cutoff)
+    report = edmd_mod.invariance_proximity(nd, aug, cutoff=cutoff)
     payload = edmd_mod.report_to_json(report)
     payload["meta"] = stamp
     out = _out_dir(args)
@@ -345,9 +344,8 @@ def cmd_extract(args) -> int:
     stamp = _stamp(args.seed, cfg)
     ss, aug = _load_augmented(args.data)
     nd = _load_dictionary_arg(args.dictionary)
-    P, Q = nd.eval_pair(aug)
     cutoff = args.tol if args.tol is not None else edmd_mod.PINV_CUTOFF
-    report = edmd_mod.consistency_index(P, Q, cutoff=cutoff)
+    report = edmd_mod.invariance_proximity(nd, aug, cutoff=cutoff)
     model = extract_normal(report.fit, nd, source_index=report)
     if model.readout_rows() is None:
         model = with_decoder(model, ss.X)

@@ -41,6 +41,25 @@ small blocks are factored further:
   Q-side principal direction, and ``w = V (b / S)`` is the dictionary
   function that attains it;
 * ``K_F = R12' pinv(R11')`` and ``K_B = R11' W[:s] S^-1 V'``.
+
+A dataset given as a dictionary and snapshots is never evaluated whole.
+:func:`invariance_proximity` and the pipeline stream it ``CHUNK`` columns
+at a time into the R factor of one data matrix (TSQR: Demmel, Grigori,
+Hoemmen and Langou, 2012),
+
+    A = [P' Q' U' (H(X) u_1)' ... (H(X) u_m)' X'],   H(X) = P[:l],
+
+taking ``R_i = qr(A_i)`` of each chunk and merging ``R = qr([R; R_i])``.
+Memory is O(k^2 + CHUNK k) for ``k = 2s + m + lm + n`` columns, whatever
+the snapshot count, and ``CHUNK`` is a fixed literal, so the result does
+not depend on the machine.  Since ``A = Q R`` with orthonormal ``Q``, any
+subset of R's columns is an isometric image of the matching data rows:
+Gram matrices, principal angles, singular values, least-squares
+solutions and residual norms are the same on ``R[:, cols]'`` as on the
+rows themselves.  So the existing kernels run on R's columns unchanged:
+the consistency index on ``(R[:, :s]', R[:, s:2s]')``, a k-row operand
+whose QR costs microseconds, and the baselines (:mod:`kooplift.models`)
+on their column blocks.
 """
 
 from __future__ import annotations
@@ -57,6 +76,11 @@ from .observables import NormalDictionary
 Array = np.ndarray
 
 PINV_CUTOFF = 1e-10
+
+# Columns per streamed chunk.  A literal, never derived from the machine,
+# the thread count or the environment: the merge order fixes the rounding,
+# and outputs must be byte-identical across machines at one thread count.
+CHUNK = 1000
 
 
 def _r_blocks(X: Array, Y: Array):
@@ -164,11 +188,24 @@ class ConsistencyReport:
         return EdmdFit(K=self.K_F, rank_report=dict(self.rank_flags))
 
 
+def _check_finite(name: str, M: Array, first: int = 0) -> None:
+    """Raise :class:`DegenerateData` naming ``M`` and its first non-finite snapshot.
+
+    ``first`` is the snapshot index of ``M``'s first column.
+    """
+    ok = np.isfinite(M).all(axis=0)
+    if not ok.all():
+        raise DegenerateData(
+            f"{name} is not finite at snapshot {first + int(np.argmin(ok))}")
+
+
 def _pair(Psi_X: Array, Psi_Xplus: Array):
     P = np.atleast_2d(np.asarray(Psi_X, dtype=float))
     Q = np.atleast_2d(np.asarray(Psi_Xplus, dtype=float))
     if P.shape != Q.shape:
         raise DimensionMismatch(f"data shapes differ: {P.shape} vs {Q.shape}")
+    _check_finite("Psi(X)", P)
+    _check_finite("Psi(Xplus)", Q)
     if not np.any(P):
         raise DegenerateData("Psi(X) is identically zero")
     return P, Q
@@ -200,7 +237,8 @@ def fit_edmd(Psi_X: Array, Psi_Xplus: Array, cutoff: float = PINV_CUTOFF) -> Edm
 
     Singular values below ``cutoff`` times the largest are treated as
     zero.  Raises :class:`DegenerateData` when ``Psi_X`` is identically
-    zero; a mere rank deficiency only warns (:class:`RankWarning`).  The
+    zero or either matrix is not finite; a mere rank deficiency only warns
+    (:class:`RankWarning`).  The
     result equals ``consistency_index(Psi_X, Psi_Xplus).fit`` bit for bit.
     """
     P, Q = _pair(Psi_X, Psi_Xplus)
@@ -299,16 +337,84 @@ def consistency_index(Psi_X: Array, Psi_Xplus: Array,
     )
 
 
+def _stream(N: int, rows) -> Array:
+    """R factor of the (N, k) matrix whose columns ``a:b`` are ``rows(a, b)'``.
+
+    ``rows`` is called on ``CHUNK`` columns at a time; each chunk is
+    factored and merged into the running R with one QR of ``[R; R_i]``,
+    so no operand has more than ``CHUNK`` rows (for ``k <= CHUNK / 2``).
+    R has ``min(N, k)`` rows.  A non-finite chunk raises
+    :class:`DegenerateData`.
+    """
+    R = None
+    for a in range(0, max(N, 1), CHUNK):
+        A = rows(a, min(a + CHUNK, N))
+        _check_finite("the data matrix", A, a)
+        Ri = np.linalg.qr(A.T, mode="r")
+        R = Ri if R is None else np.linalg.qr(np.vstack([R, Ri]), mode="r")
+    return R
+
+
+def _data_rows(P: Array, Q: Array, U: Array, X: Array, l: int) -> Array:
+    """One chunk of the streamed data matrix: ``[P; Q; U; H(X) u_1; ...; X]``, H(X) = P[:l]."""
+    return np.vstack([P, Q, U, *(P[:l] * u for u in U), X])
+
+
+@dataclasses.dataclass(frozen=True)
+class _DataR:
+    """The streamed R of one dataset, with the column layout of :func:`_data_rows`.
+
+    ``cols`` returns R's columns of named blocks side by side; each block
+    is an isometric image of those data rows (transposed), so any fit or
+    angle computed on them equals the one on the data.
+    """
+
+    R: Array
+    s: int
+    l: int
+    m: int
+
+    def cols(self, *names: str) -> Array:
+        s, l, m = self.s, self.l, self.m
+        spans = {"P": (0, s), "Q": (s, 2 * s), "HX": (0, l), "HXplus": (s, s + l),
+                 "U": (2 * s, 2 * s + m), "HU": (2 * s + m, 2 * s + m + l * m),
+                 "X": (2 * s + m + l * m, self.R.shape[1])}
+        return self.R[:, np.concatenate([np.arange(*spans[n]) for n in names])]
+
+    def report(self, cutoff: float = PINV_CUTOFF) -> ConsistencyReport:
+        """The consistency report of the data, from the P and Q columns of R."""
+        return consistency_index(self.cols("P").T, self.cols("Q").T, cutoff=cutoff)
+
+
+def _stream_r(nd: NormalDictionary, aug: AugmentedSnapshots) -> _DataR:
+    """Evaluate ``nd`` on ``aug`` chunk by chunk into one :class:`_DataR`.
+
+    Raises :class:`DegenerateData` naming ``Psi(X)`` or ``Psi(Xplus)`` and
+    the first snapshot where the dictionary is not finite.
+    """
+    n, Z, Zp = aug.state_dim, aug.Z, aug.Zplus
+
+    def rows(a: int, b: int) -> Array:
+        P, Q = nd.eval_pair(AugmentedSnapshots(Z=Z[:, a:b], Zplus=Zp[:, a:b],
+                                               state_dim=n, input_dim=aug.input_dim))
+        _check_finite("Psi(X)", P, a)
+        _check_finite("Psi(Xplus)", Q, a)
+        return _data_rows(P, Q, Z[n:, a:b], Z[:n, a:b], nd.l)
+
+    return _DataR(_stream(aug.n_snapshots, rows), s=nd.s, l=nd.l, m=aug.input_dim)
+
+
 def invariance_proximity(nd: NormalDictionary, aug: AugmentedSnapshots,
                          cutoff: float = PINV_CUTOFF) -> ConsistencyReport:
     """Consistency report of an augmented dictionary on stacked data.
 
     ``sqrt_index`` is the invariance proximity: the tight worst-case
     relative one-step prediction error over the spanned space, and the
-    quantity the dictionary-learning loss drives down.
+    quantity the dictionary-learning loss drives down.  The data are
+    streamed ``CHUNK`` columns at a time into one R factor (see the module
+    docstring), so memory does not grow with the snapshot count.
     """
-    P, Q = nd.eval_pair(aug)
-    return consistency_index(P, Q, cutoff=cutoff)
+    return _stream_r(nd, aug).report(cutoff)
 
 
 def predict_function(fit: EdmdFit, w, Psi_x):

@@ -16,7 +16,7 @@ class NonFiniteState(KoopliftError, ArithmeticError):
 
 
 class DegenerateData(KoopliftError, ValueError):
-    """A data matrix is identically zero where a fit requires signal."""
+    """A data matrix is identically zero, or not finite, where a fit requires signal."""
 
 
 class RankDeficientProbe(KoopliftError, ValueError):

@@ -11,7 +11,7 @@ an upper bound on the index that sandwiches it together with ``Tr/s``;
 the ridge (scaled by the mean squared dictionary magnitude) makes the
 loss smooth where the data Gram matrices lose rank.  Reported metrics,
 the per-epoch held-out one included, always use the exact, ridge-free
-index of :mod:`kooplift.edmd` (one QR of the data per evaluation).
+index of :mod:`kooplift.edmd` (one streamed R of the data per evaluation).
 
 Gradients are exact and computed in closed form (s-by-s solves plus one
 reverse pass through the dictionary), so no automatic differentiation
@@ -38,13 +38,21 @@ Each epoch costs one extra pass, on the held-out half only: the training
 curve is the mean of the epoch's minibatch losses, which the steps have
 already computed, and the validation curve is the exact held-out
 invariance proximity (``sqrt_index`` of :func:`~kooplift.edmd.
-consistency_index`), which also selects the checkpoint.
+consistency_index`), which also selects the checkpoint.  That pass
+evaluates the dictionary rebased to original coordinates on the unscaled
+held-out half, streamed in chunks into one R factor
+(:func:`kooplift.edmd.invariance_proximity`), so the curve is in original
+coordinates.  The best epoch's R (k-by-k, a few kilobytes) is kept, and
+``final_proximity_test`` is read off it: equal to the curve's best entry
+bit for bit, with no further pass.
 
-The pipeline reuses the training-half consistency report that
-:func:`train` computes for its final metrics, both as the certificate of
-the extracted model and as its EDMD fit (``report.fit``: the same
-factorization gives ``K_F``), and compares models on held-out data
-through the models' batched transition protocol (:mod:`kooplift.models`).
+Each dataset half is thus evaluated once after training: the training
+half, streamed into its R, gives ``final_proximity_train`` and the
+consistency report.  The pipeline reads everything else off that R: the
+EDMD fit of the extracted model (``report.fit``), its certificate, and
+both baselines (least squares on R's column blocks, no second pass of
+H).  It compares models on held-out data through the models' batched
+transition protocol (:mod:`kooplift.models`).
 
 Training follows the conventional recipe: split the data in half, run a
 moment-based adaptive gradient method (decay 0.9/0.999, stabilizer 1e-8)
@@ -69,14 +77,14 @@ from .dynamics import (
     run_experiments,
     to_augmented,
 )
-from .edmd import ConsistencyReport, consistency_index, fit_edmd, invariance_proximity
+from .edmd import ConsistencyReport, _DataR, _stream_r
 from .errors import ConfigError, DegenerateData, NonFiniteGradient, NonFiniteLoss, RankWarning
 from .models import (
     SeparableModel,
+    _bilinear_baseline,
+    _linear_baseline,
     evaluate_rollouts,
     extract_normal,
-    fit_bilinear_baseline,
-    fit_linear_baseline,
     head_dictionary,
     states_from_lifted,
 )
@@ -145,14 +153,19 @@ class TrainReport:
     ridge-free invariance proximity of the held-out half after each epoch
     (the ``sqrt_index`` of the consistency index, in [0, 1]; NaN when it
     could not be evaluated), which selects the checkpoint; it is computed
-    in the scaled coordinates, an invertible change that leaves the index
-    unchanged up to rounding.  Final proximities are ridge-free and
-    computed in original coordinates.  ``wall_time`` is informational and
-    excluded from the deterministic JSON so that metric files are
-    byte-reproducible.
+    in original coordinates, by the rebased dictionary on the unscaled
+    data, at the cost of one streamed pass over the held-out half per
+    epoch.  Final proximities are ridge-free and computed in original
+    coordinates; ``final_proximity_test`` is read off the best epoch's
+    held-out R, so it equals ``val_curve[best_epoch]`` bit for bit.
+    ``wall_time`` is informational and excluded from the deterministic
+    JSON so that metric files are byte-reproducible.
     ``train_consistency`` is the consistency report behind
-    ``final_proximity_train`` (None when it could not be computed); like
-    the index arrays, it is not serialized.
+    ``final_proximity_train`` (None when it could not be computed), and
+    ``train_r`` the streamed R of the training half it was read off
+    (:func:`kooplift.edmd._stream_r`; None when the half could not be
+    evaluated), from which the pipeline also fits the baselines; like the
+    index arrays, neither is serialized.
     """
 
     train_curve: list
@@ -168,6 +181,7 @@ class TrainReport:
     train_indices: Array | None = dataclasses.field(default=None, repr=False)
     val_indices: Array | None = dataclasses.field(default=None, repr=False)
     train_consistency: ConsistencyReport | None = dataclasses.field(default=None, repr=False)
+    train_r: _DataR | None = dataclasses.field(default=None, repr=False)
 
 
 def _scaled(aug: AugmentedSnapshots, x_scale, u_scale) -> AugmentedSnapshots:
@@ -293,33 +307,32 @@ def _build_dictionary(config: TrainConfig, state_dim: int, input_dim: int):
                              s=config.s, l=config.l, **fam)
 
 
-def _held_out_proximity(nd: NormalDictionary, batch: AugmentedSnapshots) -> float:
+def _held_out_proximity(nd: NormalDictionary, batch: AugmentedSnapshots):
     """Exact invariance proximity of ``nd`` on ``batch``: the per-epoch metric.
 
-    Raises :class:`NonFiniteLoss` on a non-finite evaluation; the rank
-    warnings are left to the final reports, so the loop does not warn
-    once per epoch.
+    Returns ``(R, sqrt_index)``, the streamed R of ``batch`` and the
+    proximity read off it.  Raises :class:`DegenerateData` on a non-finite
+    evaluation; the rank warnings are left to the final reports, so the
+    loop does not warn once per epoch.
     """
-    P, Q = nd.eval_pair(batch)
-    if not (np.all(np.isfinite(P)) and np.all(np.isfinite(Q))):
-        raise NonFiniteLoss(
-            f"dictionary evaluation is not finite (parameter norm {_param_norm(nd)})")
+    d = _stream_r(nd, batch)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RankWarning)
-        return consistency_index(P, Q).sqrt_index
+        return d, d.report().sqrt_index
 
 
-def _final_consistency(nd: NormalDictionary, aug: AugmentedSnapshots):
-    """Ridge-free consistency report for the final metrics; None when not computable.
+def _final_consistency(nd: NormalDictionary, aug: AugmentedSnapshots, d: _DataR | None = None):
+    """``(R, report)`` for the final metrics, streaming ``aug`` unless ``d`` is its R.
 
     Aborted runs can leave non-finite data or parameters behind; the
     report must still be returned, so evaluation failures degrade to None
     (a NaN proximity) instead of raising.
     """
     try:
-        return invariance_proximity(nd, aug)
-    except (np.linalg.LinAlgError, DegenerateData, NonFiniteLoss, ValueError):
-        return None
+        d = _stream_r(nd, aug) if d is None else d
+        return d, d.report()
+    except (np.linalg.LinAlgError, DegenerateData, ValueError):
+        return d, None
 
 
 def _sqrt_index(report) -> float:
@@ -357,15 +370,15 @@ def train(config: TrainConfig, data: AugmentedSnapshots):
 
     trainable = isinstance(nd, TrainableNormalDictionary) and nd.n_params > 0
     if not trainable:
-        train_consistency = _final_consistency(nd, train_aug)
+        train_r, train_consistency = _final_consistency(nd, train_aug)
         report = TrainReport(
             train_curve=[], val_curve=[], lr_schedule=[],
             final_proximity_train=_sqrt_index(train_consistency),
-            final_proximity_test=_sqrt_index(_final_consistency(nd, val_aug)),
+            final_proximity_test=_sqrt_index(_final_consistency(nd, val_aug)[1]),
             wall_time=time.perf_counter() - t0,
             nan_batches=0, aborted=False, best_epoch=0,
             train_indices=train_idx, val_indices=val_idx,
-            train_consistency=train_consistency,
+            train_consistency=train_consistency, train_r=train_r,
         )
         return nd, report
 
@@ -374,7 +387,6 @@ def train(config: TrainConfig, data: AugmentedSnapshots):
     u_scale = np.ones(data.input_dim) if config.u_scale is None \
         else np.asarray(config.u_scale, dtype=float)
     train_s = _scaled(train_aug, x_scale, u_scale)
-    val_s = _scaled(val_aug, x_scale, u_scale)
 
     theta = nd.get_params()
     m = np.zeros_like(theta)
@@ -390,6 +402,7 @@ def train(config: TrainConfig, data: AugmentedSnapshots):
     best_metric = np.inf
     best_theta = theta.copy()
     best_epoch = 0
+    best_val_r = None
 
     for epoch in range(config.epochs):
         if config.epochs == 1:
@@ -428,8 +441,9 @@ def train(config: TrainConfig, data: AugmentedSnapshots):
         train_curve.append(float(np.mean(batch_losses)) if batch_losses else float("nan"))
         nd.set_params(theta)
         try:
-            val_metric = _held_out_proximity(nd, val_s)
-        except (NonFiniteLoss, DegenerateData, np.linalg.LinAlgError):
+            val_r, val_metric = _held_out_proximity(
+                nd.with_input_scaling(x_scale, u_scale), val_aug)
+        except (DegenerateData, np.linalg.LinAlgError):
             nan_batches += 1
             val_curve.append(float("nan"))
             continue
@@ -438,16 +452,17 @@ def train(config: TrainConfig, data: AugmentedSnapshots):
             best_metric = val_metric
             best_theta = theta.copy()
             best_epoch = epoch
+            best_val_r = val_r
 
     nd.set_params(best_theta)
     final_nd = nd.with_input_scaling(x_scale, u_scale)
-    train_consistency = _final_consistency(final_nd, train_aug)
+    train_r, train_consistency = _final_consistency(final_nd, train_aug)
     report = TrainReport(
         train_curve=train_curve,
         val_curve=val_curve,
         lr_schedule=lr_schedule,
         final_proximity_train=_sqrt_index(train_consistency),
-        final_proximity_test=_sqrt_index(_final_consistency(final_nd, val_aug)),
+        final_proximity_test=_sqrt_index(_final_consistency(final_nd, val_aug, best_val_r)[1]),
         wall_time=time.perf_counter() - t0,
         nan_batches=nan_batches,
         aborted=aborted,
@@ -455,6 +470,7 @@ def train(config: TrainConfig, data: AugmentedSnapshots):
         train_indices=train_idx,
         val_indices=val_idx,
         train_consistency=train_consistency,
+        train_r=train_r,
     )
     return final_nd, report
 
@@ -514,23 +530,18 @@ def pipeline(config: TrainConfig, system_or_dataset, plan=None, *,
     train_aug = _columns(aug, report.train_indices)
     val_aug = _columns(aug, report.val_indices)
 
-    # ``train`` certified this dictionary on these columns already, and the
-    # certificate's factorization holds the fit; only a failed certificate
-    # (an aborted run) is recomputed, to raise its error.
-    consistency = report.train_consistency
+    # ``train`` streamed the training half once into an R factor and
+    # certified this dictionary from it; the fit, the certificate and both
+    # baselines are read off that R.  Only a failed certificate (an aborted
+    # run) is recomputed, to raise its error.
+    d, consistency = report.train_r, report.train_consistency
     if consistency is None:
-        P, Q = nd.eval_pair(train_aug)
-        fit = fit_edmd(P, Q)
-        consistency = consistency_index(P, Q)
-    else:
-        fit = consistency.fit
-    separable = extract_normal(fit, nd, consistency)
-
-    X_tr, U_tr, Xp_tr = train_aug.split()
-    ss_train = SnapshotSet(X=X_tr, Xplus=Xp_tr, U=U_tr)
+        d = _stream_r(nd, train_aug)
+        consistency = d.report()
+    separable = extract_normal(consistency.fit, nd, consistency)
     psi = head_dictionary(nd)
-    linear = fit_linear_baseline(psi, ss_train)
-    bilinear = fit_bilinear_baseline(psi, ss_train)
+    linear = _linear_baseline(psi, d)
+    bilinear = _bilinear_baseline(psi, d)
 
     models = {"separable": separable, "linear": linear, "bilinear": bilinear}
     evaluation = None

@@ -34,7 +34,8 @@ from pathlib import Path
 import numpy as np
 
 from .dynamics import ControlSystem, SnapshotSet, _simulate_many
-from .edmd import ConsistencyReport, EdmdFit, PINV_CUTOFF, _lstsq, fit_edmd
+from .edmd import (ConsistencyReport, EdmdFit, PINV_CUTOFF, _DataR, _data_rows, _lstsq,
+                   _stream, fit_edmd)
 from .errors import (
     ConfigError,
     DegenerateData,
@@ -109,11 +110,17 @@ def fit_state_decoder(psi: StateDictionary, X: Array):
     """Least-squares map D with ``X ~ D psi(X)``; returns (D, residual).
 
     The residual is relative (Frobenius), reported so callers can judge
-    whether the dictionary actually resolves the state.
+    whether the dictionary actually resolves the state.  ``psi`` is
+    evaluated in chunks into the R of ``[psi(X); X]'``
+    (:func:`kooplift.edmd._stream`), whose column blocks ``RH`` and ``RX``
+    are isometric images of ``psi(X)'`` and ``X'``: the fit and the
+    residual norms are read off them.
     """
-    PX = eval_matrix(psi, X)
-    D, _ = _lstsq(PX, np.asarray(X, dtype=float))
-    resid = float(np.linalg.norm(X - D @ PX) / max(np.linalg.norm(X), 1e-300))
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    R = _stream(X.shape[1], lambda a, b: np.vstack([eval_matrix(psi, X[:, a:b]), X[:, a:b]]))
+    RH, RX = R[:, :psi.dim], R[:, psi.dim:]
+    D, _ = _lstsq(RH.T, RX.T)
+    resid = float(np.linalg.norm(RX - RH @ D.T) / max(np.linalg.norm(RX), 1e-300))
     return D, resid
 
 
@@ -429,19 +436,55 @@ def predict_observable(model: SeparableModel, v_h, x, u) -> float:
     return float(v_h @ model.A_of(u) @ model.lift(x))
 
 
-def fit_linear_baseline(psi: StateDictionary, ss: SnapshotSet) -> LinearLiftedModel:
-    """Least-squares lifted linear fit ``[A, B] = psi(X+) pinv([psi(X); U])``."""
-    PX = eval_matrix(psi, ss.X)
-    PXp = eval_matrix(psi, ss.Xplus)
-    R = np.vstack([PX, ss.U])
+def _head_r(psi: StateDictionary, ss: SnapshotSet) -> _DataR:
+    """The streamed R of ``psi`` alone on ``ss``: ``P = psi(X)``, ``Q = psi(X+)``, s = l."""
+    l = psi.dim
+
+    def rows(a: int, b: int) -> Array:
+        X = ss.X[:, a:b]
+        return _data_rows(eval_matrix(psi, X), eval_matrix(psi, ss.Xplus[:, a:b]),
+                          ss.U[:, a:b], X, l)
+
+    return _DataR(_stream(ss.n_snapshots, rows), s=l, l=l, m=ss.U.shape[0])
+
+
+def _linear_baseline(psi: StateDictionary, d: _DataR) -> LinearLiftedModel:
+    """:func:`fit_linear_baseline` read off the columns of a streamed R."""
+    R = d.cols("HX", "U")
     if not np.any(R):
         raise DegenerateData("regressor [psi(X); U] is identically zero")
-    AB, sv = _lstsq(R, PXp)
+    AB, sv = _lstsq(R.T, d.cols("HXplus").T)
     if sv[-1] <= PINV_CUTOFF * sv[0]:
         warnings.warn("regressor [psi(X); U] is rank-deficient; fit is not unique",
-                      RankWarning, stacklevel=2)
-    k = PX.shape[0]
-    return LinearLiftedModel(psi=psi, A=AB[:, :k], B=AB[:, k:])
+                      RankWarning, stacklevel=3)
+    return LinearLiftedModel(psi=psi, A=AB[:, :d.l], B=AB[:, d.l:])
+
+
+def _bilinear_baseline(psi: StateDictionary, d: _DataR,
+                       include_input_term: bool = False) -> BilinearLiftedModel:
+    """:func:`fit_bilinear_baseline` read off the columns of a streamed R."""
+    R = d.cols("HX", "HU", "U") if include_input_term else d.cols("HX", "HU")
+    if not np.any(R):
+        raise DegenerateData("bilinear regressor is identically zero")
+    AB, sv = _lstsq(R.T, d.cols("HXplus").T)
+    advisory = bool(sv[-1] <= PINV_CUTOFF * sv[0])
+    if advisory:
+        warnings.warn("bilinear regressor is rank-deficient; fit is not unique",
+                      RankWarning, stacklevel=3)
+    k, m = d.l, d.m
+    A = AB[:, :k]
+    Bs = tuple(AB[:, (i + 1) * k:(i + 2) * k] for i in range(m))
+    C = AB[:, (m + 1) * k:] if include_input_term else None
+    return BilinearLiftedModel(psi=psi, A=A, Bs=Bs, C=C, advisory=advisory)
+
+
+def fit_linear_baseline(psi: StateDictionary, ss: SnapshotSet) -> LinearLiftedModel:
+    """Least-squares lifted linear fit ``[A, B] = psi(X+) pinv([psi(X); U])``.
+
+    ``psi`` is evaluated in chunks into one R factor (:func:`kooplift.
+    edmd._stream`); the fit is read off its columns.
+    """
+    return _linear_baseline(psi, _head_r(psi, ss))
 
 
 def fit_bilinear_baseline(psi: StateDictionary, ss: SnapshotSet,
@@ -452,27 +495,10 @@ def fit_bilinear_baseline(psi: StateDictionary, ss: SnapshotSet,
     comparison form); ``include_input_term=True`` appends the ``U`` block
     to the regressor.  A rank-deficient regressor (for example a single
     constant input channel, which makes A and B collinear) flags the
-    model advisory and warns.
+    model advisory and warns.  Like :func:`fit_linear_baseline`, the fit
+    is read off the columns of one streamed R factor.
     """
-    PX = eval_matrix(psi, ss.X)
-    PXp = eval_matrix(psi, ss.Xplus)
-    m = ss.U.shape[0]
-    blocks = [PX] + [PX * ss.U[i] for i in range(m)]
-    if include_input_term:
-        blocks.append(ss.U)
-    R = np.vstack(blocks)
-    if not np.any(R):
-        raise DegenerateData("bilinear regressor is identically zero")
-    AB, sv = _lstsq(R, PXp)
-    advisory = bool(sv[-1] <= PINV_CUTOFF * sv[0])
-    if advisory:
-        warnings.warn("bilinear regressor is rank-deficient; fit is not unique",
-                      RankWarning, stacklevel=2)
-    k = PX.shape[0]
-    A = AB[:, :k]
-    Bs = tuple(AB[:, (i + 1) * k:(i + 2) * k] for i in range(m))
-    C = AB[:, (m + 1) * k:] if include_input_term else None
-    return BilinearLiftedModel(psi=psi, A=A, Bs=Bs, C=C, advisory=advisory)
+    return _bilinear_baseline(psi, _head_r(psi, ss), include_input_term)
 
 
 def switched_from_constant_inputs(psi: StateDictionary, subsets) -> SwitchedLinearModel:

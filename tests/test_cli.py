@@ -11,6 +11,7 @@ import pytest
 
 import kooplift as kl
 from kooplift import cli
+from kooplift.edmd import CHUNK
 from kooplift.models import (extract_normal, load_model, rollout,
                              states_from_lifted, with_decoder)
 
@@ -103,6 +104,26 @@ class TestEdmd:
         assert "line 4" in capsys.readouterr().err
 
 
+class TestNonFiniteData:
+    @pytest.mark.parametrize("command", ["edmd", "consistency", "extract"])
+    @pytest.mark.parametrize("field, value, matrix", [(0, "1e300", "Psi(X)"),
+                                                      (3, "nan", "Psi(Xplus)")],
+                             ids=["huge_x1", "nan_x1p"])
+    def test_exit_4_names_the_matrix_and_snapshot(self, poly_dataset, tmp_path, capsys,
+                                                  command, field, value, matrix):
+        lines = poly_dataset.read_text().split("\n")
+        row = lines[2 + 7].split(",")  # snapshot 7, after the stamp and the header
+        row[field] = value
+        lines[2 + 7] = ",".join(row)
+        bad = tmp_path / "bad.csv"
+        bad.write_text("\n".join(lines))
+        with np.errstate(over="ignore", invalid="ignore"):
+            rc = _run([command, "--data", str(bad), "--dictionary", "example_poly_basis",
+                       "--out", str(tmp_path)])
+        assert rc == 4
+        assert f"numerical failure: {matrix} is not finite at snapshot 7" in capsys.readouterr().err
+
+
 class TestConsistency:
     def test_invariant_dictionary_and_stamp(self, poly_dataset, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
@@ -170,9 +191,8 @@ class TestExtractPredict:
         ss = kl.load_snapshots(poly_dataset)
         aug = kl.to_augmented(ss)
         nd = kl.load_dictionary(dict_path)
-        P, Q = nd.eval_aug(aug.Z), nd.eval_aug(aug.Zplus)
-        model = extract_normal(kl.fit_edmd(P, Q), nd,
-                               source_index=kl.consistency_index(P, Q))
+        rep = kl.invariance_proximity(nd, aug)
+        model = extract_normal(rep.fit, nd, source_index=rep)
         assert model.readout_rows() is None
         model = with_decoder(model, ss.X)
         Z = rollout(model, [0.3, -0.4], U[None, :], input_dim=1)
@@ -208,9 +228,8 @@ class TestExtractPredict:
         assert cli_report["final_proximity_train"] == report.final_proximity_train
         np.testing.assert_array_equal(kl.load_dictionary(dict_path).get_params(),
                                       nd.get_params())
-        P, Q = nd.eval_pair(aug)
-        model = extract_normal(kl.fit_edmd(P, Q), nd,
-                               source_index=kl.consistency_index(P, Q))
+        rep = kl.invariance_proximity(nd, aug)
+        model = extract_normal(rep.fit, nd, source_index=rep)
         assert model.readout_rows() is None
         model = with_decoder(model, ss.X)
         saved = load_model(tmp_path / "extract" / "model.json")
@@ -372,6 +391,29 @@ class TestDeterminism:
                             if f.name != "timing.json"})
         assert sorted(outputs[0]) == ["dictionary.json", "train_curve.csv",
                                       "train_report.json"]
+        assert outputs[0] == outputs[1]
+
+    def test_streamed_commands_in_fresh_processes_are_byte_identical(self, tmp_path):
+        """``consistency`` and ``extract`` over three chunks, the last one partial."""
+        data = tmp_path / "data"
+        assert _run(["simulate", "--system", "example_poly", "--experiments",
+                     str(2 * CHUNK + 7), "--steps", "1", "--seed", "4", "--out", str(data)]) == 0
+        assert kl.load_snapshots(data / "snapshots.csv").n_snapshots == 2 * CHUNK + 7
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+                   MKL_NUM_THREADS="1")
+        src = str(Path(kl.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        outputs = []
+        for run in ("a", "b"):
+            out = tmp_path / run
+            for command in ("consistency", "extract"):
+                subprocess.run([sys.executable, "-m", "kooplift.cli", command,
+                                "--data", str(data / "snapshots.csv"),
+                                "--dictionary", "example_poly_basis", "--out", str(out)],
+                               env=env, check=True, capture_output=True, timeout=300)
+            outputs.append({f.name: f.read_bytes() for f in sorted(out.iterdir())
+                            if f.name != "timing.json"})
+        assert sorted(outputs[0]) == ["consistency.json", "extract_report.json", "model.json"]
         assert outputs[0] == outputs[1]
 
 

@@ -1,13 +1,15 @@
 """Tests for EDMD fits, the consistency index, and its certificate."""
 
 import itertools
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
 import kooplift as kl
-from kooplift.edmd import PINV_CUTOFF
+from kooplift.dynamics import AugmentedSnapshots
+from kooplift.edmd import CHUNK, PINV_CUTOFF
 from kooplift.errors import DegenerateData, RankWarning
 
 
@@ -352,3 +354,102 @@ class TestQrKernel:
         data_sized = [c for c in calls if max(c[1]) >= P.shape[1]]
         assert data_sized == [("qr", (500, 12))]
         assert all(max(shape) <= 12 for _, shape in calls[1:])
+
+
+# ----------------------------------------------------------------------
+# The streamed R against the one-shot kernel
+
+
+def _poly_data(N, seed=0):
+    """``N`` snapshots of the polynomial example at uniform states and inputs."""
+    rng = np.random.default_rng(seed)
+    X = rng.uniform(-1, 1, size=(2, N))
+    U = rng.uniform(-1, 1, size=(1, N))
+    Xp = kl.example_poly().step_map(X, U)
+    return AugmentedSnapshots(Z=np.vstack([X, U]), Zplus=np.vstack([Xp, U]),
+                              state_dim=2, input_dim=1)
+
+
+# Without the sin(u) row the basis is not invariant: a non-trivial index.
+_STREAM_ND = kl.example_poly_normal_basis(truncate=("sin(u)",))
+
+
+def _assert_stream_matches_one_shot(nd, aug):
+    P, Q = nd.eval_pair(aug)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RankWarning)
+        want = kl.consistency_index(P, Q)
+        got = kl.invariance_proximity(nd, aug)
+    for key in ("row_rank_ok_X", "row_rank_ok_Xplus"):
+        assert got.rank_flags[key] == want.rank_flags[key]
+    assert abs(got.index - want.index) <= 1e-13
+    assert abs(got.pre_clamp_index - want.pre_clamp_index) <= 1e-13
+    np.testing.assert_allclose(got.eigenvalues, want.eigenvalues, rtol=0, atol=1e-13)
+    for g, w in ((got.K_F, want.K_F), (got.K_B, want.K_B)):
+        assert np.linalg.norm(g - w) <= 1e-12 * max(1.0, np.linalg.norm(w))
+    w = got.worst_coeffs
+    if min(np.linalg.norm(w - want.worst_coeffs), np.linalg.norm(w + want.worst_coeffs)) > 1e-8:
+        assert abs(_relative_error(w, P, Q) - got.sqrt_index) <= 1e-8
+
+
+class TestStream:
+    @pytest.mark.parametrize("N", [1, 2 * _STREAM_ND.s - 1, CHUNK - 1, CHUNK, CHUNK + 1,
+                                   2 * CHUNK + 7])
+    def test_matches_the_one_shot_kernel(self, N):
+        _assert_stream_matches_one_shot(_STREAM_ND, _poly_data(N))
+
+    def test_non_finite_last_chunk_raises(self):
+        aug = _poly_data(2 * CHUNK + 7)
+        aug.Zplus[1, -1] = np.nan
+        last = 2 * CHUNK + 6
+        with pytest.raises(DegenerateData, match=rf"Psi\(Xplus\) is not finite at snapshot {last}"):
+            kl.invariance_proximity(_STREAM_ND, aug)
+
+    def test_zero_first_chunk_is_not_degenerate(self):
+        # A head-only dictionary with no constant row vanishes at the origin.
+        H = kl.StateDictionary(dim=3, fn=lambda x: np.array([x[0], x[1], x[0] * x[1]]),
+                               names=("x1", "x2", "x1*x2"), domain_dim=2,
+                               batch_fn=lambda X: np.vstack([X, X[:1] * X[1:]]))
+        nd = kl.NormalDictionary(H, None, state_dim=2, input_dim=1)
+        aug = _poly_data(2 * CHUNK + 7)
+        aug.Z[:, :CHUNK] = 0.0
+        aug.Zplus[:, :CHUNK] = 0.0
+        _assert_stream_matches_one_shot(nd, aug)
+
+    def test_no_factored_operand_taller_than_a_chunk(self, monkeypatch):
+        aug = _poly_data(3 * CHUNK)
+        heights = []
+        for name in ("svd", "svdvals", "qr", "pinv", "lstsq", "eig", "eigh", "eigvals"):
+            fn = getattr(np.linalg, name, None)
+            if fn is None:
+                continue
+
+            def recording(a, *args, _fn=fn, **kwargs):
+                heights.append(np.shape(a)[0])
+                return _fn(a, *args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, recording)
+        kl.invariance_proximity(_STREAM_ND, aug)
+        assert heights.count(CHUNK) == 3
+        assert max(heights) == CHUNK
+
+    def test_memory_does_not_grow_with_the_snapshot_count(self):
+        peaks = []
+        for N in (5_000, 50_000):
+            aug = _poly_data(N)
+            tracemalloc.start()
+            try:
+                kl.invariance_proximity(_STREAM_ND, aug)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        # One evaluation of P alone at 50 000 snapshots is 2.8 MB.
+        assert peaks[1] <= 1.05 * peaks[0] < 1e6
+
+    def test_non_finite_in_memory_data_is_named(self):
+        P, Q = _STREAM_ND.eval_pair(_poly_data(50))
+        Q[2, 17] = np.inf
+        with pytest.raises(DegenerateData, match=r"Psi\(Xplus\) is not finite at snapshot 17"):
+            kl.consistency_index(P, Q)
+        with pytest.raises(DegenerateData, match=r"Psi\(X\) is not finite at snapshot 17"):
+            kl.fit_edmd(Q, P)

@@ -9,7 +9,8 @@ import pytest
 
 import kooplift as kl
 from kooplift.dynamics import AugmentedSnapshots
-from kooplift.errors import ConfigError, NonFiniteGradient, NonFiniteLoss
+from kooplift.edmd import CHUNK
+from kooplift.errors import ConfigError, DegenerateData, NonFiniteGradient, NonFiniteLoss
 from kooplift.learning import (PipelineResult, TrainConfig, config_from_json,
                                config_to_json, loss, loss_gradient, pipeline,
                                report_to_csv, report_to_json, train)
@@ -388,17 +389,29 @@ class TestTrain:
 class TestEpochMetrics:
     """The per-epoch curves: minibatch-loss means and the exact held-out index."""
 
-    @pytest.mark.parametrize("family", [
-        {"kind": "polynomial", "total_degree": 2},
-        {"kind": "residual_mlp", "blocks": 1, "width": 8},
-    ])
-    def test_best_val_is_the_final_test_proximity(self, zero_sine_augmented, family):
+    # Unit scales, and the motor's scales of criterion 7.
+    @pytest.mark.parametrize("family, scales", [
+        (family, scales)
+        for scales in [(None, None), ([1 / 5, 1 / 80], [1 / 2])]
+        for family in [{"kind": "polynomial", "total_degree": 2},
+                       {"kind": "residual_mlp", "blocks": 1, "width": 8}]
+    ], ids=["family0", "family1", "family0-motor_scales", "family1-motor_scales"])
+    def test_best_val_is_the_final_test_proximity(self, zero_sine_augmented, family, scales):
         config = TrainConfig(family=family, s=7, l=4, epochs=4, batch_size=50,
-                             lr_start=1e-2, lr_end=1e-3, seed=5)
+                             lr_start=1e-2, lr_end=1e-3, seed=5,
+                             x_scale=scales[0], u_scale=scales[1])
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             _, report = train(config, zero_sine_augmented)
         assert report.val_curve[report.best_epoch] == report.final_proximity_test
+
+    def test_frozen_final_test_is_the_held_out_proximity(self, zero_sine_augmented):
+        config = TrainConfig(family={"kind": "example_poly_basis"}, seed=5)
+        nd, report = train(config, zero_sine_augmented)
+        val = AugmentedSnapshots(Z=zero_sine_augmented.Z[:, report.val_indices],
+                                 Zplus=zero_sine_augmented.Zplus[:, report.val_indices],
+                                 state_dim=2, input_dim=1)
+        assert report.final_proximity_test == kl.invariance_proximity(nd, val).sqrt_index
 
     def test_train_curve_is_the_mean_of_the_epoch_losses(self, zero_sine_augmented,
                                                          monkeypatch):
@@ -513,9 +526,41 @@ class TestPipeline:
         assert "train_consistency" not in report_to_json(rep)
         assert "train_consistency" not in repr(rep)
 
+    @pytest.mark.parametrize("family", [{"kind": "example_poly_basis"},
+                                        {"kind": "polynomial", "total_degree": 2}])
+    def test_each_half_is_streamed_once_per_pass(self, poly_system, family, monkeypatch):
+        # Halves of 1250 snapshots: two chunks each.
+        plan = kl.ExperimentPlan(num_experiments=250, steps_per_experiment=10, rng_seed=41)
+        ss = kl.run_experiments(poly_system, plan)
+        config = TrainConfig(family=family, s=7, l=4, epochs=2, batch_size=250, seed=3)
+        columns, heights = [], []
+        eval_pair = kl.NormalDictionary.eval_pair
+
+        def counting(nd, aug):
+            columns.append(aug.n_snapshots)
+            return eval_pair(nd, aug)
+
+        monkeypatch.setattr(kl.NormalDictionary, "eval_pair", counting)
+        for name in ("svd", "qr", "pinv", "lstsq", "solve", "eig", "eigh", "eigvals"):
+            fn = getattr(np.linalg, name)
+
+            def recording(a, *args, _fn=fn, **kwargs):
+                heights.append(np.shape(a)[0])
+                return _fn(a, *args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, recording)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            res = pipeline(config, ss)
+        rep = res.train_report
+        passes = len(rep.val_curve) or 1  # a frozen family: the final report only
+        assert sum(columns) == len(rep.train_indices) + passes * len(rep.val_indices)
+        assert max(columns) <= CHUNK < len(rep.train_indices)
+        assert max(heights) <= CHUNK
+
     def test_aborted_run_raises_what_the_fit_raises(self):
         # Every training column is non-finite: train aborts and cannot
-        # certify, and the pipeline's own fit then fails on the same data.
+        # certify, and the pipeline's own fit then names the bad data.
         rng = np.random.default_rng(3)
         X = rng.normal(size=(2, 50))
         X[0] = np.inf
@@ -526,7 +571,7 @@ class TestPipeline:
             warnings.simplefilter("ignore")
             _, report = train(config, kl.to_augmented(ss))
             assert report.aborted and report.train_consistency is None
-            with pytest.raises(np.linalg.LinAlgError, match="SVD did not converge"):
+            with pytest.raises(DegenerateData, match=r"Psi\(X\) is not finite at snapshot 0"):
                 pipeline(config, ss)
 
     def test_system_without_plan_rejected(self, poly_system):

@@ -16,6 +16,8 @@ from kooplift.models import (bilinear_as_separable, evaluate_rollouts,
                              head_dictionary, load_model, model_from_json,
                              model_to_json, predict_observable, rollout,
                              save_model, states_from_lifted, with_decoder)
+from kooplift.edmd import CHUNK, _stream_r
+from kooplift.models import _bilinear_baseline, _linear_baseline
 from kooplift.observables import StateDictionary, eval_matrix
 
 
@@ -622,6 +624,28 @@ class TestLeastSquaresKernel:
         R = np.vstack([dup.X, dup.U])
         np.testing.assert_allclose(np.hstack([model.A, model.B]), self._lstsq(R, dup.Xplus),
                                    rtol=0, atol=1e-10)
+
+    @pytest.mark.parametrize("include_input_term", [False, True])
+    def test_pipeline_fits_from_the_streamed_r(self, poly_snapshots, include_input_term):
+        # The pipeline's route: one streamed R of the full data matrix, whose
+        # P, Q blocks are the augmented dictionary's (s > l), then both fits
+        # from its columns.
+        nd = kl.example_poly_normal_basis()
+        ss = poly_snapshots
+        assert ss.n_snapshots > CHUNK
+        d = _stream_r(nd, kl.to_augmented(ss))
+        psi = self._poly_psi()
+        PX, PXp = eval_matrix(psi, ss.X), eval_matrix(psi, ss.Xplus)
+        linear = _linear_baseline(psi, d)
+        np.testing.assert_allclose(np.hstack([linear.A, linear.B]),
+                                   self._lstsq(np.vstack([PX, ss.U]), PXp), rtol=0, atol=1e-10)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RankWarning)
+            bilinear = _bilinear_baseline(psi, d, include_input_term)
+        blocks = [PX, PX * ss.U[0]] + ([ss.U] if include_input_term else [])
+        got = np.hstack([bilinear.A, *bilinear.Bs] + ([bilinear.C] if include_input_term else []))
+        np.testing.assert_allclose(got, self._lstsq(np.vstack(blocks), PXp), rtol=0, atol=1e-10)
+        assert bilinear.advisory == include_input_term
 
     def test_state_decoder(self, poly_snapshots):
         psi = StateDictionary(dim=3, fn=lambda x: np.array([x[0] + x[1], x[0] - x[1], x[0] ** 2]),
