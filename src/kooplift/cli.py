@@ -46,6 +46,8 @@ from . import __version__
 from .dynamics import (
     BUILTIN_SYSTEMS,
     ExperimentPlan,
+    _next_row,
+    _read_rows,
     get_system,
     load_snapshots,
     run_experiments,
@@ -184,20 +186,27 @@ def _load_augmented(data_path: str):
 
 
 def _read_inputs(path) -> np.ndarray:
-    """Read an input-sequence CSV (one row per step, columns u1..um)."""
+    """Read an input-sequence CSV (one row per step, columns u1..um).
+
+    An optional ``u...`` header row gives the width, else the first row
+    does; blank and ``#`` lines are skipped.  The rows are parsed as
+    snapshot rows are, and a ragged or non-numeric row raises
+    :class:`ConfigError` naming its file line.
+    """
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"input file {path} does not exist")
-    raw = [ln.strip() for ln in path.read_text().split("\n")]
-    rows = [ln for ln in raw if ln and not ln.startswith("#")]
-    if rows and rows[0].split(",")[0].startswith("u"):
-        rows = rows[1:]
-    if not rows:
+    with path.open() as f:
+        first = _next_row(f, 0)
+        U = np.empty((0, 0))
+        if first is not None:
+            lineno, line = first
+            if not line.startswith("u"):
+                f.seek(0)
+                lineno = 0
+            U = _read_rows(path, f, lineno, line.count(",") + 1)
+    if U.shape[0] == 0:
         raise ConfigError(f"{path}: input sequence is empty")
-    try:
-        U = np.array([[float(p) for p in ln.split(",")] for ln in rows])
-    except ValueError:
-        raise ConfigError(f"{path}: non-numeric input value") from None
     return U.T
 
 

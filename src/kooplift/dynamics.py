@@ -17,7 +17,6 @@ snapshot datasets.
 from __future__ import annotations
 
 import dataclasses
-import itertools
 import json
 import math
 import warnings
@@ -472,6 +471,25 @@ def _csv_header(n: int, m: int) -> str:
     return ",".join(cols)
 
 
+def _format_rows(rows: Array) -> str:
+    """The CSV lines of a block of rows, each value written with ``repr``.
+
+    ``repr`` runs once per distinct bit pattern of the block, not once per
+    field: snapshot data repeat most values (a successor state is the next
+    snapshot's state, a held input repeats over its experiment).  Bit
+    patterns rather than values keep ``0.0`` apart from ``-0.0``.
+    """
+    bits = np.ascontiguousarray(rows, dtype=np.float64).view(np.int64)
+    distinct, inverse = np.unique(bits, return_inverse=True)
+    texts = np.array([*map(repr, distinct.view(np.float64).tolist()), ",", "\n"], dtype=object)
+    # Interleave field indices with separators; numpy 1.x returns a flat
+    # inverse and numpy 2.x one shaped like ``bits``, so reshape explicitly.
+    index = np.full((bits.shape[0], 2 * bits.shape[1]), len(distinct))
+    index[:, 0::2] = inverse.reshape(bits.shape)
+    index[:, -1] = len(distinct) + 1
+    return "".join(texts[index].ravel().tolist())
+
+
 def save_snapshots(ss: SnapshotSet, csv_path, manifest_extra: dict | None = None,
                    comment: str | None = None) -> Path:
     """Write a snapshot CSV (one row per snapshot) plus a JSON manifest.
@@ -480,15 +498,20 @@ def save_snapshots(ss: SnapshotSet, csv_path, manifest_extra: dict | None = None
     CSV as ``<stem>.manifest.json``.  Floats are written with ``repr`` so
     the round trip is exact and byte-reproducible.  ``comment`` becomes a
     leading ``#`` line (provenance stamps); readers skip such lines.
+
+    Rows are formatted and written in blocks of 1000, so memory does not
+    grow with N; within a block each distinct bit pattern is formatted
+    once and its text reused for every field that holds it.
     """
     csv_path = Path(csv_path)
     n, m = ss.X.shape[0], ss.U.shape[0]
-    rows = np.vstack([ss.X, ss.U, ss.Xplus]).T
-    lines = [_csv_header(n, m)]
-    if comment is not None:
-        lines.insert(0, "# " + comment)
-    lines.extend(",".join(map(repr, row.tolist())) for row in rows)
-    csv_path.write_text("\n".join(lines) + "\n")
+    with csv_path.open("w") as f:
+        if comment is not None:
+            f.write("# " + comment + "\n")
+        f.write(_csv_header(n, m) + "\n")
+        for s in range(0, ss.n_snapshots, 1000):
+            block = (ss.X[:, s:s + 1000], ss.U[:, s:s + 1000], ss.Xplus[:, s:s + 1000])
+            f.write(_format_rows(np.concatenate(block).T))
     manifest = {
         "n": n,
         "m": m,
@@ -508,48 +531,95 @@ def manifest_path_for(csv_path) -> Path:
     return csv_path.with_name(csv_path.stem + ".manifest.json")
 
 
+def _is_number(field: str) -> bool:
+    """Whether numpy's C reader parses ``field``: ``float``'s grammar without
+    the digit-group underscores and non-ASCII digits that ``float`` also takes."""
+    field = field.strip()
+    if "_" in field or not field.isascii():
+        return False
+    try:
+        float(field)
+    except ValueError:
+        return False
+    return True
+
+
 def _malformed_row(csv_path, body, width: int) -> ConfigError:
     """The error naming the first malformed row of ``body``, ``(line number, text)`` pairs."""
     for i, line in body:
         parts = line.split(",")
         if len(parts) != width:
             return ConfigError(f"{csv_path}: malformed CSV row at line {i} (expected {width} fields)")
-        try:
-            [float(p) for p in parts]
-        except ValueError:
+        if not all(map(_is_number, parts)):
             return ConfigError(f"{csv_path}: malformed CSV row at line {i} (non-numeric field)")
     return ConfigError(f"{csv_path}: malformed snapshot CSV")
+
+
+def _next_row(f, lineno: int):
+    """Read the open text file ``f`` up to its next line that is neither blank
+    nor a ``#`` comment; ``lineno`` is the number of the line read last.
+    Returns ``(line number, stripped line)``, or ``None`` at the end."""
+    while line := f.readline():
+        lineno += 1
+        line = line.strip()
+        if line and not line.startswith("#"):
+            return lineno, line
+    return None
+
+
+def _read_rows(csv_path, f, lineno: int, width: int) -> Array:
+    """Parse the rows left in the open text file ``f`` into an ``(N, width)`` array.
+
+    ``lineno`` is the number of the line read last.  One ``np.loadtxt``
+    call, numpy's C tokenizer, parses a clean remainder.  Blank lines
+    holding whitespace and ``#`` lines between rows make it fail; then the
+    rows are re-read without them and parsed again, and if that fails too,
+    :func:`_malformed_row` rescans them to name the first bad one.
+    """
+    start = f.tell()
+    if _next_row(f, lineno) is None:
+        return np.empty((0, width))
+    f.seek(start)
+    try:
+        data = np.loadtxt(f, delimiter=",", comments=None, ndmin=2)
+    except ValueError:
+        data = None
+    if data is not None and data.shape[1] == width:
+        return data
+    f.seek(start)
+    rows = [(i, ln.strip()) for i, ln in enumerate(f.read().split("\n"), start=lineno + 1)
+            if ln.strip() and not ln.lstrip().startswith("#")]
+    try:
+        data = np.loadtxt([ln for _, ln in rows], delimiter=",", comments=None, ndmin=2)
+    except ValueError:
+        raise _malformed_row(csv_path, rows, width) from None
+    if data.shape[1] != width:
+        raise _malformed_row(csv_path, rows, width)
+    return data
 
 
 def load_snapshots(csv_path) -> SnapshotSet:
     """Load a snapshot CSV written by :func:`save_snapshots`.
 
-    Lines starting with ``#`` are skipped.  Raises :class:`ConfigError`
-    naming the file line number on any malformed row.  All fields are
-    parsed in one pass with ``float``'s grammar; the rows are rescanned
-    one by one only to name a malformed one.
+    Blank lines and lines starting with ``#`` are skipped.  Raises
+    :class:`ConfigError` naming the file line number on any malformed row.
+    The rows are parsed by numpy's C reader (``np.loadtxt``), whose float
+    grammar is ``float``'s without digit-group underscores: ``1_0`` is a
+    non-numeric field.  They are rescanned one by one only to name a
+    malformed one.
     """
     csv_path = Path(csv_path)
-    raw = csv_path.read_text().split("\n")
-    rows = [(i, ln.strip()) for i, ln in enumerate(raw, start=1)
-            if ln.strip() and not ln.lstrip().startswith("#")]
-    if not rows:
-        raise ConfigError(f"{csv_path}: empty snapshot CSV")
-    header = rows[0][1].split(",")
-    n = sum(1 for c in header if c.startswith("x") and not c.endswith("p"))
-    m = sum(1 for c in header if c.startswith("u"))
-    if n == 0 or m == 0 or header != _csv_header(n, m).split(","):
-        raise ConfigError(f"{csv_path}: unrecognized snapshot CSV header {rows[0][1]!r}")
-    width = 2 * n + m
-    body = rows[1:]
-    if any(line.count(",") != width - 1 for _, line in body):
-        raise _malformed_row(csv_path, body, width)
-    fields = itertools.chain.from_iterable(line.split(",") for _, line in body)
-    try:
-        data = np.fromiter(map(float, fields), float, len(body) * width)
-    except ValueError:
-        raise _malformed_row(csv_path, body, width) from None
-    data = data.reshape(len(body), width)
+    with csv_path.open() as f:
+        first = _next_row(f, 0)
+        if first is None:
+            raise ConfigError(f"{csv_path}: empty snapshot CSV")
+        lineno, line = first
+        header = line.split(",")
+        n = sum(1 for c in header if c.startswith("x") and not c.endswith("p"))
+        m = sum(1 for c in header if c.startswith("u"))
+        if n == 0 or m == 0 or header != _csv_header(n, m).split(","):
+            raise ConfigError(f"{csv_path}: unrecognized snapshot CSV header {line!r}")
+        data = _read_rows(csv_path, f, lineno, 2 * n + m)
     meta = {}
     mpath = manifest_path_for(csv_path)
     if mpath.exists():

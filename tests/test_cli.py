@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line interface (in-process)."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -65,6 +66,18 @@ class TestSimulate:
         assert _run(args + ["--out", str(b)]) == 0
         assert (a / "snapshots.csv").read_bytes() == \
             (b / "snapshots.csv").read_bytes()
+
+    @pytest.mark.parametrize("mode, digest", [
+        ("constant", "6ebd25baa6093de168141877e2ac24f05838c1d40db2acb9246fe4e1df85c300"),
+        ("piecewise", "f962d590664983788573073d5ce9fdbd35cee42e448c62592fb47d2810aa96b8"),
+    ])
+    def test_snapshot_bytes_are_pinned(self, tmp_path, mode, digest):
+        # Digests of the files the one-line-per-row repr writer produced.
+        rc = _run(["simulate", "--system", "example_poly", "--experiments", "200",
+                   "--seed", "3", "--mode", mode, "--out", str(tmp_path)])
+        assert rc == 0
+        data = (tmp_path / "snapshots.csv").read_bytes()
+        assert hashlib.sha256(data).hexdigest() == digest
 
     def test_unknown_system_lists_builtins(self, tmp_path, capsys):
         rc = _run(["simulate", "--system", "pendulum", "--out", str(tmp_path)])
@@ -279,6 +292,52 @@ class TestExtractPredict:
                    "--out", str(tmp_path)])
         assert rc == 2
         assert "empty" in capsys.readouterr().err
+
+
+class TestPredictInputs:
+    """``predict --inputs``: the input-sequence CSV reader."""
+
+    @staticmethod
+    def _predict(model, inputs, out):
+        return _run(["predict", "--model", str(model), "--x0", "0.3,-0.4",
+                     "--inputs", str(inputs), "--out", str(out)])
+
+    def test_header_blank_and_comment_lines_are_optional(self, poly_model_file, tmp_path):
+        texts = {
+            "plain": "u1\n0.5\n-0.3\n0.1\n",
+            "headless": "0.5\n-0.3\n0.1",
+            "commented": "# inputs\n\nu1\n0.5\n  \n# mid\n-0.3\r\n0.1\n\n",
+            "headless_commented": "# inputs\n0.5\n# mid\n-0.3\n0.1\n",
+        }
+        for name, text in texts.items():
+            (tmp_path / f"{name}.csv").write_text(text)
+            assert self._predict(poly_model_file, tmp_path / f"{name}.csv", tmp_path / name) == 0
+        want = (tmp_path / "plain" / "prediction.csv").read_text().split("\n")[1:]
+        assert len(want) == 6  # header, x0, three steps and the empty text after the last newline
+        for name in texts:
+            # The stamp line hashes the input file; the rows must agree.
+            got = (tmp_path / name / "prediction.csv").read_text().split("\n")[1:]
+            assert got == want, name
+
+    @pytest.mark.parametrize("text, want", [
+        ("u1\n0.5\n0.5,0.3\n0.1\n", "line 3 (expected 1 fields)"),
+        ("0.5\n\n0.1,0.2\n", "line 3 (expected 1 fields)"),
+        ("# c\nu1\n0.5\n# mid\nabc\n", "line 5 (non-numeric field)"),
+        ("u1\n0.5\n1_0\n", "line 3 (non-numeric field)"),
+    ], ids=["ragged", "ragged_headless", "non_numeric", "underscore"])
+    def test_malformed_row_names_line(self, poly_model_file, tmp_path, capsys, text, want):
+        inputs = tmp_path / "inputs.csv"
+        inputs.write_text(text)
+        assert self._predict(poly_model_file, inputs, tmp_path) == 2
+        assert capsys.readouterr().err == f"error: {inputs}: malformed CSV row at {want}\n"
+        assert not (tmp_path / "prediction.csv").exists()
+
+    @pytest.mark.parametrize("text", ["", "# c\n\nu1\n  \n# d\n", "\n\n"])
+    def test_empty_sequence_rejected(self, poly_model_file, tmp_path, capsys, text):
+        inputs = tmp_path / "inputs.csv"
+        inputs.write_text(text)
+        assert self._predict(poly_model_file, inputs, tmp_path) == 2
+        assert capsys.readouterr().err == f"error: {inputs}: input sequence is empty\n"
 
 
 class TestCompare:

@@ -4,6 +4,7 @@ import dataclasses
 import json
 import math
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -17,6 +18,9 @@ from kooplift.dynamics import (
     step,
 )
 from kooplift.errors import ConfigError, DimensionMismatch, NonFiniteState, OutOfBoxWarning
+
+# rows per block of save_snapshots
+CSV_BLOCK = 1000
 
 # motor constants restated by hand so the oracle is independent of the package
 RA, LA, KM, UA, B, TL, J = 12.345, 0.314, 0.253, 60.0, 0.00732, 1.47, 0.00441
@@ -397,6 +401,92 @@ class TestSnapshotCsv:
         for got, ref in ((loaded.X, X), (loaded.U, U), (loaded.Xplus, Xplus)):
             np.testing.assert_array_equal(got, ref)
             np.testing.assert_array_equal(np.signbit(got), np.signbit(ref))
+
+    @pytest.mark.parametrize("N", [CSV_BLOCK - 1, CSV_BLOCK, CSV_BLOCK + 1, 2 * CSV_BLOCK + 7])
+    @pytest.mark.parametrize("mode", ["constant", "piecewise"])
+    def test_bytes_equal_per_value_repr_formatter_on_experiments(self, tmp_path, mode, N):
+        # Experiment data repeat values (X+ of one step is X of the next, a
+        # held input repeats); the special values all share the first block.
+        plan = kl.ExperimentPlan(num_experiments=250, steps_per_experiment=9,
+                                 rng_seed=4, input_mode=mode, hold_steps=3)
+        ss = kl.run_experiments(kl.example_poly(), plan)
+        X, U, Xplus = (A[:, :N].copy() for A in (ss.X, ss.U, ss.Xplus))
+        X[0, 500:508] = [0.0, -0.0, np.nan, -np.nan, 5e-324, -2.5e-310, 0.0, -0.0]
+        Xplus[1, 500:504] = [-np.nan, np.nan, -5e-324, 2.0**-1074]
+        U[0, 501:503] = -0.0
+        ss = kl.SnapshotSet(X=X, Xplus=Xplus, U=U)
+        path = tmp_path / "snaps.csv"
+        kl.save_snapshots(ss, path)
+        rows = [[repr(float(v)) for v in row] for row in np.vstack([X, U, Xplus]).T]
+        want = "x1,x2,u1,x1p,x2p\n" + "".join(",".join(r) + "\n" for r in rows)
+        assert path.read_bytes() == want.encode()
+        loaded = kl.load_snapshots(path)
+        got = np.vstack([loaded.X, loaded.U, loaded.Xplus]).T
+        ref = np.array([[float(v) for v in r] for r in rows])
+        np.testing.assert_array_equal(got.view(np.int64), ref.view(np.int64))
+
+    def test_writer_memory_does_not_grow_with_rows(self, tmp_path):
+        # The rows are formatted block by block: apart from the (N, 2n + m)
+        # row matrix a writer may build, nothing it holds grows with N.
+        # The allowance covers text lengths differing between the data.
+        rng = np.random.default_rng(8)
+        peaks = {}
+        for N in (20_000, 200_000):
+            ss = kl.SnapshotSet(X=rng.normal(size=(2, N)), Xplus=rng.normal(size=(2, N)),
+                                U=rng.normal(size=(1, N)))
+            tracemalloc.start()
+            try:
+                kl.save_snapshots(ss, tmp_path / "snaps.csv")
+                peaks[N] = tracemalloc.get_traced_memory()[1] - 5 * 8 * N
+            finally:
+                tracemalloc.stop()
+        assert peaks[200_000] <= peaks[20_000] + 64 * 1024
+
+    @pytest.mark.parametrize("text, rows", [
+        ("# c\r\nx1,u1,x1p\r\n1.5,-0.0,3.0\r\n2.5,nan,-inf\r\n",
+         [["1.5", "-0.0", "3.0"], ["2.5", "nan", "-inf"]]),
+        ("\n  \nx1,u1,x1p\n\n1.0,2.0,3.0\n   \n\t\n4.0,5.0,6.0\n \n",
+         [["1.0", "2.0", "3.0"], ["4.0", "5.0", "6.0"]]),
+        ("x1,u1,x1p\n1,2,3\n# mid\n  # indented\n4,5,6",
+         [["1", "2", "3"], ["4", "5", "6"]]),
+        ("x1,u1,x1p\nnan,-inf,Infinity\n-nan,+inf,-Infinity\nNaN,INF,-0.0\n",
+         [["nan", "-inf", "Infinity"], ["-nan", "+inf", "-Infinity"],
+          ["NaN", "INF", "-0.0"]]),
+        ("x1,u1,x1p\n 1.0 , -2.0,3e-320 \n", [["1.0", "-2.0", "3e-320"]]),
+        ("# c\nx1,u1,x1p\n", []),
+        ("x1,u1,x1p\n\n  \n# z\n", []),
+    ], ids=["crlf", "blank_lines", "comment_lines", "specials", "spaces",
+            "header_only", "header_only_blank_lines"])
+    def test_reader_contract(self, tmp_path, text, rows):
+        path = tmp_path / "snaps.csv"
+        path.write_bytes(text.encode())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            loaded = kl.load_snapshots(path)
+        got = np.vstack([loaded.X, loaded.U, loaded.Xplus]).T
+        ref = np.array([[float(v) for v in r] for r in rows]).reshape(len(rows), 3)
+        assert got.shape == ref.shape
+        np.testing.assert_array_equal(got.view(np.int64), ref.view(np.int64))
+        np.testing.assert_array_equal(np.signbit(got), np.signbit(ref))
+
+    @pytest.mark.parametrize("text, want", [
+        ("x1,u1,x1p\n1,2,3\n# mid\n\n  # indented\n4,5,6\n7,8\n",
+         "line 7 (expected 3 fields)"),
+        ("x1,u1,x1p\n1,2,3\n  \n4,5,abc\n", "line 4 (non-numeric field)"),
+        ("x1,u1,x1p\n1,2,3\n4,5,5#x\n", "line 3 (non-numeric field)"),
+        ("x1,u1,x1p\n1,2,3\n4,5,6,7\n", "line 3 (expected 3 fields)"),
+        ("x1,u1,x1p\n1,2,3,4\n5,6,7,8\n", "line 2 (expected 3 fields)"),
+        ("x1,u1,x1p\n1,,3\n", "line 2 (non-numeric field)"),
+        # float() takes digit-group underscores; numpy's reader does not.
+        ("x1,u1,x1p\n1,2,3\n\n1_0,2,3\n", "line 4 (non-numeric field)"),
+    ], ids=["comment_lines", "blank_line", "hash_in_row", "long_row", "every_row_long",
+            "empty_field", "underscore"])
+    def test_reader_rejects_naming_the_line(self, tmp_path, text, want):
+        path = tmp_path / "snaps.csv"
+        path.write_text(text)
+        with pytest.raises(ConfigError) as exc:
+            kl.load_snapshots(path)
+        assert str(exc.value) == f"{path}: malformed CSV row at {want}"
 
     @pytest.mark.parametrize("case", ["short", "non_numeric", "comment_before"])
     def test_malformed_row_error_texts(self, poly_snapshots, tmp_path, case):
