@@ -1,0 +1,116 @@
+"""Golden files: saved dictionaries and models load, re-save and evaluate unchanged.
+
+The JSON files in ``tests/fixtures/`` were written by :func:`save_dictionary`
+and :func:`save_model` from the builders below.  Each must load, re-save
+byte for byte, and evaluate like a freshly built object within the
+round-trip tolerances of the serialization tests.  The files pin the
+on-disk format: rewrite them (``python tests/test_golden.py``) only for a
+deliberate format change.
+"""
+
+import warnings
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import kooplift as kl
+from kooplift.errors import RankWarning
+from kooplift.models import (extract_normal, fit_bilinear_baseline, fit_linear_baseline,
+                             head_dictionary, load_model, save_model, states_from_lifted,
+                             with_decoder)
+
+FIXTURES = Path(__file__).parent / "fixtures"
+
+# name -> (builder, atol of the evaluation check)
+DICTIONARIES = {
+    "dict_example": (lambda: kl.example_poly_normal_basis(), 0.0),
+    "dict_example_truncated": (
+        lambda: kl.example_poly_normal_basis(truncate=("sin(u)", "u^2")), 0.0),
+    "dict_polynomial_scaled": (
+        lambda: kl.parametric_family("polynomial", state_dim=2, input_dim=1, s=7, l=4,
+                                     total_degree=2, seed=7)
+        .with_input_scaling([2.0, 0.5], [1.5]), 1e-14),
+    "dict_headless": (
+        lambda: kl.parametric_family("polynomial", state_dim=2, input_dim=1, s=8, l=5,
+                                     fixed_head=None, total_degree=2, seed=2), 1e-14),
+}
+
+
+def _dictionary(name):
+    return DICTIONARIES[name][0]()
+
+
+def _separable(nd, ss):
+    report = kl.invariance_proximity(nd, kl.to_augmented(ss))
+    return extract_normal(report.fit, nd, report)
+
+
+MODELS = {
+    "model_separable_decoder":
+        lambda ss: with_decoder(_separable(_dictionary("dict_headless"), ss), ss.X),
+    "model_separable": lambda ss: _separable(_dictionary("dict_example"), ss),
+    "model_linear":
+        lambda ss: fit_linear_baseline(head_dictionary(_dictionary("dict_example")), ss),
+    "model_bilinear":
+        lambda ss: fit_bilinear_baseline(head_dictionary(_dictionary("dict_polynomial_scaled")),
+                                         ss, include_input_term=True),
+}
+
+
+def _snapshots():
+    plan = kl.ExperimentPlan(num_experiments=30, steps_per_experiment=5, rng_seed=3,
+                             input_mode="piecewise")
+    return kl.run_experiments(kl.example_poly(), plan)
+
+
+def _build_model(name, ss):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RankWarning)
+        return MODELS[name](ss)
+
+
+@pytest.fixture(scope="module")
+def snapshots():
+    return _snapshots()
+
+
+@pytest.mark.parametrize("name", sorted(DICTIONARIES))
+def test_dictionary_file_round_trips(name, tmp_path):
+    path = FIXTURES / f"{name}.json"
+    nd = kl.load_dictionary(path)
+    assert kl.save_dictionary(nd, tmp_path / "again.json").read_bytes() == path.read_bytes()
+    rng = np.random.default_rng(21)
+    Z = np.vstack([rng.uniform(-2, 2, size=(2, 40)), rng.uniform(-1, 1, size=(1, 40))])
+    np.testing.assert_allclose(nd.eval_aug(Z), _dictionary(name).eval_aug(Z),
+                               rtol=0, atol=DICTIONARIES[name][1])
+
+
+@pytest.mark.parametrize("name", sorted(MODELS))
+def test_model_file_round_trips(name, snapshots, tmp_path):
+    path = FIXTURES / f"{name}.json"
+    model = load_model(path)
+    assert save_model(model, tmp_path / "again.json").read_bytes() == path.read_bytes()
+    fresh = _build_model(name, snapshots)
+    rng = np.random.default_rng(22)
+    U = rng.uniform(-1, 1, size=(1, 6))
+    X = rng.uniform(-2, 2, size=(2, 4))
+    (A, b), (A0, b0) = model.transitions(U), fresh.transitions(U)
+    np.testing.assert_allclose(A, A0, atol=1e-14)
+    assert (b is None) == (b0 is None)
+    if b is not None:
+        np.testing.assert_allclose(b, b0, atol=1e-14)
+    Z, Z0 = model.lift(X), fresh.lift(X)
+    np.testing.assert_allclose(Z, Z0, atol=1e-14)
+    np.testing.assert_allclose(states_from_lifted(model, Z), states_from_lifted(fresh, Z0),
+                               atol=1e-14)
+    assert (model.decoder is None) == (fresh.decoder is None)
+
+
+if __name__ == "__main__":
+    FIXTURES.mkdir(exist_ok=True)
+    for name in DICTIONARIES:
+        kl.save_dictionary(_dictionary(name), FIXTURES / f"{name}.json")
+    ss = _snapshots()
+    for name in MODELS:
+        save_model(_build_model(name, ss), FIXTURES / f"{name}.json")
