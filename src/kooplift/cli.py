@@ -78,9 +78,10 @@ from .models import (
     with_decoder,
 )
 from .observables import (
+    DICTIONARY_FORMAT,
+    EXAMPLE_POLY_BASIS,
     dictionary_from_json,
     dictionary_to_json,
-    example_poly_normal_basis,
 )
 
 _USAGE_ERRORS = (ConfigError, DimensionMismatch, UnknownInputValue)
@@ -166,11 +167,11 @@ def _load_dictionary_arg(spec: str):
     path = Path(spec)
     if path.exists():
         return dictionary_from_json(json.loads(path.read_text()))
-    if spec == "example_poly_basis":
-        return example_poly_normal_basis()
+    if spec == EXAMPLE_POLY_BASIS:
+        return dictionary_from_json({"format": DICTIONARY_FORMAT, "kind": spec})
     raise ConfigError(
         f"dictionary {spec!r} is neither a file nor a builtin name "
-        "(builtin: example_poly_basis)")
+        f"(builtin: {EXAMPLE_POLY_BASIS})")
 
 
 def _dictionary_digest(spec: str) -> str:

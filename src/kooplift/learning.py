@@ -89,6 +89,7 @@ from .models import (
     states_from_lifted,
 )
 from .observables import (
+    EXAMPLE_POLY_BASIS,
     NormalDictionary,
     TrainableNormalDictionary,
     example_poly_normal_basis,
@@ -298,7 +299,7 @@ def _build_dictionary(config: TrainConfig, state_dim: int, input_dim: int):
     kind = fam.pop("kind", None)
     if kind is None:
         raise ConfigError("family spec needs a 'kind' entry")
-    if kind == "example_poly_basis":
+    if kind == EXAMPLE_POLY_BASIS:
         return example_poly_normal_basis(truncate=fam.pop("truncate", ()))
     if config.s is None or config.l is None:
         raise ConfigError("parametric families need explicit s and l")

@@ -46,6 +46,7 @@ from .errors import (
     UnknownInputValue,
 )
 from .observables import (
+    InputMatrixFunction,
     NormalDictionary,
     StateDictionary,
     dictionary_from_json,
@@ -69,14 +70,13 @@ def _head_rows(names, state_dim: int):
 
 
 def head_dictionary(nd: NormalDictionary) -> StateDictionary:
-    """The state block H of a dictionary, tagged for model serialization.
+    """A copy of the state block ``nd.H`` whose ``source`` is ``nd``.
 
-    Baselines fitted on this head carry a reference back to the full
-    dictionary so they can be saved and reloaded.
+    Models on this basis serialize through ``nd``'s descriptor, read when
+    they are saved, so trained parameters are saved as they are then.
+    ``nd.H`` itself is left as it is.
     """
-    psi = nd.H
-    object.__setattr__(psi, "_source_dictionary", nd)
-    return psi
+    return dataclasses.replace(nd.H, source=nd)
 
 
 def _lift(psi: StateDictionary, x) -> Array:
@@ -88,7 +88,17 @@ def _lift(psi: StateDictionary, x) -> Array:
 
 
 class _LiftedModel:
-    """What every lifted model shares: its state dictionary ``basis``."""
+    """What every lifted model shares: its state dictionary ``basis`` and its JSON form.
+
+    A serializable class names its JSON ``kind`` and the key under which
+    :func:`model_to_json` stores the descriptor of its basis's source
+    dictionary; ``_json_fields`` gives its matrices and ``_from_json``
+    rebuilds it from them.  A class whose ``kind`` is None does not
+    serialize.
+    """
+
+    kind = None
+    source_key = "head_of"
 
     @property
     def basis(self) -> StateDictionary:
@@ -133,8 +143,12 @@ class SeparableModel(_LiftedModel):
     is the invariance proximity of the fit the model came from: the
     certified worst-case relative one-step prediction error over
     span(H).  ``A21``/``A22`` keep the discarded blocks of the full fit
-    for diagnostics.
+    for diagnostics.  The model serializes when ``H`` came from
+    :func:`head_dictionary`, as in :func:`extract_normal`.
     """
+
+    kind = "separable"
+    source_key = "gtilde_descriptor"
 
     H: StateDictionary
     A11: Array
@@ -144,8 +158,6 @@ class SeparableModel(_LiftedModel):
     A21: Array | None = None
     A22: Array | None = None
     decoder: tuple | None = None
-    source_dictionary: NormalDictionary | None = dataclasses.field(
-        default=None, repr=False)
 
     @property
     def l(self) -> int:
@@ -184,10 +196,23 @@ class SeparableModel(_LiftedModel):
     def step_lifted(self, z: Array, u) -> Array:
         return self.A_of(u) @ z
 
+    def _json_fields(self) -> dict:
+        return {"l": self.l, "s": self.s, "A11": _matrix(self.A11), "A12": _matrix(self.A12),
+                "A21": _matrix(self.A21), "A22": _matrix(self.A22),
+                "source_index": self.source_index}
+
+    @classmethod
+    def _from_json(cls, obj: dict, basis: StateDictionary, decoder) -> "SeparableModel":
+        return cls(H=basis, A11=_array(obj["A11"]), A12=_array(obj["A12"]),
+                   Gtilde=basis.source.Gtilde, source_index=obj.get("source_index"),
+                   A21=_array(obj.get("A21")), A22=_array(obj.get("A22")), decoder=decoder)
+
 
 @dataclasses.dataclass
 class LinearLiftedModel(_LiftedModel):
     """Lifted linear model ``psi(x+) ~ A psi(x) + B u``."""
+
+    kind = "linear"
 
     psi: StateDictionary
     A: Array
@@ -206,10 +231,19 @@ class LinearLiftedModel(_LiftedModel):
         u = np.asarray(u, dtype=float).reshape(-1)
         return self.A @ z + self.B @ u
 
+    def _json_fields(self) -> dict:
+        return {"A": _matrix(self.A), "B": _matrix(self.B)}
+
+    @classmethod
+    def _from_json(cls, obj: dict, basis: StateDictionary, decoder) -> "LinearLiftedModel":
+        return cls(psi=basis, A=_array(obj["A"]), B=_array(obj["B"]), decoder=decoder)
+
 
 @dataclasses.dataclass
 class BilinearLiftedModel(_LiftedModel):
     """Lifted bilinear model ``psi(x+) ~ A psi(x) + sum_i u_i B_i psi(x) [+ C u]``."""
+
+    kind = "bilinear"
 
     psi: StateDictionary
     A: Array
@@ -236,6 +270,16 @@ class BilinearLiftedModel(_LiftedModel):
         if self.C is not None:
             out = out + self.C @ u
         return out
+
+    def _json_fields(self) -> dict:
+        return {"A": _matrix(self.A), "Bs": [_matrix(Bi) for Bi in self.Bs],
+                "C": _matrix(self.C), "advisory": self.advisory}
+
+    @classmethod
+    def _from_json(cls, obj: dict, basis: StateDictionary, decoder) -> "BilinearLiftedModel":
+        return cls(psi=basis, A=_array(obj["A"]), Bs=tuple(_array(Bi) for Bi in obj["Bs"]),
+                   C=_array(obj.get("C")), decoder=decoder,
+                   advisory=bool(obj.get("advisory", False)))
 
 
 @dataclasses.dataclass
@@ -295,14 +339,13 @@ def extract_normal(fit: EdmdFit, nd: NormalDictionary, source_index=None) -> Sep
         A22 = K[l:, l:].copy()
         gt = nd.Gtilde
     return SeparableModel(
-        H=nd.H,
+        H=head_dictionary(nd),
         A11=A11,
         A12=A12,
         Gtilde=gt,
         source_index=None if source_index is None else float(source_index),
         A21=A21,
         A22=A22,
-        source_dictionary=nd,
     )
 
 
@@ -530,20 +573,11 @@ def bilinear_as_separable(model: BilinearLiftedModel) -> SeparableModel:
     m = len(Bs)
     L = k + 1
 
-    def h_fn(x):
-        return np.concatenate([psi(x), [1.0]])
+    def h_fn(X):
+        return np.vstack([eval_matrix(psi, X), np.ones((1, X.shape[1]))])
 
-    def h_batch(X):
-        PX = eval_matrix(psi, X)
-        return np.vstack([PX, np.ones((1, PX.shape[1]))])
-
-    H = StateDictionary(
-        dim=L,
-        fn=h_fn,
-        names=tuple(psi.names) + ("1",),
-        domain_dim=psi.domain_dim,
-        batch_fn=h_batch,
-    )
+    H = StateDictionary(dim=L, fn=h_fn, names=tuple(psi.names) + ("1",),
+                        domain_dim=psi.domain_dim)
     A11 = np.zeros((L, L))
     A11[:k, :k] = A
     A11[k, k] = 1.0
@@ -563,8 +597,6 @@ def bilinear_as_separable(model: BilinearLiftedModel) -> SeparableModel:
             if C is not None:
                 G[m * L + i, L - 1] = U[i]
         return G
-
-    from .observables import InputMatrixFunction
 
     gt = InputMatrixFunction(rows=n_cols, cols=L, fn=gt_fn, domain_dim=m)
     return SeparableModel(H=H, A11=A11, A12=A12, Gtilde=gt, source_index=None)
@@ -636,96 +668,54 @@ def evaluate_rollouts(system: ControlSystem, models: dict, x0s, n_steps: int,
 # Serialization
 
 
+MODEL_FORMAT = "kooplift-model-v1"
+
+
 def _matrix(M):
     return None if M is None else [[float(v) for v in row] for row in np.atleast_2d(M)]
+
+
+def _array(M):
+    return None if M is None else np.asarray(M, dtype=float)
+
+
+_MODEL_CLASSES = {cls.kind: cls for cls in (SeparableModel, LinearLiftedModel,
+                                            BilinearLiftedModel)}
 
 
 def model_to_json(model) -> dict:
     """JSON-ready description of a fitted model.
 
-    Separable models reference their dictionary's JSON descriptor (the
-    Gtilde function is reconstructed from it); baselines built on the
-    state head of a serializable dictionary do the same.
+    The parts every kind shares are written here: ``format``, ``kind``,
+    the descriptor of the dictionary the basis was taken from (under the
+    class's ``source_key``; the Gtilde function and the basis are rebuilt
+    from it) and the decoder.  The class adds its matrices.  Only a basis
+    from :func:`head_dictionary` of a serializable dictionary serializes.
     """
-    if isinstance(model, SeparableModel):
-        if model.source_dictionary is None:
-            raise ConfigError("separable model has no serializable dictionary")
-        return {
-            "format": "kooplift-model-v1",
-            "kind": "separable",
-            "l": model.l,
-            "s": model.s,
-            "A11": _matrix(model.A11),
-            "A12": _matrix(model.A12),
-            "A21": _matrix(model.A21),
-            "A22": _matrix(model.A22),
-            "gtilde_descriptor": dictionary_to_json(model.source_dictionary),
-            "source_index": model.source_index,
-            "decoder": None if model.decoder is None else
-                {"D": _matrix(model.decoder[0]), "residual": model.decoder[1]},
-        }
-    if isinstance(model, (LinearLiftedModel, BilinearLiftedModel)):
-        nd = getattr(model.psi, "_source_dictionary", None)
-        if nd is None:
-            raise ConfigError("baseline dictionary is not serializable; "
-                              "fit baselines on a serializable dictionary head")
-        base = {
-            "format": "kooplift-model-v1",
-            "head_of": dictionary_to_json(nd),
-            "decoder": None if model.decoder is None else
-                {"D": _matrix(model.decoder[0]), "residual": model.decoder[1]},
-        }
-        if isinstance(model, LinearLiftedModel):
-            base.update({"kind": "linear", "A": _matrix(model.A), "B": _matrix(model.B)})
-        else:
-            base.update({
-                "kind": "bilinear",
-                "A": _matrix(model.A),
-                "Bs": [_matrix(Bi) for Bi in model.Bs],
-                "C": _matrix(model.C),
-                "advisory": model.advisory,
-            })
-        return base
-    raise ConfigError(f"cannot serialize model of type {type(model).__name__}")
+    if getattr(model, "kind", None) is None:
+        raise ConfigError(f"cannot serialize model of type {type(model).__name__}")
+    source = model.basis.source
+    if source is None:
+        raise ConfigError(f"{model.kind} model's basis is not the head of a dictionary; "
+                          "fit models on head_dictionary(nd) of a serializable nd")
+    decoder = None if model.decoder is None else {"D": _matrix(model.decoder[0]),
+                                                  "residual": model.decoder[1]}
+    return {"format": MODEL_FORMAT, "kind": model.kind,
+            model.source_key: dictionary_to_json(source), "decoder": decoder,
+            **model._json_fields()}
 
 
 def model_from_json(obj: dict):
     """Rebuild a model from :func:`model_to_json` output."""
-    if obj.get("format") != "kooplift-model-v1":
+    if obj.get("format") != MODEL_FORMAT:
         raise ConfigError("not a kooplift model JSON object")
-    kind = obj["kind"]
+    cls = _MODEL_CLASSES.get(obj["kind"])
+    if cls is None:
+        raise ConfigError(f"unknown model kind {obj['kind']!r}")
     decoder = obj.get("decoder")
     dec = None if decoder is None else (np.asarray(decoder["D"], dtype=float),
                                         float(decoder["residual"]))
-    if kind == "separable":
-        nd = dictionary_from_json(obj["gtilde_descriptor"])
-        arr = lambda M: None if M is None else np.asarray(M, dtype=float)
-        return SeparableModel(
-            H=nd.H,
-            A11=arr(obj["A11"]),
-            A12=arr(obj["A12"]),
-            Gtilde=nd.Gtilde,
-            source_index=obj.get("source_index"),
-            A21=arr(obj.get("A21")),
-            A22=arr(obj.get("A22")),
-            decoder=dec,
-            source_dictionary=nd,
-        )
-    if kind in ("linear", "bilinear"):
-        nd = dictionary_from_json(obj["head_of"])
-        psi = head_dictionary(nd)
-        if kind == "linear":
-            return LinearLiftedModel(psi=psi, A=np.asarray(obj["A"], dtype=float),
-                                     B=np.asarray(obj["B"], dtype=float), decoder=dec)
-        return BilinearLiftedModel(
-            psi=psi,
-            A=np.asarray(obj["A"], dtype=float),
-            Bs=tuple(np.asarray(Bi, dtype=float) for Bi in obj["Bs"]),
-            C=None if obj.get("C") is None else np.asarray(obj["C"], dtype=float),
-            decoder=dec,
-            advisory=bool(obj.get("advisory", False)),
-        )
-    raise ConfigError(f"unknown model kind {kind!r}")
+    return cls._from_json(obj, head_dictionary(dictionary_from_json(obj[cls.source_key])), dec)
 
 
 def save_model(model, path) -> Path:

@@ -2,7 +2,11 @@
 
 A dictionary here is a finite vector of scalar observables.  State
 dictionaries ``H : R^n -> R^l`` act on states only; augmented dictionaries
-act on state-input pairs.  The central structure is the *normal form*
+act on state-input pairs.  Evaluation is batched: a state dictionary's
+``fn`` maps an ``(n, N)`` block of states to the ``(l, N)`` block of its
+values, as an input matrix function's ``fn`` maps ``(m, N)`` inputs to a
+``(rows, cols, N)`` stack, and a call on one point is ``fn`` on one
+column.  The central structure is the *normal form*
 
     Phi(x, u) = [H(x); Gtilde(u) H(x)] = [I; Gtilde(u)] H(x),
 
@@ -45,32 +49,28 @@ class StateDictionary:
     dim : int
         Number of observables l.
     fn : callable
-        Single-point evaluation, ``(n,) -> (l,)``.
+        Evaluation over columns, ``(n, N) -> (l, N)``: column j of the
+        result is ``H`` at column j of the data.  Calling the dictionary
+        on one state ``(n,)`` runs ``fn`` on that one column.
     names : tuple of str
         Symbolic tag per element, for reports and serialization.
     domain_dim : int or None
         State dimension n, used for shape checking when known.
-    batch_fn : callable or None
-        Optional vectorized evaluation ``(n, N) -> (l, N)``; must agree
-        with ``fn`` column-wise exactly.
+    source : NormalDictionary or None
+        The augmented dictionary whose state block this is, set by
+        :func:`kooplift.models.head_dictionary`.  Models on this basis
+        serialize through the source's descriptor, read at save time.
     """
 
     dim: int
     fn: Callable[[Array], Array]
     names: tuple = ()
     domain_dim: int | None = None
-    batch_fn: Callable[[Array], Array] | None = None
+    source: NormalDictionary | None = dataclasses.field(default=None, repr=False,
+                                                         compare=False)
 
     def __call__(self, x) -> Array:
-        x = np.asarray(x, dtype=float).reshape(-1)
-        if self.domain_dim is not None and x.shape != (self.domain_dim,):
-            raise DimensionMismatch(
-                f"dictionary expects {self.domain_dim} state coordinates, got {x.shape}"
-            )
-        out = np.asarray(self.fn(x), dtype=float).reshape(-1)
-        if out.shape != (self.dim,):
-            raise DimensionMismatch(f"dictionary returned {out.shape}, expected ({self.dim},)")
-        return out
+        return eval_matrix(self, np.asarray(x, dtype=float).reshape(-1, 1))[:, 0]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -111,10 +111,14 @@ class NormalDictionary:
 
     ``Gtilde`` may be absent, in which case ``s = l`` and the augmented
     dictionary is just the control-independent extension of ``H``.
+    ``descriptor`` holds the keys besides ``format`` and ``dims`` that
+    rebuild the dictionary through :func:`dictionary_from_json` (its
+    ``kind`` and that kind's arguments), or None when JSON cannot rebuild
+    it.
     """
 
     def __init__(self, H: StateDictionary, Gtilde: InputMatrixFunction | None,
-                 state_dim: int, input_dim: int):
+                 state_dim: int, input_dim: int, descriptor: dict | None = None):
         if Gtilde is not None and Gtilde.cols != H.dim:
             raise DimensionMismatch(
                 f"Gtilde has {Gtilde.cols} columns but H has dimension {H.dim}"
@@ -123,6 +127,11 @@ class NormalDictionary:
         self.Gtilde = Gtilde
         self.state_dim = state_dim
         self.input_dim = input_dim
+        self._descriptor = descriptor
+
+    @property
+    def descriptor(self) -> dict | None:
+        return self._descriptor
 
     @property
     def l(self) -> int:
@@ -200,16 +209,6 @@ class NormalDictionary:
             )
         return Z[:n], Z[n:]
 
-    def describe(self) -> dict:
-        return {
-            "kind": "normal",
-            "s": self.s,
-            "l": self.l,
-            "state_dim": self.state_dim,
-            "input_dim": self.input_dim,
-            "names": list(self.H.names),
-        }
-
 
 # Type alias documenting the expected structure: for each of the s basis
 # functions, a list of (input-factor, state-factor) product terms so that
@@ -218,7 +217,7 @@ SeparableTermList = Sequence[Sequence[tuple]]
 
 
 def eval_matrix(d, data: Array) -> Array:
-    """Evaluate a dictionary on a data matrix, column by column.
+    """Evaluate a dictionary on a data matrix, all columns at once.
 
     ``d`` is a :class:`StateDictionary` (data ``(n, N)``) or a
     :class:`NormalDictionary` (stacked data ``(n+m, N)``).  ``N = 0`` is
@@ -234,14 +233,9 @@ def eval_matrix(d, data: Array) -> Array:
     N = data.shape[1]
     if N == 0:
         return np.zeros((d.dim, 0))
-    if d.batch_fn is not None:
-        out = np.asarray(d.batch_fn(data), dtype=float)
-        if out.shape != (d.dim, N):
-            raise DimensionMismatch(f"batch evaluation returned {out.shape}")
-        return out
-    out = np.empty((d.dim, N))
-    for j in range(N):
-        out[:, j] = d(data[:, j])
+    out = np.asarray(d.fn(data), dtype=float)
+    if out.shape != (d.dim, N):
+        raise DimensionMismatch(f"dictionary returned {out.shape}, expected {(d.dim, N)}")
     return out
 
 
@@ -310,11 +304,7 @@ def decompose_separable(terms: SeparableTermList, probe_states: Array,
         )
     Ur = np.ascontiguousarray(U[:, :rank])
 
-    def h_prime_fn(x: Array) -> Array:
-        vals = np.array([float(q(x)) for q in flat_q])
-        return Ur.T @ vals
-
-    def h_prime_batch(X: Array) -> Array:
+    def h_prime_fn(X: Array) -> Array:
         vals = np.empty((total_terms, X.shape[1]))
         for t, q in enumerate(flat_q):
             for j in range(X.shape[1]):
@@ -326,7 +316,6 @@ def decompose_separable(terms: SeparableTermList, probe_states: Array,
         fn=h_prime_fn,
         names=tuple(f"h{k + 1}" for k in range(rank)),
         domain_dim=n,
-        batch_fn=h_prime_batch,
     )
 
     # Row i of G(u): q_ij = (row t(i,j) of Ur) . H', so the p_ij(u) weights
@@ -699,13 +688,8 @@ class TrainableNormalDictionary(NormalDictionary):
             raise ConfigError("fixed_head longer than dictionary dimension l")
         head_names = tuple(f"x{i + 1}" for i in self.fixed_head)
         free_names = tuple(f"{kind}{j + 1}" for j in range(l - len(self.fixed_head)))
-        H = StateDictionary(
-            dim=l,
-            fn=lambda x: self._eval_H(x.reshape(-1, 1))[:, 0],
-            names=head_names + free_names,
-            domain_dim=state_dim,
-            batch_fn=self._eval_H,
-        )
+        H = StateDictionary(dim=l, fn=self._eval_H, names=head_names + free_names,
+                            domain_dim=state_dim)
         Gt = None
         if s > l:
             Gt = InputMatrixFunction(rows=s - l, cols=l, fn=self._eval_Gt,
@@ -846,19 +830,21 @@ class TrainableNormalDictionary(NormalDictionary):
             u_scale=np.asarray(u_scale, float) * self.u_scale,
         )
 
-    def describe(self) -> dict:
-        d = super().describe()
-        d.update({
+    @property
+    def descriptor(self) -> dict:
+        """The family, its spec, head and scales, and the parameters as they are now."""
+        return {
             "kind": self.kind,
-            "fixed_head": [f"x{i + 1}" for i in self.fixed_head],
-            "n_params": self.n_params,
             "spec": self.spec,
-        })
-        return d
+            "fixed_head": list(self.fixed_head),
+            "fixed_head_tags": [f"x{i + 1}" for i in self.fixed_head],
+            "x_scale": [float(v) for v in self.x_scale],
+            "u_scale": [float(v) for v in self.u_scale],
+            "parameters": [float(v) for v in self.get_params()],
+        }
 
 
-def _build_net(role: str, kind: str, in_dim: int, out_dim: int, spec: dict,
-               rng: np.random.Generator):
+def _build_net(kind: str, in_dim: int, out_dim: int, spec: dict, rng: np.random.Generator):
     if out_dim == 0:
         return None
     if kind == "polynomial":
@@ -873,12 +859,11 @@ def _build_net(role: str, kind: str, in_dim: int, out_dim: int, spec: dict,
         if not widths or any(w < 1 for w in widths):
             raise ConfigError("mlp widths must be positive")
         return _MLP(in_dim, widths, out_dim, spec["activation"], rng)
-    if kind == "residual_mlp":
-        blocks, width = int(spec["blocks"]), int(spec["width"])
-        if blocks < 1 or width < 1:
-            raise ConfigError("residual_mlp blocks and width must be positive")
-        return _ResidualMLP(in_dim, blocks, width, out_dim, spec["activation"], rng)
-    raise ConfigError(f"unknown family kind {kind!r}")
+    # residual_mlp: parametric_family has rejected every other kind.
+    blocks, width = int(spec["blocks"]), int(spec["width"])
+    if blocks < 1 or width < 1:
+        raise ConfigError("residual_mlp blocks and width must be positive")
+    return _ResidualMLP(in_dim, blocks, width, out_dim, spec["activation"], rng)
 
 
 def parametric_family(
@@ -943,8 +928,8 @@ def parametric_family(
         raise ConfigError(f"unknown family kind {kind!r}")
 
     rng = np.random.default_rng(seed)
-    h_net = _build_net("h", kind, state_dim, l - len(fixed_head), spec, rng)
-    g_net = _build_net("g", kind, input_dim, (s - l) * l, spec, rng) if s > l else None
+    h_net = _build_net(kind, state_dim, l - len(fixed_head), spec, rng)
+    g_net = _build_net(kind, input_dim, (s - l) * l, spec, rng) if s > l else None
     return TrainableNormalDictionary(
         kind=kind,
         state_dim=state_dim,
@@ -961,21 +946,19 @@ def parametric_family(
 # ----------------------------------------------------------------------
 # Builtin dictionaries for the polynomial example system
 
+# The builtin dictionary's name: its descriptor ``kind`` and the CLI's
+# ``--dictionary`` value.
+EXAMPLE_POLY_BASIS = "example_poly_basis"
+
 
 def example_poly_state_basis() -> StateDictionary:
     """The state basis ``H = [x1, x2, x1^2, 1]`` of the builtin example."""
 
-    def batch(X: Array) -> Array:
+    def fn(X: Array) -> Array:
         x1, x2 = X
         return np.vstack([x1, x2, x1**2, np.ones_like(x1)])
 
-    return StateDictionary(
-        dim=4,
-        fn=lambda x: np.array([x[0], x[1], x[0] ** 2, 1.0]),
-        names=("x1", "x2", "x1^2", "1"),
-        domain_dim=2,
-        batch_fn=batch,
-    )
+    return StateDictionary(dim=4, fn=fn, names=("x1", "x2", "x1^2", "1"), domain_dim=2)
 
 
 def example_poly_normal_basis(truncate: Sequence[str] = ()) -> NormalDictionary:
@@ -998,9 +981,8 @@ def example_poly_normal_basis(truncate: Sequence[str] = ()) -> NormalDictionary:
     unknown = set(truncate) - set(row_defs)
     if unknown:
         raise ConfigError(f"unknown bottom-block rows {sorted(unknown)}")
-    if not keep:
-        nd = NormalDictionary(H, None, state_dim=2, input_dim=1)
-    else:
+    Gt = None
+    if keep:
         def gt_fn(U: Array) -> Array:
             uu = U[0]
             G = np.zeros((len(keep), 4, uu.size))
@@ -1010,51 +992,32 @@ def example_poly_normal_basis(truncate: Sequence[str] = ()) -> NormalDictionary:
             return G
 
         Gt = InputMatrixFunction(rows=len(keep), cols=4, fn=gt_fn, domain_dim=1)
-        nd = NormalDictionary(H, Gt, state_dim=2, input_dim=1)
-    nd._builtin_name = "example_poly_basis"
-    nd._truncated_rows = [name for name in row_defs if name in set(truncate)]
-    return nd
+    descriptor = {"kind": EXAMPLE_POLY_BASIS,
+                  "truncate": [name for name in row_defs if name not in keep]}
+    return NormalDictionary(H, Gt, state_dim=2, input_dim=1, descriptor=descriptor)
 
 
 # ----------------------------------------------------------------------
 # Serialization
 
 
+DICTIONARY_FORMAT = "kooplift-dictionary-v1"
+
+
 def dictionary_to_json(nd: NormalDictionary) -> dict:
-    """JSON-ready description of a dictionary (parameters as decimals)."""
-    if isinstance(nd, TrainableNormalDictionary):
-        return {
-            "format": "kooplift-dictionary-v1",
-            "kind": nd.kind,
-            "dims": {
-                "state_dim": nd.state_dim,
-                "input_dim": nd.input_dim,
-                "s": nd.s,
-                "l": nd.l,
-            },
-            "spec": nd.spec,
-            "fixed_head": list(nd.fixed_head),
-            "fixed_head_tags": [f"x{i + 1}" for i in nd.fixed_head],
-            "x_scale": [float(v) for v in nd.x_scale],
-            "u_scale": [float(v) for v in nd.u_scale],
-            "parameters": [float(v) for v in nd.get_params()],
-        }
-    if getattr(nd, "_builtin_name", None) == "example_poly_basis":
-        return {
-            "format": "kooplift-dictionary-v1",
-            "kind": "example_poly_basis",
-            "dims": {"state_dim": 2, "input_dim": 1, "s": nd.s, "l": nd.l},
-            "truncate": list(getattr(nd, "_truncated_rows", [])),
-        }
-    raise ConfigError("only parametric and builtin dictionaries are serializable")
+    """JSON-ready description of a dictionary: its ``descriptor`` with format and dims."""
+    if nd.descriptor is None:
+        raise ConfigError("only parametric and builtin dictionaries are serializable")
+    dims = {"state_dim": nd.state_dim, "input_dim": nd.input_dim, "s": nd.s, "l": nd.l}
+    return {"format": DICTIONARY_FORMAT, "dims": dims, **nd.descriptor}
 
 
 def dictionary_from_json(obj: dict) -> NormalDictionary:
     """Rebuild a dictionary from :func:`dictionary_to_json` output."""
-    if obj.get("format") != "kooplift-dictionary-v1":
+    if obj.get("format") != DICTIONARY_FORMAT:
         raise ConfigError("not a kooplift dictionary JSON object")
     kind = obj["kind"]
-    if kind == "example_poly_basis":
+    if kind == EXAMPLE_POLY_BASIS:
         return example_poly_normal_basis(truncate=obj.get("truncate", ()))
     dims = obj["dims"]
     spec = obj["spec"]

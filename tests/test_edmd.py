@@ -408,8 +408,7 @@ class TestStream:
     def test_zero_first_chunk_is_not_degenerate(self):
         # A head-only dictionary with no constant row vanishes at the origin.
         H = kl.StateDictionary(dim=3, fn=lambda x: np.array([x[0], x[1], x[0] * x[1]]),
-                               names=("x1", "x2", "x1*x2"), domain_dim=2,
-                               batch_fn=lambda X: np.vstack([X, X[:1] * X[1:]]))
+                               names=("x1", "x2", "x1*x2"), domain_dim=2)
         nd = kl.NormalDictionary(H, None, state_dim=2, input_dim=1)
         aug = _poly_data(2 * CHUNK + 7)
         aug.Z[:, :CHUNK] = 0.0

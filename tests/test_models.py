@@ -341,7 +341,7 @@ class TestLinearBaseline:
     def test_zero_regressor_degenerate(self):
         ss = SnapshotSet(X=np.zeros((2, 10)), Xplus=np.zeros((2, 10)),
                          U=np.zeros((1, 10)))
-        psi = StateDictionary(dim=1, fn=lambda x: np.zeros(1), names=("z",),
+        psi = StateDictionary(dim=1, fn=lambda X: np.zeros((1, X.shape[1])), names=("z",),
                               domain_dim=2)
         with pytest.raises(DegenerateData):
             fit_linear_baseline(psi, ss)
@@ -561,9 +561,30 @@ class TestModelSerialization:
         with pytest.raises(ConfigError):
             model_to_json(switched)
 
+    def test_head_dictionary_leaves_the_dictionary_unchanged(self, poly_snapshots):
+        nd = kl.example_poly_normal_basis()
+        H, before = nd.H, dict(vars(nd.H))
+        psi = head_dictionary(nd)
+        assert nd.H is H and vars(H) == before and psi is not H
+        assert psi.source is nd and H.source is None
+        with pytest.raises(ConfigError):
+            model_to_json(fit_linear_baseline(nd.H, poly_snapshots))
+        assert model_to_json(fit_linear_baseline(psi, poly_snapshots))["kind"] == "linear"
+
+    def test_saved_parameters_are_those_at_save_time(self, poly_snapshots):
+        nd = kl.parametric_family("polynomial", state_dim=2, input_dim=1, s=7, l=4,
+                                  total_degree=2, seed=3)
+        model = fit_linear_baseline(head_dictionary(nd), poly_snapshots)
+        nd.set_params(nd.get_params() + 1.0)
+        assert model_to_json(model)["head_of"]["parameters"] == nd.get_params().tolist()
+
     def test_foreign_json_rejected(self):
         with pytest.raises(ConfigError):
             model_from_json({"format": "something-else", "kind": "separable"})
+
+    def test_unknown_kind_rejected(self):
+        with pytest.raises(ConfigError, match="unknown model kind"):
+            model_from_json({"format": "kooplift-model-v1", "kind": "switched"})
 
     def test_hand_built_model_without_descriptor_rejected(self):
         psi = _identity_basis()

@@ -37,6 +37,21 @@ class TestEvalMatrix:
         with pytest.raises(DimensionMismatch):
             kl.eval_matrix(H, np.zeros((3, 5)))
 
+    def test_one_point_call_is_fn_on_one_column(self):
+        H = kl.example_poly_state_basis()
+        x = np.array([0.3, -1.7])
+        np.testing.assert_array_equal(H(x), H.fn(x[:, None])[:, 0])
+        assert H(x).shape == (4,)
+        with pytest.raises(DimensionMismatch):
+            H(np.zeros(3))
+
+    def test_wrong_output_shape_raises(self):
+        H = kl.StateDictionary(dim=2, fn=lambda X: X[:1], domain_dim=2)
+        with pytest.raises(DimensionMismatch):
+            H(np.zeros(2))
+        with pytest.raises(DimensionMismatch):
+            kl.eval_matrix(H, np.zeros((2, 5)))
+
 
 class TestNormalForm:
     def test_top_block_is_head_exactly(self, poly_basis):
