@@ -713,8 +713,7 @@ def model_from_json(obj: dict):
     if cls is None:
         raise ConfigError(f"unknown model kind {obj['kind']!r}")
     decoder = obj.get("decoder")
-    dec = None if decoder is None else (np.asarray(decoder["D"], dtype=float),
-                                        float(decoder["residual"]))
+    dec = None if decoder is None else (_array(decoder["D"]), float(decoder["residual"]))
     return cls._from_json(obj, head_dictionary(dictionary_from_json(obj[cls.source_key])), dec)
 
 
