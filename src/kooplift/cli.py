@@ -4,7 +4,8 @@ Subcommands
 -----------
 simulate
     Generate a snapshot dataset from randomized experiments on a builtin
-    system and write it as CSV plus a JSON manifest.
+    system and write it as CSV, a binary copy that later commands load
+    instead of parsing the CSV, and a JSON manifest.
 edmd
     Fit the lifted one-step matrix on a dataset with a given dictionary
     and write the matrix and a rank report.
@@ -48,6 +49,7 @@ from .dynamics import (
     ExperimentPlan,
     _next_row,
     _read_rows,
+    _sha256,
     get_system,
     load_snapshots,
     run_experiments,
@@ -108,7 +110,7 @@ def _config_hash(cfg: dict) -> str:
 
 
 def _file_digest(path) -> str:
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()[:12]
+    return _sha256(path)[:12]
 
 
 def _stamp(seed: int, cfg: dict) -> dict:
@@ -182,8 +184,16 @@ def _dictionary_digest(spec: str) -> str:
 
 
 def _load_augmented(data_path: str):
-    ss = load_snapshots(data_path)
-    return ss, to_augmented(ss)
+    """``(digest, snapshots, augmented data)`` of a snapshot CSV.
+
+    The file is hashed once: the digest stamps the outputs and tells
+    :func:`load_snapshots` whether the CSV's binary copy may be used.
+    """
+    if not Path(data_path).exists():
+        raise ConfigError(f"data file {data_path} does not exist")
+    sha256 = _sha256(data_path)
+    ss = load_snapshots(data_path, sha256)
+    return sha256[:12], ss, to_augmented(ss)
 
 
 def _read_inputs(path) -> np.ndarray:
@@ -250,14 +260,14 @@ def cmd_simulate(args) -> int:
 
 def cmd_edmd(args) -> int:
     t0 = time.perf_counter()
+    data, _, aug = _load_augmented(args.data)
     cfg = {
         "command": "edmd",
-        "data": _file_digest(args.data),
+        "data": data,
         "dictionary": _dictionary_digest(args.dictionary),
         "tol": args.tol,
     }
     stamp = _stamp(args.seed, cfg)
-    _, aug = _load_augmented(args.data)
     nd = _load_dictionary_arg(args.dictionary)
     d = edmd_mod._stream_r(nd, aug)
     cutoff = args.tol if args.tol is not None else edmd_mod.PINV_CUTOFF
@@ -284,14 +294,14 @@ def cmd_edmd(args) -> int:
 
 def cmd_consistency(args) -> int:
     t0 = time.perf_counter()
+    data, _, aug = _load_augmented(args.data)
     cfg = {
         "command": "consistency",
-        "data": _file_digest(args.data),
+        "data": data,
         "dictionary": _dictionary_digest(args.dictionary),
         "tol": args.tol,
     }
     stamp = _stamp(args.seed, cfg)
-    _, aug = _load_augmented(args.data)
     nd = _load_dictionary_arg(args.dictionary)
     cutoff = args.tol if args.tol is not None else edmd_mod.PINV_CUTOFF
     report = edmd_mod.invariance_proximity(nd, aug, cutoff=cutoff)
@@ -313,13 +323,13 @@ def cmd_learn(args) -> int:
     if args.seed is not None:
         cfg_obj["seed"] = args.seed
     config = learning_mod.config_from_json(cfg_obj)
+    data, _, aug = _load_augmented(args.data)
     cfg = {
         "command": "learn",
-        "data": _file_digest(args.data),
+        "data": data,
         "config": learning_mod.config_to_json(config),
     }
     stamp = _stamp(config.seed, cfg)
-    _, aug = _load_augmented(args.data)
     nd, report = learning_mod.train(config, aug)
 
     out = _out_dir(args)
@@ -345,14 +355,14 @@ def cmd_learn(args) -> int:
 
 def cmd_extract(args) -> int:
     t0 = time.perf_counter()
+    data, ss, aug = _load_augmented(args.data)
     cfg = {
         "command": "extract",
-        "data": _file_digest(args.data),
+        "data": data,
         "dictionary": _dictionary_digest(args.dictionary),
         "tol": args.tol,
     }
     stamp = _stamp(args.seed, cfg)
-    ss, aug = _load_augmented(args.data)
     nd = _load_dictionary_arg(args.dictionary)
     cutoff = args.tol if args.tol is not None else edmd_mod.PINV_CUTOFF
     report = edmd_mod.invariance_proximity(nd, aug, cutoff=cutoff)

@@ -11,12 +11,14 @@ experiments advances in lockstep, one column each.
 
 The module also provides an RK4 discretizer for continuous-time dynamics,
 batch experiment generation with seeded randomness, and CSV persistence of
-snapshot datasets.
+snapshot datasets, with a digest-checked binary copy that spares a reload
+the parse.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import io
 import json
 import math
 import warnings
@@ -492,26 +494,51 @@ def _format_rows(rows: Array) -> str:
 
 def save_snapshots(ss: SnapshotSet, csv_path, manifest_extra: dict | None = None,
                    comment: str | None = None) -> Path:
-    """Write a snapshot CSV (one row per snapshot) plus a JSON manifest.
+    """Write a snapshot CSV (one row per snapshot), its binary copy and a JSON manifest.
 
     The manifest records ``{n, m, N, seed, system_name, dt}`` next to the
     CSV as ``<stem>.manifest.json``.  Floats are written with ``repr`` so
     the round trip is exact and byte-reproducible.  ``comment`` becomes a
     leading ``#`` line (provenance stamps); readers skip such lines.
 
+    ``<stem>.npy`` holds the ``(N, 2n + m)`` float64 rows that parsing the
+    CSV returns: the saved bits, except that every NaN is the one the
+    parser gives for ``nan`` (``repr`` drops a NaN's sign and payload).
+    The manifest's ``csv_sha256`` and ``rows_sha256`` are the sha256 of
+    the two files' bytes, which :func:`load_snapshots` checks before it
+    uses the copy.  The manifest is written last, so a write that fails
+    part-way leaves none vouching for files that do not match it.
+
     Rows are formatted and written in blocks of 1000, so memory does not
     grow with N; within a block each distinct bit pattern is formatted
     once and its text reused for every field that holds it.
     """
     csv_path = Path(csv_path)
+    if _rows_path(csv_path) == csv_path:
+        raise ConfigError(f"{csv_path}: a snapshot CSV may not take its binary copy's name")
     n, m = ss.X.shape[0], ss.U.shape[0]
-    with csv_path.open("w") as f:
-        if comment is not None:
-            f.write("# " + comment + "\n")
-        f.write(_csv_header(n, m) + "\n")
+    npy_header = io.BytesIO()
+    np.lib.format.write_array_header_1_0(npy_header, {
+        "descr": np.lib.format.dtype_to_descr(np.dtype(np.float64)),
+        "fortran_order": False,
+        "shape": (ss.n_snapshots, 2 * n + m),
+    })
+    csv_hash, rows_hash = _new_sha256(), _new_sha256()
+    with csv_path.open("wb") as f, _rows_path(csv_path).open("wb") as g:
+
+        def put(out, digest, data):
+            out.write(data)
+            digest.update(data)
+
+        head = "" if comment is None else "# " + comment + "\n"
+        put(f, csv_hash, (head + _csv_header(n, m) + "\n").encode())
+        put(g, rows_hash, npy_header.getvalue())
         for s in range(0, ss.n_snapshots, 1000):
             block = (ss.X[:, s:s + 1000], ss.U[:, s:s + 1000], ss.Xplus[:, s:s + 1000])
-            f.write(_format_rows(np.concatenate(block).T))
+            rows = np.concatenate(block).T.copy()
+            rows[np.isnan(rows)] = np.nan
+            put(f, csv_hash, _format_rows(rows).encode())
+            put(g, rows_hash, rows)
     manifest = {
         "n": n,
         "m": m,
@@ -521,6 +548,8 @@ def save_snapshots(ss: SnapshotSet, csv_path, manifest_extra: dict | None = None
         "dt": ss.meta.get("dt"),
     }
     manifest.update(manifest_extra or {})
+    manifest["csv_sha256"] = csv_hash.hexdigest()
+    manifest["rows_sha256"] = rows_hash.hexdigest()
     manifest_path = manifest_path_for(csv_path)
     manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     return manifest_path
@@ -529,6 +558,28 @@ def save_snapshots(ss: SnapshotSet, csv_path, manifest_extra: dict | None = None
 def manifest_path_for(csv_path) -> Path:
     csv_path = Path(csv_path)
     return csv_path.with_name(csv_path.stem + ".manifest.json")
+
+
+def _rows_path(csv_path: Path) -> Path:
+    return csv_path.with_name(csv_path.stem + ".npy")
+
+
+def _new_sha256():
+    # Imported here: loading hashlib (OpenSSL) would add about 4 ms to
+    # ``import kooplift``, which needs no digest.
+    import hashlib
+
+    return hashlib.sha256()
+
+
+def _sha256(path) -> str:
+    """The sha256 hex digest of a file's bytes, read through one 64 KiB buffer."""
+    digest = _new_sha256()
+    buffer = memoryview(bytearray(1 << 16))
+    with open(path, "rb", buffering=0) as f:
+        while size := f.readinto(buffer):
+            digest.update(buffer[:size])
+    return digest.hexdigest()
 
 
 def _is_number(field: str) -> bool:
@@ -598,8 +649,39 @@ def _read_rows(csv_path, f, lineno: int, width: int) -> Array:
     return data
 
 
-def load_snapshots(csv_path) -> SnapshotSet:
+def _stored_rows(csv_path: Path, manifest: dict, width: int, csv_sha256: str | None):
+    """The rows of the binary copy beside ``csv_path``, or None unless it is verified.
+
+    It is returned only when the CSV's digest (``csv_sha256`` when the
+    caller has it, else computed) is the manifest's ``csv_sha256``, the
+    copy's digest is its ``rows_sha256``, and the copy is a C-ordered
+    float64 ``(N, width)`` array, N being the manifest's.
+    """
+    path = _rows_path(csv_path)
+    try:
+        if (_sha256(path) != manifest["rows_sha256"]
+                or (csv_sha256 or _sha256(csv_path)) != manifest["csv_sha256"]):
+            return None
+        rows = np.load(path)
+    except (KeyError, OSError, ValueError):
+        return None
+    if (rows.dtype != np.float64 or rows.shape != (manifest.get("N"), width)
+            or not rows.flags.c_contiguous):
+        return None
+    return rows
+
+
+def load_snapshots(csv_path, csv_sha256: str | None = None) -> SnapshotSet:
     """Load a snapshot CSV written by :func:`save_snapshots`.
+
+    When the manifest's digests vouch for both the CSV and its binary copy
+    ``<stem>.npy`` (see :func:`save_snapshots`), the rows come from the
+    copy, bit-identical to what the parse gives, and the CSV is read only
+    for its header and its digest.  ``csv_sha256``, the sha256 hex digest
+    of the CSV's bytes, spares that read when the caller has it already.
+    A CSV edited after writing, a missing, edited or truncated copy, or a
+    manifest without the digests (files written by earlier versions)
+    sends the load to the parse below, silently.
 
     Blank lines and lines starting with ``#`` are skipped.  Raises
     :class:`ConfigError` naming the file line number on any malformed row.
@@ -609,6 +691,8 @@ def load_snapshots(csv_path) -> SnapshotSet:
     malformed one.
     """
     csv_path = Path(csv_path)
+    mpath = manifest_path_for(csv_path)
+    raw = json.loads(mpath.read_text()) if mpath.exists() else None
     with csv_path.open() as f:
         first = _next_row(f, 0)
         if first is None:
@@ -619,16 +703,10 @@ def load_snapshots(csv_path) -> SnapshotSet:
         m = sum(1 for c in header if c.startswith("u"))
         if n == 0 or m == 0 or header != _csv_header(n, m).split(","):
             raise ConfigError(f"{csv_path}: unrecognized snapshot CSV header {line!r}")
-        data = _read_rows(csv_path, f, lineno, 2 * n + m)
-    meta = {}
-    mpath = manifest_path_for(csv_path)
-    if mpath.exists():
-        raw = json.loads(mpath.read_text())
-        meta = {
-            "system_name": raw.get("system_name"),
-            "seed": raw.get("seed"),
-            "dt": raw.get("dt"),
-        }
+        data = None if raw is None else _stored_rows(csv_path, raw, 2 * n + m, csv_sha256)
+        if data is None:
+            data = _read_rows(csv_path, f, lineno, 2 * n + m)
+    meta = {} if raw is None else {key: raw.get(key) for key in ("system_name", "seed", "dt")}
     return SnapshotSet(X=data[:, :n].T, Xplus=data[:, n + m :].T, U=data[:, n : n + m].T, meta=meta)
 
 

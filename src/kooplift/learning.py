@@ -105,9 +105,11 @@ class TrainConfig:
 
     ``family`` holds the dictionary-family keywords: ``kind`` plus the
     family parameters (``total_degree``, ``widths``, or ``blocks`` and
-    ``width``, optional ``activation`` and ``fixed_head``); the special
-    kind ``"example_poly_basis"`` selects the frozen builtin basis, which
-    skips optimization entirely.  ``s`` and ``l`` are the augmented and
+    ``width``, optional ``activation``, ``fixed_head`` and ``seed``); the
+    special kind ``"example_poly_basis"`` selects the frozen builtin
+    basis, which skips optimization entirely and takes only
+    ``truncate``.  Any other key raises :class:`ConfigError` when the
+    dictionary is built.  ``s`` and ``l`` are the augmented and
     state dictionary dimensions (taken from the basis for the frozen
     kind).  The learning rate decreases linearly from ``lr_start`` to
     ``lr_end`` over the epochs.  Optimization minimizes the trace loss;
@@ -294,11 +296,26 @@ def loss_gradient(nd: TrainableNormalDictionary, batch: AugmentedSnapshots,
     return value, grad
 
 
+# The keys a family spec may hold besides ``kind``, by kind.
+_SHARED_FAMILY_KEYS = ("fixed_head", "seed", "activation")
+_FAMILY_KEYS = {
+    EXAMPLE_POLY_BASIS: ("truncate",),
+    "polynomial": ("total_degree", *_SHARED_FAMILY_KEYS),
+    "mlp": ("widths", *_SHARED_FAMILY_KEYS),
+    "residual_mlp": ("blocks", "width", *_SHARED_FAMILY_KEYS),
+}
+
+
 def _build_dictionary(config: TrainConfig, state_dim: int, input_dim: int):
     fam = dict(config.family)
     kind = fam.pop("kind", None)
     if kind is None:
         raise ConfigError("family spec needs a 'kind' entry")
+    if kind not in _FAMILY_KEYS:
+        raise ConfigError(f"unknown family kind {kind!r}; expected one of {sorted(_FAMILY_KEYS)}")
+    unknown = set(fam) - set(_FAMILY_KEYS[kind])
+    if unknown:
+        raise ConfigError(f"unknown keys for family kind {kind!r}: {sorted(unknown)}")
     if kind == EXAMPLE_POLY_BASIS:
         return example_poly_normal_basis(truncate=fam.pop("truncate", ()))
     if config.s is None or config.l is None:

@@ -423,8 +423,115 @@ class TestLearn:
         assert rc == 2
         assert "momentum" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("family, key", [
+        ({"kind": "polynomial", "total_degre": 2}, "total_degre"),
+        ({"kind": "polynomial", "total_degree": 2, "widths": [4]}, "widths"),
+        ({"kind": "example_poly_basis", "trunacte": ["u"]}, "trunacte"),
+        ({"kind": "example_poly_basis", "seed": 1}, "seed"),
+    ])
+    def test_unknown_family_key_rejected(self, poly_dataset, tmp_path, capsys, family, key):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"family": family, "s": 7, "l": 4, "epochs": 1}))
+        rc = _run(["learn", "--data", str(poly_dataset),
+                   "--config", str(config), "--out", str(tmp_path)])
+        assert rc == 2
+        assert repr(key) in capsys.readouterr().err
+
+    def test_unknown_family_kind_rejected(self, poly_dataset, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"family": {"kind": "polynomal"}, "s": 7, "l": 4}))
+        rc = _run(["learn", "--data", str(poly_dataset),
+                   "--config", str(config), "--out", str(tmp_path)])
+        assert rc == 2
+        assert "'polynomal'" in capsys.readouterr().err
+
+
+class TestDataFile:
+    @pytest.mark.parametrize("command", ["edmd", "consistency", "extract", "learn"])
+    def test_missing_data_file_exits_2(self, tmp_path, capsys, command):
+        extra = (["--config", str(tmp_path / "config.json")] if command == "learn"
+                 else ["--dictionary", "example_poly_basis"])
+        (tmp_path / "config.json").write_text(json.dumps({"family": {"kind": "example_poly_basis"}}))
+        rc = _run([command, "--data", str(tmp_path / "nope.csv"), "--out", str(tmp_path)] + extra)
+        assert rc == 2
+        assert "nope.csv does not exist" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["edmd", "consistency", "extract", "learn"])
+    def test_data_file_hashed_once_and_not_parsed(self, poly_dataset, tmp_path, monkeypatch,
+                                                  command):
+        """The command's digest stamps the outputs and vouches for the binary copy."""
+        hashed, parsed = [], []
+        sha256, read_rows = kl.dynamics._sha256, kl.dynamics._read_rows
+
+        def counted_sha256(path):
+            hashed.append(Path(path))
+            return sha256(path)
+
+        def counted_read_rows(*args):
+            parsed.append(args[0])
+            return read_rows(*args)
+
+        monkeypatch.setattr(cli, "_sha256", counted_sha256)
+        monkeypatch.setattr(kl.dynamics, "_sha256", counted_sha256)
+        monkeypatch.setattr(kl.dynamics, "_read_rows", counted_read_rows)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"family": {"kind": "example_poly_basis"}}))
+        extra = (["--config", str(config)] if command == "learn"
+                 else ["--dictionary", "example_poly_basis"])
+        rc = _run([command, "--data", str(poly_dataset), "--out", str(tmp_path)] + extra)
+        assert rc == 0
+        assert hashed.count(poly_dataset) == 1
+        assert parsed == []
+        stamp_file = {"edmd": "edmd_report.json", "consistency": "consistency.json",
+                      "extract": "extract_report.json", "learn": "train_report.json"}[command]
+        meta = json.loads((tmp_path / stamp_file).read_text())["meta"]
+        cfg = {"command": command, "data": sha256(poly_dataset)[:12]}
+        if command == "learn":
+            cfg["config"] = kl.learning.config_to_json(kl.learning.config_from_json(
+                json.loads(config.read_text())))
+        else:
+            cfg.update(dictionary="example_poly_basis", tol=None)
+        assert meta["config_hash"] == cli._config_hash(cfg)
+
+
+def _one_thread_env():
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               MKL_NUM_THREADS="1")
+    src = str(Path(kl.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
 
 class TestDeterminism:
+    def test_simulate_in_fresh_processes_is_byte_identical_at_one_thread(self, tmp_path):
+        env = _one_thread_env()
+        outputs = []
+        for run in ("a", "b"):
+            out = tmp_path / run
+            subprocess.run([sys.executable, "-m", "kooplift.cli", "simulate", "--system",
+                            "example_poly", "--experiments", "150", "--steps", "9",
+                            "--mode", "piecewise", "--seed", "6", "--out", str(out)],
+                           env=env, check=True, capture_output=True, timeout=300)
+            outputs.append({f.name: f.read_bytes() for f in sorted(out.iterdir())
+                            if f.name != "timing.json"})
+        assert sorted(outputs[0]) == ["snapshots.csv", "snapshots.manifest.json",
+                                      "snapshots.npy"]
+        assert outputs[0] == outputs[1]
+
+    def test_consistency_without_the_binary_copy_is_byte_identical(self, tmp_path):
+        data = tmp_path / "data"
+        assert _run(["simulate", "--system", "example_poly", "--experiments", "300",
+                     "--steps", "7", "--seed", "9", "--out", str(data)]) == 0
+        outputs = []
+        for run in ("with", "without"):
+            if run == "without":
+                (data / "snapshots.npy").unlink()
+            out = tmp_path / run
+            assert _run(["consistency", "--data", str(data / "snapshots.csv"),
+                         "--dictionary", "example_poly_basis", "--out", str(out)]) == 0
+            outputs.append((out / "consistency.json").read_bytes())
+        assert outputs[0] == outputs[1]
+
     def test_learn_in_fresh_processes_is_byte_identical_at_one_thread(self, tmp_path):
         """The contract: same inputs, seed and BLAS thread count give the same bytes."""
         assert _run(["simulate", "--system", "dc_motor_tanh", "--experiments", "60",
@@ -435,10 +542,7 @@ class TestDeterminism:
             "s": 9, "l": 4, "epochs": 3, "batch_size": 50,
             "lr_start": 1e-2, "lr_end": 1e-3, "seed": 3,
         }))
-        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
-                   MKL_NUM_THREADS="1")
-        src = str(Path(kl.__file__).resolve().parents[1])
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        env = _one_thread_env()
         outputs = []
         for run in ("a", "b"):
             out = tmp_path / run
@@ -458,10 +562,7 @@ class TestDeterminism:
         assert _run(["simulate", "--system", "example_poly", "--experiments",
                      str(2 * CHUNK + 7), "--steps", "1", "--seed", "4", "--out", str(data)]) == 0
         assert kl.load_snapshots(data / "snapshots.csv").n_snapshots == 2 * CHUNK + 7
-        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
-                   MKL_NUM_THREADS="1")
-        src = str(Path(kl.__file__).resolve().parents[1])
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        env = _one_thread_env()
         outputs = []
         for run in ("a", "b"):
             out = tmp_path / run

@@ -1,6 +1,7 @@
 """Tests for system definitions, simulation, and dataset generation."""
 
 import dataclasses
+import hashlib
 import json
 import math
 import re
@@ -11,6 +12,7 @@ import numpy as np
 import pytest
 
 import kooplift as kl
+from kooplift import dynamics
 from kooplift.dynamics import (
     augmented_step,
     dc_motor_tanh,
@@ -509,6 +511,150 @@ class TestSnapshotCsv:
         with pytest.raises(ConfigError) as exc:
             kl.load_snapshots(path)
         assert str(exc.value) == f"{path}: {want}"
+
+
+def _special_values_snapshots(mode, N):
+    """Experiment data with signed zeros, subnormals and signed NaNs in the first block."""
+    plan = kl.ExperimentPlan(num_experiments=250, steps_per_experiment=9,
+                             rng_seed=4, input_mode=mode, hold_steps=3)
+    ss = kl.run_experiments(kl.example_poly(), plan)
+    X, U, Xplus = (A[:, :N].copy() for A in (ss.X, ss.U, ss.Xplus))
+    X[0, 500:508] = [0.0, -0.0, np.nan, -np.nan, 5e-324, -2.5e-310, 0.0, -0.0]
+    Xplus[1, 500:504] = [-np.nan, np.nan, -5e-324, 2.0**-1074]
+    U[0, 501:503] = -0.0
+    return kl.SnapshotSet(X=X, Xplus=Xplus, U=U)
+
+
+def _rows_bits(ss):
+    return np.vstack([ss.X, ss.U, ss.Xplus]).T.view(np.int64)
+
+
+@pytest.fixture
+def parses(monkeypatch):
+    """Count the loads that parse the CSV rather than take the binary copy."""
+    calls = []
+    read_rows = dynamics._read_rows
+
+    def counted(*args):
+        calls.append(args[0])
+        return read_rows(*args)
+
+    monkeypatch.setattr(dynamics, "_read_rows", counted)
+    return calls
+
+
+class TestSnapshotBinaryCopy:
+    @pytest.fixture
+    def saved(self, tmp_path):
+        ss = _special_values_snapshots("piecewise", 2 * CSV_BLOCK + 7)
+        path = tmp_path / "snaps.csv"
+        kl.save_snapshots(ss, path, comment="stamp")
+        return ss, path
+
+    @staticmethod
+    def _parsed(path):
+        """The rows as the parse gives them, from a copy of the CSV with no binary copy."""
+        lone = path.with_name("lone.csv")
+        lone.write_bytes(path.read_bytes())
+        return kl.load_snapshots(lone)
+
+    @staticmethod
+    def _load_quietly(path, **kwargs):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            return kl.load_snapshots(path, **kwargs)
+
+    @pytest.mark.parametrize("N", [CSV_BLOCK - 1, CSV_BLOCK, CSV_BLOCK + 1, 2 * CSV_BLOCK + 7])
+    @pytest.mark.parametrize("mode", ["constant", "piecewise"])
+    def test_copy_and_parse_give_the_same_bits(self, tmp_path, parses, mode, N):
+        path = tmp_path / "snaps.csv"
+        kl.save_snapshots(_special_values_snapshots(mode, N), path)
+        copied = kl.load_snapshots(path)
+        assert parses == []
+        parsed = self._parsed(path)
+        assert len(parses) == 1
+        for got, ref in ((copied.X, parsed.X), (copied.U, parsed.U),
+                         (copied.Xplus, parsed.Xplus)):
+            assert got.shape == ref.shape and got.strides == ref.strides
+            np.testing.assert_array_equal(got.view(np.int64), ref.view(np.int64))
+
+    def test_manifest_holds_the_digests_of_both_files(self, saved):
+        ss, path = saved
+        manifest = json.loads(kl.dynamics.manifest_path_for(path).read_text())
+        npy = path.with_name("snaps.npy")
+        assert manifest["csv_sha256"] == hashlib.sha256(path.read_bytes()).hexdigest()
+        assert manifest["rows_sha256"] == hashlib.sha256(npy.read_bytes()).hexdigest()
+        rows = np.load(npy)
+        assert rows.shape == (manifest["N"], 5) and rows.dtype == np.float64
+        np.testing.assert_array_equal(rows.view(np.int64), _rows_bits(self._parsed(path)))
+
+    def test_edited_csv_byte_is_parsed(self, saved, parses):
+        ss, path = saved
+        text = path.read_bytes()
+        last_digit = b"1" if text[-2:-1] != b"1" else b"2"
+        path.write_bytes(text[:-2] + last_digit + text[-1:])
+        loaded = self._load_quietly(path)
+        assert parses == [path]
+        np.testing.assert_array_equal(_rows_bits(loaded), _rows_bits(self._parsed(path)))
+        assert not np.array_equal(_rows_bits(loaded), _rows_bits(ss))
+
+    @pytest.mark.parametrize("damage", ["edited", "truncated", "missing"])
+    def test_damaged_copy_is_not_used(self, saved, parses, damage):
+        ss, path = saved
+        npy = path.with_name("snaps.npy")
+        data = npy.read_bytes()
+        if damage == "edited":
+            npy.write_bytes(data[:-3] + bytes([data[-3] ^ 1]) + data[-2:])
+        elif damage == "truncated":
+            npy.write_bytes(data[:-8])
+        else:
+            npy.unlink()
+        loaded = self._load_quietly(path)
+        assert parses == [path]
+        np.testing.assert_array_equal(_rows_bits(loaded), _rows_bits(self._parsed(path)))
+
+    @pytest.mark.parametrize("keys", [("csv_sha256", "rows_sha256"), ("csv_sha256",),
+                                      ("rows_sha256",)])
+    def test_manifest_of_an_earlier_version_is_parsed(self, saved, parses, keys):
+        ss, path = saved
+        mpath = kl.dynamics.manifest_path_for(path)
+        manifest = json.loads(mpath.read_text())
+        for key in keys:
+            del manifest[key]
+        mpath.write_text(json.dumps(manifest))
+        loaded = self._load_quietly(path)
+        assert parses == [path]
+        np.testing.assert_array_equal(_rows_bits(loaded), _rows_bits(self._parsed(path)))
+
+    def test_copy_of_another_row_count_is_not_used(self, saved, parses):
+        ss, path = saved
+        mpath = kl.dynamics.manifest_path_for(path)
+        manifest = json.loads(mpath.read_text())
+        manifest["N"] -= 1
+        mpath.write_text(json.dumps(manifest))
+        assert self._load_quietly(path).n_snapshots == ss.n_snapshots
+        assert parses == [path]
+
+    def test_callers_digest_is_the_one_checked(self, saved, parses):
+        ss, path = saved
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        self._load_quietly(path, csv_sha256=digest)
+        assert parses == []
+        loaded = self._load_quietly(path, csv_sha256="0" * 64)
+        assert parses == [path]
+        np.testing.assert_array_equal(_rows_bits(loaded), _rows_bits(self._parsed(path)))
+
+    def test_csv_named_like_its_copy_rejected(self, poly_snapshots, tmp_path):
+        with pytest.raises(ConfigError, match="binary copy"):
+            kl.save_snapshots(poly_snapshots, tmp_path / "snaps.npy")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_failed_write_leaves_no_manifest(self, poly_snapshots, tmp_path):
+        path = tmp_path / "snaps.csv"
+        path.with_name("snaps.npy").mkdir()
+        with pytest.raises(OSError):
+            kl.save_snapshots(poly_snapshots, path)
+        assert not kl.dynamics.manifest_path_for(path).exists()
 
 
 class TestBuiltins:
