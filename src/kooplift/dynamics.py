@@ -671,6 +671,17 @@ def _stored_rows(csv_path: Path, manifest: dict, width: int, csv_sha256: str | N
     return rows
 
 
+def _read_manifest(mpath: Path) -> dict:
+    """The manifest at ``mpath``; :class:`ConfigError` unless it is a JSON object."""
+    try:
+        raw = json.loads(mpath.read_text())
+    except ValueError as exc:
+        raise ConfigError(f"{mpath}: snapshot manifest is not valid JSON ({exc})") from None
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{mpath}: snapshot manifest is not a JSON object")
+    return raw
+
+
 def load_snapshots(csv_path, csv_sha256: str | None = None) -> SnapshotSet:
     """Load a snapshot CSV written by :func:`save_snapshots`.
 
@@ -684,7 +695,8 @@ def load_snapshots(csv_path, csv_sha256: str | None = None) -> SnapshotSet:
     sends the load to the parse below, silently.
 
     Blank lines and lines starting with ``#`` are skipped.  Raises
-    :class:`ConfigError` naming the file line number on any malformed row.
+    :class:`ConfigError` naming the file line number on any malformed row,
+    and naming the manifest when it is not a JSON object.
     The rows are parsed by numpy's C reader (``np.loadtxt``), whose float
     grammar is ``float``'s without digit-group underscores: ``1_0`` is a
     non-numeric field.  They are rescanned one by one only to name a
@@ -692,7 +704,7 @@ def load_snapshots(csv_path, csv_sha256: str | None = None) -> SnapshotSet:
     """
     csv_path = Path(csv_path)
     mpath = manifest_path_for(csv_path)
-    raw = json.loads(mpath.read_text()) if mpath.exists() else None
+    raw = _read_manifest(mpath) if mpath.exists() else None
     with csv_path.open() as f:
         first = _next_row(f, 0)
         if first is None:

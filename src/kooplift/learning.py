@@ -1,38 +1,53 @@
 """Dictionary learning by minimizing the invariance proximity.
 
-The training loss is the trace surrogate of the consistency index: with
-``P = Phi(Z)`` and ``Q = Phi(Z+)`` evaluated on a batch,
+The training loss is the trace surrogate of the consistency index.  With
+``P = Phi(Z)`` and ``Q = Phi(Z+)`` evaluated on a batch of N snapshots
+(s-by-N each), take the reduced QR factorizations
 
-    L = s - Tr(Gp^-1 Cpq Gq^-1 Cpq')
+    [P'; sqrt(eps_p) I] = Qa Rp,    [Q'; sqrt(eps_q) I] = Qb Rq
 
-where ``Gp = P P' + eps_p I``, ``Gq = Q Q' + eps_q I`` and ``Cpq = P Q'``.
-Without the ridge terms this is exactly ``Tr(M_C) = Tr(I - K_F K_B)``,
-an upper bound on the index that sandwiches it together with ``Tr/s``;
-the ridge (scaled by the mean squared dictionary magnitude) makes the
-loss smooth where the data Gram matrices lose rank.  Reported metrics,
-the per-epoch held-out one included, always use the exact, ridge-free
-index of :mod:`kooplift.edmd` (one streamed R of the data per evaluation).
+and let A and B be the top N rows of Qa and Qb, so ``A = P' Rp^-1``,
+``B = Q' Rq^-1``, and ``M = A' B`` is s-by-s.  The loss is
 
-Gradients are exact and computed in closed form (s-by-s solves plus one
-reverse pass through the dictionary), so no automatic differentiation
-framework is involved:
+    L = s - ||M||_F^2 = s - Tr(Gp^-1 Cpq Gq^-1 Cpq')
 
-    dL/dP = 2 Gp^-1 Cpq Gq^-1 (Cpq' Gp^-1 P - Q) + (dL/deps_p) d(eps_p)/dP
-    dL/dQ = 2 Gq^-1 Cpq' Gp^-1 (Cpq Gq^-1 Q - P) + (dL/deps_q) d(eps_q)/dQ
+where ``Gp = P P' + eps_p I = Rp' Rp``, ``Gq = Q Q' + eps_q I = Rq' Rq``
+and ``Cpq = P Q'``.  Without the ridge terms this is exactly
+``Tr(M_C) = Tr(I - K_F K_B)``, the sum of the squared sines of the
+principal angles between the row spaces of P and Q: an upper bound on
+the index that sandwiches it together with ``Tr/s``.  The ridge (scaled
+by the mean squared dictionary magnitude) makes the loss smooth where
+the data lose rank.  Like the index of :mod:`kooplift.edmd`, the loss is
+read off orthonormal bases (Bjorck and Golub, 1973) and never forms a
+Gram matrix, so its rounding error grows with ``sqrt(cond(Gp))``, not
+``cond(Gp)``.  Reported metrics, the per-epoch held-out one included,
+always use the exact, ridge-free index of :mod:`kooplift.edmd` (one
+streamed R of the data per evaluation).
 
-including the dependence of the ridge magnitudes on the data, so finite
+Gradients are exact and computed in closed form (two s-by-s triangular
+solves plus one reverse pass through the dictionary), so no automatic
+differentiation framework is involved.  With ``Sp = Rp^-1 M`` and
+``Sq = Rq^-1 M'``,
+
+    dL/dP = 2 Sp (M' A' - B') + (2 r / s) ||Sp||_F^2 P
+    dL/dQ = 2 Sq (M B' - A') + (2 r / s) ||Sq||_F^2 Q
+
+where ``r`` is the ridge scale, ``eps_p = r ||P||_F^2 / s`` and
+``eps_q = r ||Q||_F^2 / s``.  The last terms are the dependence of the
+ridge magnitudes on the data (``||Sp||_F^2 = dL/deps_p``), so finite
 differences agree to their noise floor regardless of conditioning.
 
 A training step (:func:`loss_gradient`) makes one forward and one backward
-pass through the dictionary's networks.  The forward pass evaluates H once
-on the ``2B`` state columns ``[X | X+]`` of a batch of ``B`` snapshots, and
-Gtilde once on the input ``U``, which the augmented map holds, so ``Z`` and
-``Z+`` share it; P and Q are read off that one pass.  The backward pass
-takes ``[dL/dP | dL/dQ]`` together: H on ``2B`` columns, Gtilde on ``B``
-columns with the two upstream signals summed.  :func:`loss` evaluates
-through ``eval_pair``, which runs Gtilde once on the held input; it also
-accepts any object that only has ``eval_aug``, and then evaluates it on
-``Z`` and ``Z+`` in turn.
+pass through the dictionary's networks, with the QR kernel between them.
+The forward pass evaluates H once on the ``2N`` state columns ``[X | X+]``
+of the batch, and Gtilde once on the input ``U``, which the augmented map
+holds, so ``Z`` and ``Z+`` share it; P and Q are read off that one pass.
+The backward pass takes ``[dL/dP | dL/dQ]`` together: H on ``2N``
+columns, Gtilde on ``N`` columns with the two upstream signals summed.
+:func:`loss` is the same kernel without the gradients, so it equals the
+step's value bit for bit.  It evaluates through ``eval_pair``, which runs
+Gtilde once on the held input; it also accepts any object that only has
+``eval_aug``, and then evaluates it on ``Z`` and ``Z+`` in turn.
 
 Each epoch costs one extra pass, on the held-out half only: the training
 curve is the mean of the epoch's minibatch losses, which the steps have
@@ -200,16 +215,38 @@ def _columns(aug: AugmentedSnapshots, idx) -> AugmentedSnapshots:
                               state_dim=aug.state_dim, input_dim=aug.input_dim)
 
 
-def _gram_terms(nd, P: Array, Q: Array, ridge_scale: float):
+def _trace_loss(nd, P: Array, Q: Array, ridge_scale: float, grad: bool):
+    """The trace loss of ``(P, Q)`` and, with ``grad``, its gradients.
+
+    Returns ``(value, dL/dP, dL/dQ)``; the gradients are None without
+    ``grad``.  The value is ``s - ||A' B||_F^2`` with A, B the top N rows
+    of the orthonormal factors of ``[P'; sqrt(eps_p) I]`` and
+    ``[Q'; sqrt(eps_q) I]`` (see the module docstring), so no Gram matrix
+    is formed.  ``nd`` only names the parameter norm in the errors.
+    """
     if not (np.all(np.isfinite(P)) and np.all(np.isfinite(Q))):
         raise NonFiniteLoss(
             f"dictionary evaluation is not finite (parameter norm {_param_norm(nd)})")
-    s = P.shape[0]
+    s, N = P.shape
     eps_p = ridge_scale * float(np.sum(P * P)) / s
     eps_q = ridge_scale * float(np.sum(Q * Q)) / s
-    Gp = P @ P.T + eps_p * np.eye(s)
-    Gq = Q @ Q.T + eps_q * np.eye(s)
-    return Gp, Gq
+    Qa, Rp = np.linalg.qr(np.vstack([P.T, np.sqrt(eps_p) * np.eye(s)]))
+    Qb, Rq = np.linalg.qr(np.vstack([Q.T, np.sqrt(eps_q) * np.eye(s)]))
+    A, B = Qa[:N], Qb[:N]
+    M = A.T @ B
+    value = s - float(np.sum(M * M))
+    if not np.isfinite(value):
+        raise NonFiniteLoss(f"loss is not finite (parameter norm {_param_norm(nd)})")
+    if not grad:
+        return value, None, None
+    Sp = np.linalg.solve(Rp, M)
+    Sq = np.linalg.solve(Rq, M.T)
+    # The ridge magnitudes eps = ridge_scale*Tr(.)/s depend on P and Q;
+    # their exact contribution keeps the gradient correct even where the
+    # data are poorly conditioned and the ridge carries weight.
+    dP = 2.0 * (Sp @ (M.T @ A.T - B.T)) + (2.0 * ridge_scale / s) * float(np.sum(Sp * Sp)) * P
+    dQ = 2.0 * (Sq @ (M @ B.T - A.T)) + (2.0 * ridge_scale / s) * float(np.sum(Sq * Sq)) * Q
+    return value, dP, dQ
 
 
 def loss(nd: NormalDictionary, batch: AugmentedSnapshots,
@@ -217,11 +254,13 @@ def loss(nd: NormalDictionary, batch: AugmentedSnapshots,
     """Ridge-regularized non-invariance loss of a dictionary on a batch.
 
     Returns ``Tr(M_C)``, the training surrogate, with pseudo-inverses
-    replaced by ridge solves (scale set by ``ridge_scale`` times the mean
-    squared dictionary magnitude), so on rank-deficient batches it stays
-    finite and smooth.  It lies between the consistency index and ``s``
-    times it (up to the ridge).  ``params`` optionally sets the
-    dictionary parameters first.
+    replaced by ridge-regularized projections (scale set by
+    ``ridge_scale`` times the mean squared dictionary magnitude), so on
+    rank-deficient batches it stays finite and smooth.  It lies between
+    the consistency index and ``s`` times it (up to the ridge), and is
+    computed from two QR factorizations, as the value half of
+    :func:`loss_gradient`: the two agree bit for bit.  ``params``
+    optionally sets the dictionary parameters first.
     """
     if params is not None:
         nd.set_params(np.asarray(params, dtype=float))
@@ -229,16 +268,7 @@ def loss(nd: NormalDictionary, batch: AugmentedSnapshots,
         P, Q = nd.eval_pair(batch)
     else:
         P, Q = nd.eval_aug(batch.Z), nd.eval_aug(batch.Zplus)
-    Gp, Gq = _gram_terms(nd, P, Q, ridge_scale)
-    s = P.shape[0]
-    Cpq = P @ Q.T
-    T1 = np.linalg.solve(Gp, Cpq)
-    T2 = np.linalg.solve(Gq, Cpq.T)
-    value = s - float(np.sum(T1 * T2.T))
-    if not np.isfinite(value):
-        pnorm = _param_norm(nd)
-        raise NonFiniteLoss(f"loss is not finite (parameter norm {pnorm})")
-    return value
+    return _trace_loss(nd, P, Q, ridge_scale, grad=False)[0]
 
 
 def _param_norm(nd) -> str:
@@ -253,13 +283,16 @@ def loss_gradient(nd: TrainableNormalDictionary, batch: AugmentedSnapshots,
     """The trace loss and its exact parameter gradient.
 
     Returns ``(value, gradient)`` with the gradient laid out like
-    ``nd.get_params()`` (frozen head rows contribute no entries).
+    ``nd.get_params()`` (frozen head rows contribute no entries); the
+    value equals :func:`loss` bit for bit.
 
     One forward and one backward pass per call: H runs on the ``2B``
     state columns ``[X | X+]`` and Gtilde once on the inputs, which ``Z``
     and ``Z+`` share whenever the snapshots come from the augmented map
     (checked entry by entry; otherwise Gtilde also runs on ``U+``).  The
-    backward pass takes ``[dL/dP | dL/dQ]`` in one block.
+    QR kernel between them gives ``dL/dP`` and ``dL/dQ``, and the
+    backward pass takes ``[dL/dP | dL/dQ]`` in one block.  A non-finite
+    value raises :class:`NonFiniteLoss` before the backward pass runs.
     """
     if params is not None:
         nd.set_params(np.asarray(params, dtype=float))
@@ -269,27 +302,8 @@ def loss_gradient(nd: TrainableNormalDictionary, batch: AugmentedSnapshots,
         U = np.hstack([U, batch.Zplus[n:]])
     fwd = nd._forward(np.hstack([batch.Z[:n], batch.Zplus[:n]]), U, grad=True)
     Phi = nd._stack(fwd[0], fwd[1])
-    P, Q = Phi[:, :B], Phi[:, B:]
-    Gp, Gq = _gram_terms(nd, P, Q, ridge_scale)
-    s = P.shape[0]
-    Cpq = P @ Q.T
-    T1 = np.linalg.solve(Gp, Cpq)
-    T2 = np.linalg.solve(Gq, Cpq.T)
-    value = s - float(np.sum(T1 * T2.T))
-    Xp = np.linalg.solve(Gp, P)
-    Yq = np.linalg.solve(Gq, Q)
-    dP = 2.0 * (T1 @ (T2 @ Xp - Yq))
-    dQ = 2.0 * (T2 @ (T1 @ Yq - Xp))
-    # The ridge magnitudes eps = ridge_scale*Tr(.)/s depend on P and Q;
-    # their exact contribution keeps the gradient correct even where the
-    # Gram matrices are poorly conditioned and the ridge carries weight.
-    dL_deps_p = float(np.trace(np.linalg.solve(Gp, T1 @ T2)))
-    dL_deps_q = float(np.trace(np.linalg.solve(Gq, T2 @ T1)))
-    dP = dP + (2.0 * ridge_scale / s) * dL_deps_p * P
-    dQ = dQ + (2.0 * ridge_scale / s) * dL_deps_q * Q
+    value, dP, dQ = _trace_loss(nd, Phi[:, :B], Phi[:, B:], ridge_scale, grad=True)
     grad = nd._backward(fwd, np.hstack([dP, dQ]))
-    if not np.isfinite(value):
-        raise NonFiniteLoss(f"loss is not finite (parameter norm {_param_norm(nd)})")
     if not np.all(np.isfinite(grad)):
         raise NonFiniteGradient(
             f"gradient is not finite (parameter norm {_param_norm(nd)})")

@@ -456,6 +456,17 @@ class TestDataFile:
         assert rc == 2
         assert "nope.csv does not exist" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("manifest", ["{bad", "[]", '"x"'])
+    def test_malformed_manifest_exits_2(self, tmp_path, capsys, manifest):
+        rc = _run(["simulate", "--system", "example_poly", "--experiments", "20",
+                   "--steps", "5", "--seed", "3", "--out", str(tmp_path)])
+        assert rc == 0
+        (tmp_path / "snapshots.manifest.json").write_text(manifest)
+        rc = _run(["consistency", "--data", str(tmp_path / "snapshots.csv"),
+                   "--dictionary", "example_poly_basis", "--out", str(tmp_path)])
+        assert rc == 2
+        assert "snapshots.manifest.json: snapshot manifest is not" in capsys.readouterr().err
+
     @pytest.mark.parametrize("command", ["edmd", "consistency", "extract", "learn"])
     def test_data_file_hashed_once_and_not_parsed(self, poly_dataset, tmp_path, monkeypatch,
                                                   command):

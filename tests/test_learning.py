@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from kooplift.edmd import CHUNK
 from kooplift.errors import ConfigError, DegenerateData, NonFiniteGradient, NonFiniteLoss
 from kooplift.learning import (PipelineResult, TrainConfig, config_from_json,
                                config_to_json, loss, loss_gradient, pipeline,
-                               report_to_csv, report_to_json, train)
+                               report_to_csv, report_to_json, train, _trace_loss)
 from kooplift.observables import monomial_featurizer, parametric_family
 
 
@@ -129,7 +130,7 @@ class TestLossGradient:
 
 def _reference_step(nd, batch, ridge_scale=1e-10):
     """The training step written out pass by pass: ``eval_aug`` on ``Z`` and
-    on ``Z+``, the Gram terms, and ``vjp_aug`` once per block.
+    on ``Z+``, the trace-loss kernel, and ``vjp_aug`` once per block.
 
     Returns ``(value, gradient, scale)``, where ``scale`` is the sum of the
     norms of the two ``vjp_aug`` terms, the size any reordering of their
@@ -137,31 +138,118 @@ def _reference_step(nd, batch, ridge_scale=1e-10):
     """
     P = nd.eval_aug(batch.Z)
     Q = nd.eval_aug(batch.Zplus)
-    if not (np.all(np.isfinite(P)) and np.all(np.isfinite(Q))):
-        raise NonFiniteLoss("dictionary evaluation is not finite")
-    s = P.shape[0]
-    eps_p = ridge_scale * float(np.sum(P * P)) / s
-    eps_q = ridge_scale * float(np.sum(Q * Q)) / s
-    Gp = P @ P.T + eps_p * np.eye(s)
-    Gq = Q @ Q.T + eps_q * np.eye(s)
-    Cpq = P @ Q.T
-    T1 = np.linalg.solve(Gp, Cpq)
-    T2 = np.linalg.solve(Gq, Cpq.T)
-    value = s - float(np.sum(T1 * T2.T))
-    Xp = np.linalg.solve(Gp, P)
-    Yq = np.linalg.solve(Gq, Q)
-    dP = 2.0 * (T1 @ (T2 @ Xp - Yq))
-    dQ = 2.0 * (T2 @ (T1 @ Yq - Xp))
-    dP = dP + (2.0 * ridge_scale / s) * float(np.trace(np.linalg.solve(Gp, T1 @ T2))) * P
-    dQ = dQ + (2.0 * ridge_scale / s) * float(np.trace(np.linalg.solve(Gq, T2 @ T1))) * Q
+    value, dP, dQ = _trace_loss(nd, P, Q, ridge_scale, grad=True)
     gP = nd.vjp_aug(batch.Z, dP)
     gQ = nd.vjp_aug(batch.Zplus, dQ)
     grad = gP + gQ
-    if not np.isfinite(value):
-        raise NonFiniteLoss("loss is not finite")
     if not np.all(np.isfinite(grad)):
         raise NonFiniteGradient("gradient is not finite")
     return value, grad, np.linalg.norm(gP) + np.linalg.norm(gQ)
+
+
+def _normal_equations(P, Q, ridge_scale, exact=False):
+    """The trace loss and its gradients from the ridge Gram matrices.
+
+    With ``Gp = P P' + eps_p I``, ``Gq = Q Q' + eps_q I`` and ``C = P Q'``,
+    the value is ``s - Tr(Gp^-1 C Gq^-1 C')`` and the gradients are
+
+        dL/dP = 2 Gp^-1 C Gq^-1 (C' Gp^-1 P - Q) + (2 r / s) Tr(Gp^-2 C Gq^-1 C') P
+
+    and its mirror image, solved directly.  In floats this is accurate to
+    about ``cond(Gp) * eps``, so it is a reference only on well-conditioned
+    data.  With ``exact`` the arithmetic is rational (``Fraction``) on the
+    exact values of P, Q, ``r`` and of the float ridges ``eps_p``, ``eps_q``
+    the code computes: the same ridge loss without rounding.  The value is
+    then a ``Fraction`` and the gradients are rounded to float.
+    """
+    s = P.shape[0]
+    eps_p = ridge_scale * float(np.sum(P * P)) / s
+    eps_q = ridge_scale * float(np.sum(Q * Q)) / s
+    solve, eye = np.linalg.solve, np.eye(s)
+    if exact:
+        P, Q = (np.vectorize(Fraction, otypes=[object])(A) for A in (P, Q))
+        eps_p, eps_q, ridge_scale = Fraction(eps_p), Fraction(eps_q), Fraction(ridge_scale)
+        solve, eye = _exact_solve, np.eye(s, dtype=int).astype(object)
+    Gp = P @ P.T + eps_p * eye
+    Gq = Q @ Q.T + eps_q * eye
+    Cpq = P @ Q.T
+    T1 = solve(Gp, Cpq)
+    T2 = solve(Gq, Cpq.T)
+    value = s - np.sum(T1 * T2.T)
+    Xp = solve(Gp, P)
+    Yq = solve(Gq, Q)
+    dP = 2 * (T1 @ (T2 @ Xp - Yq)) + (2 * ridge_scale / s) * np.trace(solve(Gp, T1 @ T2)) * P
+    dQ = 2 * (T2 @ (T1 @ Yq - Xp)) + (2 * ridge_scale / s) * np.trace(solve(Gq, T2 @ T1)) * Q
+    return value, dP.astype(float), dQ.astype(float)
+
+
+def _exact_solve(G, B):
+    """``G^-1 B`` for object arrays of ``Fraction``, by Gauss-Jordan elimination."""
+    n = G.shape[0]
+    W = np.hstack([G, B])
+    for k in range(n):
+        pivot = next(i for i in range(k, n) if W[i, k] != 0)
+        W[[k, pivot]] = W[[pivot, k]]
+        W[k] = W[k] / W[k, k]
+        for i in range(n):
+            if i != k:
+                W[i] = W[i] - W[i, k] * W[k]
+    return W[:, n:]
+
+
+class _Given:
+    """A dictionary stand-in whose values on ``Z`` (zeros) and ``Z+`` (ones) are given."""
+
+    def __init__(self, P, Q):
+        self.P, self.Q = P, Q
+
+    def eval_aug(self, Z):
+        return self.P if Z[0, 0] == 0 else self.Q
+
+
+def _given_batch(N):
+    return AugmentedSnapshots(Z=np.zeros((3, N)), Zplus=np.ones((3, N)), state_dim=2,
+                              input_dim=1)
+
+
+class TestTraceLossKernel:
+    """The QR kernel against the normal equations it replaces."""
+
+    def test_matches_exact_arithmetic_when_ill_conditioned(self):
+        # Two nearly collinear rows put cond(P P') and cond(Q Q') near 3.4e10.
+        # There the normal equations miss the value by 5.9e-9 relative and
+        # M formed by triangular solves on P Q' by 1.5e-10; the kernel, which
+        # loses about sqrt(cond) * eps, by 3.9e-13.
+        rng = np.random.default_rng(0)
+        P = rng.normal(size=(6, 40))
+        P[1] = P[0] + 1e-5 * rng.normal(size=40)
+        Q = np.roll(P, 1, axis=1) + 1e-6 * rng.normal(size=(6, 40))
+        assert min(np.linalg.cond(P @ P.T), np.linalg.cond(Q @ Q.T)) > 1e10
+        exact, dP_exact, dQ_exact = _normal_equations(P, Q, 1e-10, exact=True)
+        value = loss(_Given(P, Q), _given_batch(40), ridge_scale=1e-10)
+        assert float(abs(Fraction(value) - exact) / exact) <= 1e-11
+
+        value, dP, dQ = _trace_loss(None, P, Q, 1e-10, grad=True)
+        assert float(abs(Fraction(value) - exact) / exact) <= 1e-11
+        # The gradients go through R^-1: allow 16 * cond(R) * eps relative,
+        # cond(R) = sqrt(cond(Gram)), about 2e5 here.
+        kappa = max(np.linalg.cond(P @ P.T), np.linalg.cond(Q @ Q.T)) ** 0.5
+        tol = 16 * kappa * np.finfo(float).eps
+        assert np.linalg.norm(dP - dP_exact) <= tol * np.linalg.norm(dP_exact)
+        assert np.linalg.norm(dQ - dQ_exact) <= tol * np.linalg.norm(dQ_exact)
+
+    @pytest.mark.parametrize("ridge_scale", [1e-10, 1e-3])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_normal_equations_when_well_conditioned(self, seed, ridge_scale):
+        rng = np.random.default_rng(seed)
+        P = rng.normal(size=(6, 40)) * np.logspace(0, 1.5, 6)[:, None]
+        Q = np.roll(P, 1, axis=1) + 0.3 * rng.normal(size=(6, 40))
+        assert np.linalg.cond(P @ P.T) <= 1e4 and np.linalg.cond(Q @ Q.T) <= 1e4
+        ref_value, ref_dP, ref_dQ = _normal_equations(P, Q, ridge_scale)
+        value, dP, dQ = _trace_loss(None, P, Q, ridge_scale, grad=True)
+        assert value == pytest.approx(ref_value, rel=1e-12)
+        assert np.linalg.norm(dP - ref_dP) <= 1e-12 * np.linalg.norm(ref_dP)
+        assert np.linalg.norm(dQ - ref_dQ) <= 1e-12 * np.linalg.norm(ref_dQ)
 
 
 _FAMILIES = {
@@ -196,11 +284,12 @@ class TestFusedStep:
                                fixed_head=fixed_head, seed=9, **_FAMILIES[kind])
         ref_value, ref_grad, scale = _reference_step(nd, batch)
         value, grad = loss_gradient(nd, batch)
-        # The forward passes agree bit for bit, so the value does too.  The
-        # backward pass sums the Z and Z+ contributions over 2B columns in
-        # another order: allow 8x the rounding bound of a 2B-term sum, with
-        # the norms of the two vjp_aug terms standing in for the magnitudes.
-        assert value == ref_value
+        # The forward passes agree bit for bit, so the value does too, and
+        # loss is the kernel's value half.  The backward pass sums the Z
+        # and Z+ contributions over 2B columns in another order: allow 8x
+        # the rounding bound of a 2B-term sum, with the norms of the two
+        # vjp_aug terms standing in for the magnitudes.
+        assert value == ref_value == loss(nd, batch)
         assert grad.shape == ref_grad.shape == (nd.n_params,)
         tol = 8 * (2 * batch.n_snapshots) * np.finfo(float).eps * scale
         assert np.linalg.norm(grad - ref_grad) <= tol
