@@ -24,11 +24,23 @@ compare
     box from a named seed) and write per-model, per-state RMSE tables
     plus a per-step trajectory CSV suitable for plotting.
 
-Exit codes: 0 success, 2 usage or configuration error, 3 simulation
-failure, 4 numerical failure.  Every output file embeds the tool
-version, the seed, and a hash of the effective configuration; rerunning
-a command with identical inputs reproduces outputs byte for byte, so
-wall-clock timing goes to a separate ``timing.json`` sidecar.
+``edmd``, ``consistency`` and ``extract`` take ``--tol``, the relative
+cutoff of the pseudo-inverses' singular values; the other subcommands
+have no numerical cutoff and reject it.
+
+Exit codes: 0 success, 2 usage or configuration error (a missing input
+file, or a config, model or dictionary file that is not a JSON object,
+included), 3 simulation failure, 4 numerical failure.
+
+Every subcommand is a ``cmd_*`` function that :func:`main` calls with
+the parsed arguments and a private outputs object.  That object owns
+the provenance stamp (tool version, seed, and a hash of the command and
+its effective configuration), embeds it in every file the command
+writes, and makes ``--out`` on the first write.  Rerunning a command
+with identical inputs reproduces its outputs byte for byte, so
+:func:`main` puts the wall-clock time in a separate ``timing.json``
+sidecar, written when the command returns and only if it wrote an
+output: a command that fails before writing leaves no files.
 """
 
 from __future__ import annotations
@@ -62,7 +74,6 @@ from .errors import (
     ConfigError,
     DegenerateData,
     DimensionMismatch,
-    KoopliftError,
     NonFiniteGradient,
     NonFiniteLoss,
     NonFiniteState,
@@ -73,7 +84,7 @@ from .errors import (
 from .models import (
     evaluate_rollouts,
     extract_normal,
-    load_model,
+    model_from_json,
     model_to_json,
     rollout,
     states_from_lifted,
@@ -98,7 +109,7 @@ _NUMERICAL_ERRORS = (
 
 
 # ----------------------------------------------------------------------
-# Provenance stamps and deterministic writers
+# Provenance stamps and the output directory
 
 
 def _canonical(obj) -> str:
@@ -113,49 +124,83 @@ def _file_digest(path) -> str:
     return _sha256(path)[:12]
 
 
-def _stamp(seed: int, cfg: dict) -> dict:
-    """Provenance block embedded in every output file.
-
-    The hash covers the effective configuration with file inputs replaced
-    by digests of their contents, so reruns from different directories
-    still produce byte-identical outputs.
-    """
-    return {
-        "tool": "kooplift",
-        "version": __version__,
-        "seed": int(seed),
-        "config_hash": _config_hash(cfg),
-    }
-
-
-def _stamp_comment(stamp: dict) -> str:
-    return (f"kooplift {stamp['version']} seed={stamp['seed']} "
-            f"config={stamp['config_hash']}")
-
-
 def _write_json(path: Path, obj: dict) -> None:
     path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
-def _write_csv(path: Path, stamp: dict, header: str, rows) -> None:
-    lines = ["# " + _stamp_comment(stamp), header]
-    lines.extend(rows)
-    path.write_text("\n".join(lines) + "\n")
+class _Outputs:
+    """One command's output directory and the provenance stamp of its files.
 
+    :meth:`stamp` runs before the first write.  Its block goes into every
+    output: as ``meta`` in JSON files and snapshot manifests, and as a
+    leading ``#`` line in CSVs.  The hash covers the command and its
+    effective configuration, with file inputs replaced by digests of
+    their contents, so reruns from different directories still produce
+    byte-identical outputs.  The directory is made on the first write, so
+    a command that stops before writing leaves nothing behind.
+    """
 
-def _write_timing(out: Path, command: str, seconds: float) -> None:
-    _write_json(out / "timing.json", {"command": command,
-                                      "wall_time_s": float(seconds)})
+    def __init__(self, directory, command: str):
+        self.directory = Path(directory)
+        self.command = command
+        self.meta = None
+        self.written = False
 
+    def stamp(self, seed: int, cfg: dict) -> None:
+        self.meta = {
+            "tool": "kooplift",
+            "version": __version__,
+            "seed": int(seed),
+            "config_hash": _config_hash({"command": self.command, **cfg}),
+        }
 
-def _out_dir(args) -> Path:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+    def _comment(self) -> str:
+        return (f"kooplift {self.meta['version']} seed={self.meta['seed']} "
+                f"config={self.meta['config_hash']}")
+
+    def _path(self, name: str) -> Path:
+        self.directory.mkdir(parents=True, exist_ok=True)
+        self.written = True
+        return self.directory / name
+
+    def json(self, name: str, obj: dict) -> Path:
+        path = self._path(name)
+        _write_json(path, {**obj, "meta": self.meta})
+        return path
+
+    def csv(self, name: str, header: str, rows) -> Path:
+        path = self._path(name)
+        path.write_text("\n".join(["# " + self._comment(), header, *rows]) + "\n")
+        return path
+
+    def snapshots(self, name: str, ss) -> Path:
+        """A snapshot CSV with its binary copy and its manifest, which holds ``meta``."""
+        path = self._path(name)
+        save_snapshots(ss, path, manifest_extra={"meta": self.meta}, comment=self._comment())
+        return path
 
 
 # ----------------------------------------------------------------------
-# Shared argument handling
+# Input files and arguments
+
+
+def _require_file(path, what: str) -> Path:
+    path = Path(path)
+    if not path.exists():
+        raise ConfigError(f"{what} file {path} does not exist")
+    return path
+
+
+def _read_json(path, what: str) -> dict:
+    """The JSON object in a ``what`` file; :class:`ConfigError` naming the file otherwise."""
+    path = _require_file(path, what)
+    try:
+        obj = json.loads(path.read_text())
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {what} file is not valid JSON ({exc})") from None
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{path}: {what} file is not a JSON object")
+    return obj
 
 
 def _parse_floats(text: str, what: str) -> np.ndarray:
@@ -165,38 +210,40 @@ def _parse_floats(text: str, what: str) -> np.ndarray:
         raise ConfigError(f"{what} must be comma-separated numbers, got {text!r}") from None
 
 
-def _load_dictionary_arg(spec: str):
-    path = Path(spec)
-    if path.exists():
-        return dictionary_from_json(json.loads(path.read_text()))
-    if spec == EXAMPLE_POLY_BASIS:
-        return dictionary_from_json({"format": DICTIONARY_FORMAT, "kind": spec})
-    raise ConfigError(
-        f"dictionary {spec!r} is neither a file nor a builtin name "
-        f"(builtin: {EXAMPLE_POLY_BASIS})")
-
-
-def _dictionary_digest(spec: str) -> str:
-    path = Path(spec)
-    if path.exists():
-        return _file_digest(path)
-    return spec
-
-
 def _load_augmented(data_path: str):
     """``(digest, snapshots, augmented data)`` of a snapshot CSV.
 
     The file is hashed once: the digest stamps the outputs and tells
     :func:`load_snapshots` whether the CSV's binary copy may be used.
     """
-    if not Path(data_path).exists():
-        raise ConfigError(f"data file {data_path} does not exist")
-    sha256 = _sha256(data_path)
+    sha256 = _sha256(_require_file(data_path, "data"))
     ss = load_snapshots(data_path, sha256)
     return sha256[:12], ss, to_augmented(ss)
 
 
-def _read_inputs(path) -> np.ndarray:
+def _dictionary_inputs(args, out: _Outputs):
+    """Prologue of ``edmd``, ``consistency`` and ``extract``.
+
+    Loads the data and the dictionary (a JSON file, else a builtin name),
+    stamps ``out`` with both digests and ``--tol``, and returns
+    ``(snapshots, augmented data, dictionary, cutoff)``.
+    """
+    data, ss, aug = _load_augmented(args.data)
+    spec = args.dictionary
+    if Path(spec).exists():
+        digest, obj = _file_digest(spec), _read_json(spec, "dictionary")
+    elif spec == EXAMPLE_POLY_BASIS:
+        digest, obj = spec, {"format": DICTIONARY_FORMAT, "kind": spec}
+    else:
+        raise ConfigError(
+            f"dictionary {spec!r} is neither a file nor a builtin name "
+            f"(builtin: {EXAMPLE_POLY_BASIS})")
+    out.stamp(args.seed, {"data": data, "dictionary": digest, "tol": args.tol})
+    cutoff = args.tol if args.tol is not None else edmd_mod.PINV_CUTOFF
+    return ss, aug, dictionary_from_json(obj), cutoff
+
+
+def _read_inputs(path: Path) -> np.ndarray:
     """Read an input-sequence CSV (one row per step, columns u1..um).
 
     An optional ``u...`` header row gives the width, else the first row
@@ -204,9 +251,6 @@ def _read_inputs(path) -> np.ndarray:
     snapshot rows are, and a ragged or non-numeric row raises
     :class:`ConfigError` naming its file line.
     """
-    path = Path(path)
-    if not path.exists():
-        raise ConfigError(f"input file {path} does not exist")
     with path.open() as f:
         first = _next_row(f, 0)
         U = np.empty((0, 0))
@@ -222,13 +266,11 @@ def _read_inputs(path) -> np.ndarray:
 
 
 # ----------------------------------------------------------------------
-# Subcommands
+# Subcommands: each takes the parsed arguments and its outputs
 
 
-def cmd_simulate(args) -> int:
-    t0 = time.perf_counter()
-    cfg = {
-        "command": "simulate",
+def cmd_simulate(args, out: _Outputs) -> int:
+    out.stamp(args.seed, {
         "system": args.system,
         "experiments": args.experiments,
         "steps": args.steps,
@@ -236,8 +278,7 @@ def cmd_simulate(args) -> int:
         "mode": args.mode,
         "hold": args.hold,
         "dt": args.dt,
-    }
-    stamp = _stamp(args.seed, cfg)
+    })
     system = get_system(args.system, dt=args.dt)
     plan = ExperimentPlan(
         num_experiments=args.experiments,
@@ -247,37 +288,18 @@ def cmd_simulate(args) -> int:
         hold_steps=args.hold,
     )
     ss = run_experiments(system, plan)
-    if ss.n_snapshots == 0:
-        raise NonFiniteState("every experiment diverged; no snapshots collected")
-    out = _out_dir(args)
-    save_snapshots(ss, out / "snapshots.csv",
-                   manifest_extra={"meta": stamp},
-                   comment=_stamp_comment(stamp))
-    _write_timing(out, "simulate", time.perf_counter() - t0)
-    print(f"wrote {ss.n_snapshots} snapshots to {out / 'snapshots.csv'}")
+    path = out.snapshots("snapshots.csv", ss)
+    print(f"wrote {ss.n_snapshots} snapshots to {path}")
     return 0
 
 
-def cmd_edmd(args) -> int:
-    t0 = time.perf_counter()
-    data, _, aug = _load_augmented(args.data)
-    cfg = {
-        "command": "edmd",
-        "data": data,
-        "dictionary": _dictionary_digest(args.dictionary),
-        "tol": args.tol,
-    }
-    stamp = _stamp(args.seed, cfg)
-    nd = _load_dictionary_arg(args.dictionary)
+def cmd_edmd(args, out: _Outputs) -> int:
+    _, aug, nd, cutoff = _dictionary_inputs(args, out)
     d = edmd_mod._stream_r(nd, aug)
-    cutoff = args.tol if args.tol is not None else edmd_mod.PINV_CUTOFF
     fit = edmd_mod.fit_edmd(d.cols("P").T, d.cols("Q").T, cutoff=cutoff)
-    out = _out_dir(args)
-    _write_csv(out / "K.csv", stamp,
-               ",".join(f"k{j+1}" for j in range(fit.K.shape[1])),
-               (",".join(repr(float(v)) for v in row) for row in fit.K))
-    _write_json(out / "edmd_report.json", {
-        "meta": stamp,
+    path = out.csv("K.csv", ",".join(f"k{j+1}" for j in range(fit.K.shape[1])),
+                   (",".join(repr(float(v)) for v in row) for row in fit.K))
+    out.json("edmd_report.json", {
         "s": int(fit.K.shape[0]),
         "n_snapshots": int(aug.n_snapshots),
         "rank_report": {
@@ -287,63 +309,30 @@ def cmd_edmd(args) -> int:
                                     fit.rank_report["min_singular_values"]],
         },
     })
-    _write_timing(out, "edmd", time.perf_counter() - t0)
-    print(f"wrote {out / 'K.csv'}")
+    print(f"wrote {path}")
     return 0
 
 
-def cmd_consistency(args) -> int:
-    t0 = time.perf_counter()
-    data, _, aug = _load_augmented(args.data)
-    cfg = {
-        "command": "consistency",
-        "data": data,
-        "dictionary": _dictionary_digest(args.dictionary),
-        "tol": args.tol,
-    }
-    stamp = _stamp(args.seed, cfg)
-    nd = _load_dictionary_arg(args.dictionary)
-    cutoff = args.tol if args.tol is not None else edmd_mod.PINV_CUTOFF
+def cmd_consistency(args, out: _Outputs) -> int:
+    _, aug, nd, cutoff = _dictionary_inputs(args, out)
     report = edmd_mod.invariance_proximity(nd, aug, cutoff=cutoff)
-    payload = edmd_mod.report_to_json(report)
-    payload["meta"] = stamp
-    out = _out_dir(args)
-    _write_json(out / "consistency.json", payload)
-    _write_timing(out, "consistency", time.perf_counter() - t0)
+    out.json("consistency.json", edmd_mod.report_to_json(report))
     print(f"index {report.index:.6e} (proximity {report.sqrt_index:.6e})")
     return 0
 
 
-def cmd_learn(args) -> int:
-    t0 = time.perf_counter()
-    config_path = Path(args.config)
-    if not config_path.exists():
-        raise ConfigError(f"config file {config_path} does not exist")
-    cfg_obj = json.loads(config_path.read_text())
+def cmd_learn(args, out: _Outputs) -> int:
+    cfg_obj = _read_json(args.config, "config")
     if args.seed is not None:
         cfg_obj["seed"] = args.seed
     config = learning_mod.config_from_json(cfg_obj)
     data, _, aug = _load_augmented(args.data)
-    cfg = {
-        "command": "learn",
-        "data": data,
-        "config": learning_mod.config_to_json(config),
-    }
-    stamp = _stamp(config.seed, cfg)
+    out.stamp(config.seed, {"data": data, "config": learning_mod.config_to_json(config)})
     nd, report = learning_mod.train(config, aug)
-
-    out = _out_dir(args)
-    dict_payload = dictionary_to_json(nd)
-    dict_payload["meta"] = stamp
-    _write_json(out / "dictionary.json", dict_payload)
-    report_payload = learning_mod.report_to_json(report)
-    report_payload["meta"] = stamp
-    _write_json(out / "train_report.json", report_payload)
-    curve_path = out / "train_curve.csv"
-    learning_mod.report_to_csv(report, curve_path)
-    curve_path.write_text("# " + _stamp_comment(stamp) + "\n"
-                          + curve_path.read_text())
-    _write_timing(out, "learn", time.perf_counter() - t0)
+    out.json("dictionary.json", dictionary_to_json(nd))
+    out.json("train_report.json", learning_mod.report_to_json(report))
+    header, *rows = learning_mod._curve_lines(report)
+    out.csv("train_curve.csv", header, rows)
     if report.aborted:
         print("training aborted on persistent non-finite loss; "
               "partial report written", file=sys.stderr)
@@ -353,68 +342,47 @@ def cmd_learn(args) -> int:
     return 0
 
 
-def cmd_extract(args) -> int:
-    t0 = time.perf_counter()
-    data, ss, aug = _load_augmented(args.data)
-    cfg = {
-        "command": "extract",
-        "data": data,
-        "dictionary": _dictionary_digest(args.dictionary),
-        "tol": args.tol,
-    }
-    stamp = _stamp(args.seed, cfg)
-    nd = _load_dictionary_arg(args.dictionary)
-    cutoff = args.tol if args.tol is not None else edmd_mod.PINV_CUTOFF
+def cmd_extract(args, out: _Outputs) -> int:
+    ss, aug, nd, cutoff = _dictionary_inputs(args, out)
     report = edmd_mod.invariance_proximity(nd, aug, cutoff=cutoff)
     model = extract_normal(report.fit, nd, source_index=report)
     if model.readout_rows() is None:
         model = with_decoder(model, ss.X)
-    out = _out_dir(args)
-    payload = model_to_json(model)
-    payload["meta"] = stamp
-    _write_json(out / "model.json", payload)
-    _write_json(out / "extract_report.json", {
-        "meta": stamp,
+    path = out.json("model.json", model_to_json(model))
+    out.json("extract_report.json", {
         "source_index": float(model.source_index),
         "index": float(report.index),
         "l": int(model.l),
         "s": int(model.s),
     })
-    _write_timing(out, "extract", time.perf_counter() - t0)
-    print(f"wrote {out / 'model.json'} (source_index "
+    print(f"wrote {path} (source_index "
           f"{model.source_index:.6e})")
     return 0
 
 
-def cmd_predict(args) -> int:
-    t0 = time.perf_counter()
-    cfg = {
-        "command": "predict",
-        "model": _file_digest(args.model) if Path(args.model).exists() else args.model,
+def cmd_predict(args, out: _Outputs) -> int:
+    model_path = _require_file(args.model, "model")
+    inputs_path = _require_file(args.inputs, "input")
+    out.stamp(args.seed, {
+        "model": _file_digest(model_path),
         "x0": args.x0,
-        "inputs": _file_digest(args.inputs) if Path(args.inputs).exists() else args.inputs,
-    }
-    stamp = _stamp(args.seed, cfg)
-    model_path = Path(args.model)
-    if not model_path.exists():
-        raise ConfigError(f"model file {model_path} does not exist")
-    model = load_model(model_path)
+        "inputs": _file_digest(inputs_path),
+    })
+    model = model_from_json(_read_json(model_path, "model"))
     x0 = _parse_floats(args.x0, "--x0")
-    U = _read_inputs(args.inputs)
+    U = _read_inputs(inputs_path)
     try:
         Z = rollout(model, x0, U, input_dim=U.shape[0])
         states = states_from_lifted(model, Z)
     except NonFiniteState as err:
         print(f"error: model rollout diverged: {err}", file=sys.stderr)
         return 4
-    out = _out_dir(args)
     n = states.shape[0]
     header = "step," + ",".join(f"x{i+1}" for i in range(n))
     rows = (f"{k}," + ",".join(repr(float(states[i, k])) for i in range(n))
             for k in range(states.shape[1]))
-    _write_csv(out / "prediction.csv", stamp, header, rows)
-    _write_timing(out, "predict", time.perf_counter() - t0)
-    print(f"wrote {out / 'prediction.csv'} ({states.shape[1]} rows)")
+    path = out.csv("prediction.csv", header, rows)
+    print(f"wrote {path} ({states.shape[1]} rows)")
     return 0
 
 
@@ -431,26 +399,22 @@ def _unique_names(paths) -> list[str]:
     return names
 
 
-def cmd_compare(args) -> int:
-    t0 = time.perf_counter()
+def cmd_compare(args, out: _Outputs) -> int:
     if len(args.models) < 2:
         raise ConfigError("compare requires at least 2 model files")
-    for path in args.models:
-        if not Path(path).exists():
-            raise ConfigError(f"model file {path} does not exist")
-    cfg = {
-        "command": "compare",
+    paths = [_require_file(path, "model") for path in args.models]
+    out.stamp(args.seed, {
         "system": args.system,
-        "models": [_file_digest(p) for p in args.models],
+        "models": [_file_digest(p) for p in paths],
         "steps": args.steps,
         "seed": args.seed,
         "x0": args.x0,
         "dt": args.dt,
-    }
-    stamp = _stamp(args.seed, cfg)
+    })
     system = get_system(args.system, dt=args.dt)
     names = _unique_names(args.models)
-    models = {name: load_model(path) for name, path in zip(names, args.models)}
+    models = {name: model_from_json(_read_json(path, "model"))
+              for name, path in zip(names, paths)}
     if args.x0 is not None:
         x0 = _parse_floats(args.x0, "--x0")
         if x0.size != system.state_dim:
@@ -461,9 +425,7 @@ def cmd_compare(args) -> int:
 
     result = evaluate_rollouts(system, models, [x0], args.steps, args.seed)
 
-    out = _out_dir(args)
-    _write_json(out / "rmse.json", {
-        "meta": stamp,
+    out.json("rmse.json", {
         "system": args.system,
         "n_steps": int(args.steps),
         "x0": [float(v) for v in x0],
@@ -474,7 +436,7 @@ def cmd_compare(args) -> int:
         per_state = result["rmse"][name]["rmse"]
         for i, v in enumerate(per_state):
             rows.append(f"{name},x{i+1},{float(v)!r}")
-    _write_csv(out / "rmse.csv", stamp, "model,state,rmse", rows)
+    out.csv("rmse.csv", "model,state,rmse", rows)
 
     traj = result["trajectories"]
     truth = traj["truth"][0]
@@ -498,8 +460,7 @@ def cmd_compare(args) -> int:
             else:
                 cells.extend(repr(float(pred[i, k])) for i in range(n))
         lines.append(",".join(cells))
-    _write_csv(out / "trajectory.csv", stamp, ",".join(header), lines)
-    _write_timing(out, "compare", time.perf_counter() - t0)
+    out.csv("trajectory.csv", ",".join(header), lines)
 
     for name in names:
         rmse = result["rmse"][name]["rmse"]
@@ -525,8 +486,17 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=seed_default,
                        help="seed recorded in outputs and used for any sampling")
         p.add_argument("--out", default=".", help="output directory")
+
+    def dictionary_command(name, func, text):
+        p = sub.add_parser(name, help=text)
+        p.add_argument("--data", required=True, help="snapshot CSV")
+        p.add_argument("--dictionary", required=True,
+                       help="dictionary JSON file or builtin name")
         p.add_argument("--tol", type=float, default=None,
-                       help="numerical cutoff override where applicable")
+                       help="relative cutoff of the pseudo-inverses' singular "
+                            "values (default: edmd.PINV_CUTOFF)")
+        common(p)
+        p.set_defaults(func=func)
 
     p = sub.add_parser("simulate", help="generate a snapshot dataset")
     p.add_argument("--system", required=True,
@@ -541,20 +511,9 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p)
     p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("edmd", help="fit the lifted one-step matrix")
-    p.add_argument("--data", required=True, help="snapshot CSV")
-    p.add_argument("--dictionary", required=True,
-                   help="dictionary JSON file or builtin name")
-    common(p)
-    p.set_defaults(func=cmd_edmd)
-
-    p = sub.add_parser("consistency",
-                       help="consistency index and certificate")
-    p.add_argument("--data", required=True, help="snapshot CSV")
-    p.add_argument("--dictionary", required=True,
-                   help="dictionary JSON file or builtin name")
-    common(p)
-    p.set_defaults(func=cmd_consistency)
+    dictionary_command("edmd", cmd_edmd, "fit the lifted one-step matrix")
+    dictionary_command("consistency", cmd_consistency,
+                       "consistency index and certificate")
 
     p = sub.add_parser("learn", help="train a dictionary on a dataset")
     p.add_argument("--data", required=True, help="snapshot CSV")
@@ -562,13 +521,8 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p, seed_default=None)
     p.set_defaults(func=cmd_learn)
 
-    p = sub.add_parser("extract",
-                       help="extract the input-state separable model")
-    p.add_argument("--data", required=True, help="snapshot CSV")
-    p.add_argument("--dictionary", required=True,
-                   help="dictionary JSON file or builtin name")
-    common(p)
-    p.set_defaults(func=cmd_extract)
+    dictionary_command("extract", cmd_extract,
+                       "extract the input-state separable model")
 
     p = sub.add_parser("predict", help="roll a saved model forward")
     p.add_argument("--model", required=True, help="model JSON file")
@@ -612,8 +566,10 @@ def _attach_negative_values(argv) -> list[str]:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(_attach_negative_values(argv))
+    t0 = time.perf_counter()
+    out = _Outputs(args.out, args.command)
     try:
-        return args.func(args)
+        rc = args.func(args, out)
     except _USAGE_ERRORS as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
@@ -623,6 +579,10 @@ def main(argv=None) -> int:
     except _NUMERICAL_ERRORS as err:
         print(f"error: numerical failure: {err}", file=sys.stderr)
         return 4
+    if out.written:
+        _write_json(out.directory / "timing.json",
+                    {"command": args.command, "wall_time_s": time.perf_counter() - t0})
+    return rc
 
 
 if __name__ == "__main__":

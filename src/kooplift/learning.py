@@ -614,7 +614,7 @@ def config_to_json(config: TrainConfig) -> dict:
 
 
 def config_from_json(obj: dict) -> TrainConfig:
-    """TrainConfig from its JSON form, rejecting unknown keys.
+    """TrainConfig from its JSON form, rejecting unknown and missing keys.
 
     Files written before the held-out metric became the exact index carry
     ``loss_mode``: ``"trace"`` and ``"max_eig"`` are dropped, since the
@@ -624,10 +624,14 @@ def config_from_json(obj: dict) -> TrainConfig:
     legacy = obj.pop("loss_mode", "trace")
     if legacy not in ("trace", "max_eig"):
         raise ConfigError(f"loss_mode must be 'trace' or 'max_eig', got {legacy!r}")
-    fields = {f.name for f in dataclasses.fields(TrainConfig)}
-    unknown = set(obj) - fields
+    fields = dataclasses.fields(TrainConfig)
+    unknown = set(obj) - {f.name for f in fields}
     if unknown:
         raise ConfigError(f"unknown TrainConfig keys: {sorted(unknown)}")
+    missing = [f.name for f in fields if f.name not in obj
+               and f.default is f.default_factory is dataclasses.MISSING]
+    if missing:
+        raise ConfigError(f"missing TrainConfig keys: {missing}")
     return TrainConfig(**obj)
 
 
@@ -660,12 +664,16 @@ def report_to_json(report: TrainReport, include_timing: bool = False) -> dict:
     return out
 
 
-def report_to_csv(report: TrainReport, path) -> Path:
-    """Per-epoch curve CSV: epoch, learning rate, train loss, held-out proximity."""
+def _curve_lines(report: TrainReport) -> list[str]:
     lines = ["epoch,lr,train_loss,val_proximity"]
     for i, (lr, tr, va) in enumerate(zip(report.lr_schedule, report.train_curve,
                                          report.val_curve)):
         lines.append(f"{i},{lr!r},{tr!r},{va!r}")
+    return lines
+
+
+def report_to_csv(report: TrainReport, path) -> Path:
+    """Per-epoch curve CSV: epoch, learning rate, train loss, held-out proximity."""
     path = Path(path)
-    path.write_text("\n".join(lines) + "\n")
+    path.write_text("\n".join(_curve_lines(report)) + "\n")
     return path

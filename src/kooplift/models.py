@@ -350,12 +350,15 @@ def extract_normal(fit: EdmdFit, nd: NormalDictionary, source_index=None) -> Sep
 
 
 def extract_pseudoinverse(A: Array, G_eval, u, tol: float = 1e-8) -> Array:
-    """Separable matrix at one input: ``(G(u)' G(u))^{-1} G(u)' A G(u)``.
+    """Separable matrix at one input: ``pinv(G(u)) A G(u)``.
 
     ``G_eval`` maps an input vector to the s-by-l separable-combination
     matrix (a NormalDictionary's ``G_of`` works directly).  Requires
     ``G(u)`` full column rank; raises :class:`RankDeficientAtInput`
-    naming the offending input otherwise.
+    naming the offending input otherwise.  One thin SVD
+    ``G = W diag(sv) V'`` gives both the rank check and the solve,
+    ``V diag(1/sv) W' A G``, so the error grows with cond(G(u)), where the
+    normal equations ``(G'G)^{-1} G'AG`` square it.
     """
     if isinstance(G_eval, NormalDictionary):
         G_eval = G_eval.G_of
@@ -364,10 +367,10 @@ def extract_pseudoinverse(A: Array, G_eval, u, tol: float = 1e-8) -> Array:
     A = np.asarray(A, dtype=float)
     if A.shape != (G.shape[0], G.shape[0]):
         raise DimensionMismatch(f"A is {A.shape}, G(u) is {G.shape}")
-    sv = np.linalg.svd(G, compute_uv=False)
+    W, sv, Vt = np.linalg.svd(G, full_matrices=False)
     if sv[0] == 0.0 or sv[-1] <= tol * sv[0] or G.shape[0] < G.shape[1]:
         raise RankDeficientAtInput(f"G(u) is rank-deficient at u = {u.tolist()}")
-    return np.linalg.solve(G.T @ G, G.T @ A @ G)
+    return Vt.T @ ((W.T @ A @ G) / sv[:, None])
 
 
 def _coerce_inputs(inputs, input_dim: int) -> Array:
@@ -709,6 +712,8 @@ def model_from_json(obj: dict):
     """Rebuild a model from :func:`model_to_json` output."""
     if obj.get("format") != MODEL_FORMAT:
         raise ConfigError("not a kooplift model JSON object")
+    if "kind" not in obj:
+        raise ConfigError("kooplift model JSON object has no 'kind' key")
     cls = _MODEL_CLASSES.get(obj["kind"])
     if cls is None:
         raise ConfigError(f"unknown model kind {obj['kind']!r}")

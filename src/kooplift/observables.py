@@ -1016,6 +1016,8 @@ def dictionary_from_json(obj: dict) -> NormalDictionary:
     """Rebuild a dictionary from :func:`dictionary_to_json` output."""
     if obj.get("format") != DICTIONARY_FORMAT:
         raise ConfigError("not a kooplift dictionary JSON object")
+    if "kind" not in obj:
+        raise ConfigError("kooplift dictionary JSON object has no 'kind' key")
     kind = obj["kind"]
     if kind == EXAMPLE_POLY_BASIS:
         return example_poly_normal_basis(truncate=obj.get("truncate", ()))

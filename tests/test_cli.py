@@ -13,8 +13,9 @@ import pytest
 import kooplift as kl
 from kooplift import cli
 from kooplift.edmd import CHUNK
-from kooplift.models import (extract_normal, load_model, rollout,
+from kooplift.models import (MODEL_FORMAT, extract_normal, load_model, rollout,
                              states_from_lifted, with_decoder)
+from kooplift.observables import DICTIONARY_FORMAT
 
 
 def _run(argv):
@@ -283,6 +284,23 @@ class TestExtractPredict:
         assert "diverged" in capsys.readouterr().err
         assert not (out / "prediction.csv").exists()
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered",
+                                "ignore:invalid value encountered")
+    def test_diverging_rollout_leaves_no_files(self, poly_model_file, tmp_path):
+        """No output means no timing sidecar: the directory is never made."""
+        payload = json.loads(poly_model_file.read_text())
+        payload["A11"] = (np.asarray(payload["A11"]) * 1e200).tolist()
+        blown = tmp_path / "model.json"
+        blown.write_text(json.dumps(payload))
+        inputs = tmp_path / "inputs.csv"
+        inputs.write_text("u1\n" + "0.1\n" * 10)
+        out = tmp_path / "out"
+        rc = _run(["predict", "--model", str(blown), "--x0", "0.3,-0.4",
+                   "--inputs", str(inputs), "--out", str(out)])
+        assert rc == 4
+        assert not (out / "prediction.csv").exists()
+        assert not (out / "timing.json").exists()
+
     def test_empty_input_sequence_rejected(self, poly_model_file, tmp_path,
                                            capsys):
         inputs = tmp_path / "empty.csv"
@@ -503,6 +521,135 @@ class TestDataFile:
         else:
             cfg.update(dictionary="example_poly_basis", tol=None)
         assert meta["config_hash"] == cli._config_hash(cfg)
+
+
+class TestStampContract:
+    """The ``meta.config_hash`` of each command is the hash of its documented config."""
+
+    def test_predict_hash(self, poly_model_file, tmp_path):
+        inputs = tmp_path / "inputs.csv"
+        inputs.write_text("u1\n0.5\n-0.3\n")
+        assert _run(["predict", "--model", str(poly_model_file), "--x0", "0.3,-0.4",
+                     "--inputs", str(inputs), "--seed", "2", "--out", str(tmp_path)]) == 0
+        cfg = {"command": "predict", "model": kl.dynamics._sha256(poly_model_file)[:12],
+               "x0": "0.3,-0.4", "inputs": kl.dynamics._sha256(inputs)[:12]}
+        head = (tmp_path / "prediction.csv").read_text().split("\n")[0]
+        assert head == f"# kooplift {kl.__version__} seed=2 config={cli._config_hash(cfg)}"
+
+    @pytest.mark.parametrize("x0", [None, "0.1,0.2"])
+    def test_compare_hash(self, poly_model_file, tmp_path, x0):
+        extra = [] if x0 is None else ["--x0", x0]
+        assert _run(["compare", "--system", "example_poly", "--models", str(poly_model_file),
+                     str(poly_model_file), "--steps", "10", "--seed", "5",
+                     "--out", str(tmp_path)] + extra) == 0
+        digest = kl.dynamics._sha256(poly_model_file)[:12]
+        cfg = {"command": "compare", "system": "example_poly", "models": [digest, digest],
+               "steps": 10, "seed": 5, "x0": x0, "dt": 0.005}
+        meta = json.loads((tmp_path / "rmse.json").read_text())["meta"]
+        assert meta == {"tool": "kooplift", "version": kl.__version__, "seed": 5,
+                        "config_hash": cli._config_hash(cfg)}
+        for name in ("rmse.csv", "trajectory.csv"):
+            head = (tmp_path / name).read_text().split("\n")[0]
+            assert head.endswith(f"config={cli._config_hash(cfg)}")
+
+
+class TestFailedCommandOutputs:
+    """Which files a command that fails leaves in ``--out``."""
+
+    def test_aborted_learn_keeps_its_partial_outputs(self, poly_dataset, tmp_path, capsys):
+        lines = poly_dataset.read_text().split("\n")
+        rows = [i for i, ln in enumerate(lines)
+                if ln and not ln.startswith("#") and not ln.startswith("x1")]
+        for i in rows:
+            lines[i] = ",".join(["nan"] + lines[i].split(",")[1:])
+        bad = tmp_path / "bad.csv"
+        bad.write_text("\n".join(lines))
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({
+            "family": {"kind": "polynomial", "total_degree": 2, "seed": 1},
+            "s": 7, "l": 4, "epochs": 2, "batch_size": 50, "lr_start": 1e-2, "lr_end": 1e-3}))
+        out = tmp_path / "out"
+        rc = _run(["learn", "--data", str(bad), "--config", str(config), "--out", str(out)])
+        assert rc == 4
+        assert "aborted" in capsys.readouterr().err
+        assert sorted(f.name for f in out.iterdir()) == [
+            "dictionary.json", "timing.json", "train_curve.csv", "train_report.json"]
+        assert json.loads((out / "train_report.json").read_text())["aborted"] is True
+        assert json.loads((out / "timing.json").read_text())["command"] == "learn"
+
+
+class TestTolOption:
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--system", "example_poly"],
+        ["learn", "--data", "d.csv", "--config", "c.json"],
+        ["predict", "--model", "m.json", "--x0", "0,0", "--inputs", "u.csv"],
+        ["compare", "--system", "example_poly", "--models", "a.json", "b.json"],
+    ], ids=["simulate", "learn", "predict", "compare"])
+    def test_rejected_where_there_is_no_cutoff(self, tmp_path, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            _run(argv + ["--tol", "1e-9", "--out", str(tmp_path / "out")])
+        assert exc.value.code == 2
+        assert "--tol" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command, stamped", [("edmd", "edmd_report.json"),
+                                                  ("consistency", "consistency.json"),
+                                                  ("extract", "extract_report.json")])
+    def test_dictionary_commands_hash_it(self, poly_dataset, tmp_path, command, stamped):
+        assert _run([command, "--data", str(poly_dataset), "--dictionary",
+                     "example_poly_basis", "--tol", "1e-9", "--out", str(tmp_path)]) == 0
+        cfg = {"command": command, "data": kl.dynamics._sha256(poly_dataset)[:12],
+               "dictionary": "example_poly_basis", "tol": 1e-9}
+        meta = json.loads((tmp_path / stamped).read_text())["meta"]
+        assert meta["config_hash"] == cli._config_hash(cfg)
+
+
+class TestMalformedInputFiles:
+    """Config, model and dictionary files that are not what they claim exit 2."""
+
+    @staticmethod
+    def _argv(option, bad, poly_dataset, poly_model_file, tmp_path):
+        inputs = tmp_path / "inputs.csv"
+        inputs.write_text("u1\n0.5\n")
+        return {
+            "config": ["learn", "--data", str(poly_dataset), "--config", str(bad)],
+            "model": ["predict", "--model", str(bad), "--x0", "0.3,-0.4",
+                      "--inputs", str(inputs)],
+            "models": ["compare", "--system", "example_poly",
+                       "--models", str(poly_model_file), str(bad)],
+            "dictionary": ["extract", "--data", str(poly_dataset), "--dictionary", str(bad)],
+        }[option] + ["--out", str(tmp_path / "out")]
+
+    @pytest.mark.parametrize("option", ["config", "model", "models", "dictionary"])
+    @pytest.mark.parametrize("text, want", [("{bad", "is not valid JSON"),
+                                            ("[]", "is not a JSON object"),
+                                            ('"x"', "is not a JSON object")],
+                             ids=["not_json", "list", "string"])
+    def test_names_the_file(self, poly_dataset, poly_model_file, tmp_path, capsys,
+                            option, text, want):
+        bad = tmp_path / "bad.json"
+        bad.write_text(text)
+        argv = self._argv(option, bad, poly_dataset, poly_model_file, tmp_path)
+        assert _run(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}: ") and want in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("option, obj, key", [
+        ("config", {}, "'family'"),
+        ("config", {"s": 7, "l": 4}, "'family'"),
+        ("model", {"format": MODEL_FORMAT}, "'kind'"),
+        ("models", {"format": MODEL_FORMAT}, "'kind'"),
+        ("dictionary", {"format": DICTIONARY_FORMAT}, "'kind'"),
+    ], ids=["config_empty", "config_no_family", "model", "models", "dictionary"])
+    def test_names_the_missing_key(self, poly_dataset, poly_model_file, tmp_path, capsys,
+                                   option, obj, key):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(obj))
+        argv = self._argv(option, bad, poly_dataset, poly_model_file, tmp_path)
+        assert _run(argv) == 2
+        assert key in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
 
 def _one_thread_env():

@@ -1,6 +1,7 @@
 """Tests for separable model extraction, baselines, rollouts, and serialization."""
 
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -111,6 +112,36 @@ class TestExtractPseudoinverse:
     def test_shape_mismatch(self, poly_basis):
         with pytest.raises(DimensionMismatch):
             extract_pseudoinverse(np.eye(3), poly_basis, [0.5])
+
+
+class TestPseudoinverseAccuracy:
+    """``extract_pseudoinverse`` against exact rational arithmetic on an ill-conditioned G."""
+
+    @staticmethod
+    def _exact(A, G):
+        """``(G'G)^-1 G'AG`` on the floats' exact values, by Gauss-Jordan elimination."""
+        A, G = (np.vectorize(Fraction, otypes=[object])(M) for M in (A, G))
+        l = G.shape[1]
+        W = np.hstack([G.T @ G, G.T @ A @ G])
+        for k in range(l):
+            W[k] = W[k] / W[k, k]
+            for i in range(l):
+                if i != k:
+                    W[i] = W[i] - W[i, k] * W[k]
+        return W[:, l:].astype(float)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_error_grows_with_cond_not_its_square(self, seed):
+        # cond(G) = 1e6 passes the 1e-8 rank check; the normal equations
+        # err by about 1e-6 to 4e-5 relative here, one SVD by at most 3.2e-10.
+        rng = np.random.default_rng(seed)
+        W, _ = np.linalg.qr(rng.standard_normal((6, 3)))
+        V, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+        G = W @ np.diag([1.0, 1e-3, 1e-6]) @ V.T
+        A = rng.standard_normal((6, 6))
+        got = extract_pseudoinverse(A, lambda u: G, [0.0])
+        want = self._exact(A, G)
+        assert np.max(np.abs(got - want)) <= 1e-9 * np.max(np.abs(want))
 
 
 class TestRollout:
