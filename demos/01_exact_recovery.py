@@ -4,7 +4,10 @@ Simulates the builtin polynomial system, fits the lifted one-step matrix
 on its closed-form normal dictionary, and shows three things: the
 invariance proximity is machine zero, the extracted input-dependent
 transition matrices are exact, and open-loop rollouts reproduce the true
-trajectory to floating-point accuracy.
+trajectory to floating-point accuracy.  It then builds the basis again
+from the paper's eight separated product terms with
+``normal_form_dictionary`` and shows that its proximity is machine zero
+too.
 
 Run with ``python3 demos/01_exact_recovery.py``.
 """
@@ -28,6 +31,22 @@ rep = kl.consistency_index(P, Q)
 print(f"dictionary: s = {nd.s} augmented observables, l = {nd.l} state rows")
 print(f"invariance proximity: {rep.sqrt_index:.3e} (machine zero: the "
       "span is invariant)")
+
+# The same span from the eight product terms p(u) q(x) of Phi, as
+# column-block factors: decomposed, checked and rebased to normal form.
+one = lambda V: 1.0
+terms = [
+    [(one, lambda X: X[0])], [(one, lambda X: X[1])], [(one, lambda X: X[0] ** 2)],
+    [(one, one)], [(lambda U: U[0], lambda X: X[0])], [(lambda U: U[0], one)],
+    [(lambda U: U[0] ** 2, one)], [(lambda U: np.sin(U[0]), one)],
+]
+lo, hi = system.state_box
+probes = np.random.default_rng(1).uniform(lo[:, None], hi[:, None], (2, 40))
+samples = np.random.default_rng(2).uniform(*system.input_box, size=(50, 1)).T
+built = kl.normal_form_dictionary(terms, probes, samples)
+built_rep = kl.consistency_index(*built.eval_pair(aug))
+print(f"from the product terms: s = {built.s}, l = {built.l}, proximity "
+      f"{built_rep.sqrt_index:.3e} (closed form {rep.sqrt_index:.3e})")
 
 model = extract_normal(fit, nd, source_index=rep)
 print("\ntransition matrix at u = 0.5:")

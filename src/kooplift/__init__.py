@@ -64,6 +64,7 @@ from .observables import (
     example_poly_state_basis,
     load_dictionary,
     monomial_featurizer,
+    normal_form_dictionary,
     parametric_family,
     save_dictionary,
     verify_normality,

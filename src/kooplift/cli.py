@@ -28,9 +28,10 @@ compare
 cutoff of the pseudo-inverses' singular values; the other subcommands
 have no numerical cutoff and reject it.
 
-Exit codes: 0 success, 2 usage or configuration error (a missing input
-file, or a config, model or dictionary file that is not a JSON object,
-included), 3 simulation failure, 4 numerical failure.
+Exit codes: 0 success, 2 usage or configuration error (an input file
+that is missing or a directory, or a config, model or dictionary file
+that is not a JSON object or lacks a key, included), 3 simulation
+failure, 4 numerical failure.
 
 Every subcommand is a ``cmd_*`` function that :func:`main` calls with
 the parsed arguments and a private outputs object.  That object owns
@@ -186,8 +187,9 @@ class _Outputs:
 
 def _require_file(path, what: str) -> Path:
     path = Path(path)
-    if not path.exists():
-        raise ConfigError(f"{what} file {path} does not exist")
+    if not path.is_file():
+        problem = "is not a file" if path.exists() else "does not exist"
+        raise ConfigError(f"{what} file {path} {problem}")
     return path
 
 
@@ -230,7 +232,7 @@ def _dictionary_inputs(args, out: _Outputs):
     """
     data, ss, aug = _load_augmented(args.data)
     spec = args.dictionary
-    if Path(spec).exists():
+    if Path(spec).is_file():
         digest, obj = _file_digest(spec), _read_json(spec, "dictionary")
     elif spec == EXAMPLE_POLY_BASIS:
         digest, obj = spec, {"format": DICTIONARY_FORMAT, "kind": spec}

@@ -632,6 +632,8 @@ def config_from_json(obj: dict) -> TrainConfig:
                and f.default is f.default_factory is dataclasses.MISSING]
     if missing:
         raise ConfigError(f"missing TrainConfig keys: {missing}")
+    if not isinstance(obj["family"], dict):
+        raise ConfigError(f"TrainConfig 'family' must be a JSON object, got {obj['family']!r}")
     return TrainConfig(**obj)
 
 

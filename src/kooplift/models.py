@@ -709,17 +709,22 @@ def model_to_json(model) -> dict:
 
 
 def model_from_json(obj: dict):
-    """Rebuild a model from :func:`model_to_json` output."""
+    """Rebuild a model from :func:`model_to_json` output.
+
+    A missing key raises :class:`ConfigError` naming it.
+    """
     if obj.get("format") != MODEL_FORMAT:
         raise ConfigError("not a kooplift model JSON object")
-    if "kind" not in obj:
-        raise ConfigError("kooplift model JSON object has no 'kind' key")
-    cls = _MODEL_CLASSES.get(obj["kind"])
-    if cls is None:
-        raise ConfigError(f"unknown model kind {obj['kind']!r}")
-    decoder = obj.get("decoder")
-    dec = None if decoder is None else (_array(decoder["D"]), float(decoder["residual"]))
-    return cls._from_json(obj, head_dictionary(dictionary_from_json(obj[cls.source_key])), dec)
+    try:
+        cls = _MODEL_CLASSES.get(obj["kind"])
+        if cls is None:
+            raise ConfigError(f"unknown model kind {obj['kind']!r}")
+        decoder = obj.get("decoder")
+        dec = None if decoder is None else (_array(decoder["D"]), float(decoder["residual"]))
+        return cls._from_json(obj, head_dictionary(dictionary_from_json(obj[cls.source_key])),
+                              dec)
+    except KeyError as exc:
+        raise ConfigError(f"kooplift model JSON object has no {exc.args[0]!r} key") from None
 
 
 def save_model(model, path) -> Path:

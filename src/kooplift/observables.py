@@ -212,7 +212,9 @@ class NormalDictionary:
 
 # Type alias documenting the expected structure: for each of the s basis
 # functions, a list of (input-factor, state-factor) product terms so that
-# phi_i(x, u) = sum_j p_ij(u) * q_ij(x).
+# phi_i(x, u) = sum_j p_ij(u) * q_ij(x).  Factors map column blocks, as a
+# state dictionary's ``fn`` does: ``p(U)`` is ``(N,)`` for ``U`` of shape
+# ``(m, N)``, ``q(X)`` likewise for ``X`` of shape ``(n, N)``.
 SeparableTermList = Sequence[Sequence[tuple]]
 
 
@@ -256,6 +258,18 @@ def control_independent_extension(h_coeffs, nd: NormalDictionary) -> Array:
 # Separable decomposition and normality
 
 
+def _factor_rows(factors, Y: Array) -> Array:
+    """Each column-block factor on ``Y``, one row per factor: ``(len(factors), N)``.
+
+    A factor maps ``(k, N)`` to ``(N,)``; a scalar result (a constant
+    factor) broadcasts along the row.
+    """
+    rows = np.empty((len(factors), Y.shape[1]))
+    for t, f in enumerate(factors):
+        rows[t] = f(Y)
+    return rows
+
+
 def decompose_separable(terms: SeparableTermList, probe_states: Array,
                         tol: float = DEFAULT_RANK_TOL):
     """Factor product-term observables as ``Phi(x, u) = G(u) H'(x)``.
@@ -263,127 +277,141 @@ def decompose_separable(terms: SeparableTermList, probe_states: Array,
     Every function given as a finite sum of separated products
     ``phi_i(x,u) = sum_j p_ij(u) q_ij(x)`` lies in a space spanned by a
     common finite state basis.  The basis ``H'`` is recovered by a
-    rank-revealing SVD of all state factors evaluated on probe points, and
-    each row of ``G(u)`` re-expresses one ``phi_i`` in that basis.
+    rank-revealing SVD ``[q_t(probes)] = U S V'`` of all state factors
+    evaluated on probe points: ``H' = Ur' [q_t(x)]`` with ``Ur`` the
+    leading ``l'`` columns of ``U``, so ``q_t = (row t of Ur) H'``, and
+    row i of ``G(u)`` sums those rows weighted by the ``p_ij(u)``.
 
     Parameters
     ----------
     terms : sequence of sequences of (p, q) callables
-        ``p`` maps an input vector to a scalar, ``q`` a state vector.
+        Column-block factors: ``p`` maps an ``(m, N)`` block of inputs to
+        ``(N,)``, ``q`` an ``(n, N)`` block of states.
     probe_states : array, shape (n, M)
         Probe points in general position; M must be at least the total
         term count, or the span cannot be certified.
 
     Returns
     -------
-    G_eval : callable ``u -> (s, l')`` array
+    G : InputMatrixFunction, ``(s, l')`` at each input
     H_prime : StateDictionary of dimension l' = rank of the state factors
     """
     probe_states = np.atleast_2d(np.asarray(probe_states, dtype=float))
     n, M = probe_states.shape
-    flat_q = [q for term_list in terms for (_, q) in term_list]
-    total_terms = len(flat_q)
-    if total_terms == 0:
+    ps, qs = [p for tl in terms for p, _ in tl], [q for tl in terms for _, q in tl]
+    if not qs:
         raise ConfigError("empty term list")
-    if M < total_terms:
+    if M < len(qs):
         raise RankDeficientProbe(
-            f"{M} probe points cannot certify a span of {total_terms} state factors; "
+            f"{M} probe points cannot certify a span of {len(qs)} state factors; "
             "add probe points"
         )
-    E = np.empty((total_terms, M))
-    for t, q in enumerate(flat_q):
-        for j in range(M):
-            E[t, j] = float(q(probe_states[:, j]))
-    U, sv, Vt = np.linalg.svd(E, full_matrices=False)
-    rank = int(np.sum(sv > tol * (sv[0] if sv.size else 0.0)))
+    U, sv, _ = np.linalg.svd(_factor_rows(qs, probe_states), full_matrices=False)
+    rank = int(np.sum(sv > tol * sv[0]))
     if rank == 0:
         raise RankDeficientProbe("all state factors vanish on the probe points")
-    if rank == M < total_terms:
-        raise RankDeficientProbe(
-            "probe evaluations are saturated (rank == number of probes); add probe points"
-        )
     Ur = np.ascontiguousarray(U[:, :rank])
-
-    def h_prime_fn(X: Array) -> Array:
-        vals = np.empty((total_terms, X.shape[1]))
-        for t, q in enumerate(flat_q):
-            for j in range(X.shape[1]):
-                vals[t, j] = float(q(X[:, j]))
-        return Ur.T @ vals
-
-    H_prime = StateDictionary(
-        dim=rank,
-        fn=h_prime_fn,
-        names=tuple(f"h{k + 1}" for k in range(rank)),
-        domain_dim=n,
-    )
-
-    # Row i of G(u): q_ij = (row t(i,j) of Ur) . H', so the p_ij(u) weights
-    # combine those coordinate vectors.
-    offsets = []
-    pos = 0
-    for term_list in terms:
-        offsets.append(pos)
-        pos += len(term_list)
-
-    term_lists = [list(term_list) for term_list in terms]
-
-    def G_eval(u) -> Array:
-        u = np.asarray(u, dtype=float).reshape(-1)
-        G = np.zeros((len(term_lists), rank))
-        for i, term_list in enumerate(term_lists):
-            base = offsets[i]
-            for j, (p, _) in enumerate(term_list):
-                G[i] += float(p(u)) * Ur[base + j]
-        return G
-
-    return G_eval, H_prime
+    H_prime = StateDictionary(dim=rank, fn=lambda states: Ur.T @ _factor_rows(qs, states),
+                              names=tuple(f"h{k + 1}" for k in range(rank)), domain_dim=n)
+    # C[i, t] is row t of Ur when product term t belongs to phi_i, else 0.
+    owner = np.repeat(np.arange(len(terms)), [len(tl) for tl in terms])
+    C = np.zeros((len(terms), len(qs), rank))
+    C[owner, np.arange(len(qs))] = Ur
+    G = InputMatrixFunction(rows=len(terms), cols=rank,
+                            fn=lambda inputs: np.tensordot(C, _factor_rows(ps, inputs),
+                                                           axes=(1, 0)))
+    return G, H_prime
 
 
-def check_rank_condition(G_eval, u_samples, tol: float = DEFAULT_RANK_TOL) -> dict:
-    """Check full column rank of ``G(u)`` at each sampled input.
+def _coefficient_stack(G, U: Array) -> Array:
+    """``G(u)`` at every column of ``U``, shape ``(N, s, l)``.
+
+    ``G`` is an :class:`InputMatrixFunction` or a :class:`NormalDictionary`,
+    which stands for its ``[I; Gtilde(u)]``.
+    """
+    U = np.atleast_2d(np.asarray(U, dtype=float))
+    if U.shape[1] == 0:
+        raise ConfigError("need at least one input sample")
+    if not isinstance(G, NormalDictionary):
+        return G.batch(U).transpose(2, 0, 1)
+    blocks = [np.broadcast_to(np.eye(G.l), (U.shape[1], G.l, G.l))]
+    if G.Gtilde is not None:
+        blocks.append(G.Gtilde.batch(U).transpose(2, 0, 1))
+    return np.concatenate(blocks, axis=1)
+
+
+def check_rank_condition(G, input_samples: Array, tol: float = DEFAULT_RANK_TOL) -> dict:
+    """Check full column rank of ``G(u)`` at each sampled input (a column, ``(m, N)``).
 
     An input fails when the smallest singular value of ``G(u)`` does not
-    exceed ``tol`` times the largest.  Failing inputs delimit where
-    pseudo-inverse model extraction is untrustworthy.
+    exceed ``tol`` times the largest.  One stacked SVD covers all inputs.
+    ``failing_inputs`` holds the failing columns, shape ``(m, k)``; they
+    delimit where pseudo-inverse model extraction is untrustworthy.
     """
-    u_samples = list(u_samples)
-    if not u_samples:
-        raise ConfigError("need at least one input sample")
-    failing = []
-    for u in u_samples:
-        G = np.atleast_2d(np.asarray(G_eval(u), dtype=float))
-        sv = np.linalg.svd(G, compute_uv=False)
-        if sv.size == 0 or sv[0] == 0.0 or sv[-1] <= tol * sv[0]:
-            failing.append(u)
-    return {"full_rank": not failing, "failing_inputs": failing}
+    U = np.atleast_2d(np.asarray(input_samples, dtype=float))
+    Gs = _coefficient_stack(G, U)
+    sv = np.linalg.svd(Gs, compute_uv=False)
+    bad = (sv[:, -1] <= tol * sv[:, 0]) | (Gs.shape[1] < Gs.shape[2])
+    return {"full_rank": not bad.any(), "failing_inputs": U[:, bad]}
 
 
-def verify_normality(G_eval, u_samples, tol: float = DEFAULT_RANK_TOL) -> dict:
+def verify_normality(G, input_samples: Array, tol: float = DEFAULT_RANK_TOL) -> dict:
     """Decide whether span{G(u) H(x)} admits a normal-form basis.
 
-    Solves the stacked least-squares problem ``W G(u_i) = I`` over all
-    sampled inputs.  A solution with (relative) residual at most ``tol``
-    certifies normality *on the sampled inputs*: the rebased coefficient
-    matrix ``E G(u)`` with ``E = [W; B]`` then has an identity top block.
-    ``B`` completes ``W`` with an orthonormal basis of its row-space
-    complement, so ``E`` is invertible.
+    Solves the stacked least-squares problem ``W G(u_i) = I`` over the
+    sampled inputs, the columns of ``input_samples``.  A solution with
+    (relative) residual at most ``tol`` certifies normality *on the
+    sampled inputs*: the rebased coefficient matrix ``E G(u)`` with
+    ``E = [W; B]`` then has an identity top block.  ``B`` completes ``W`` with an orthonormal
+    basis of its row-space complement, so ``E`` is invertible.
     """
-    u_samples = list(u_samples)
-    if not u_samples:
-        raise ConfigError("need at least one input sample")
-    Gs = [np.atleast_2d(np.asarray(G_eval(u), dtype=float)) for u in u_samples]
-    s, l = Gs[0].shape
-    G_stack = np.hstack(Gs)
-    I_stack = np.hstack([np.eye(l) for _ in Gs])
+    Gs = _coefficient_stack(G, input_samples)
+    N, s, l = Gs.shape
+    G_stack = Gs.transpose(1, 0, 2).reshape(s, N * l)
+    I_stack = np.tile(np.eye(l), N)
     W = I_stack @ np.linalg.pinv(G_stack)
-    residual = float(np.linalg.norm(W @ G_stack - I_stack) / np.sqrt(len(Gs) * l))
+    residual = float(np.linalg.norm(W @ G_stack - I_stack) / np.sqrt(N * l))
     if residual > tol:
         return {"normal": False, "transform": None, "residual": residual}
-    _, _, Vt = np.linalg.svd(W, full_matrices=True)
-    B = Vt[l:]
-    E = np.vstack([W, B])
-    return {"normal": True, "transform": E, "residual": residual}
+    B = np.linalg.svd(W, full_matrices=True)[2][l:]
+    return {"normal": True, "transform": np.vstack([W, B]), "residual": residual}
+
+
+def normal_form_dictionary(terms: SeparableTermList, probe_states: Array,
+                           input_samples: Array,
+                           tol: float = DEFAULT_RANK_TOL) -> NormalDictionary:
+    """The normal-form dictionary ``[I; Gtilde(u)] H'(x)`` spanned by product terms.
+
+    Chains the three steps: :func:`decompose_separable` gives
+    ``Phi = G(u) H'(x)``, :func:`check_rank_condition` and
+    :func:`verify_normality` check ``G`` at the sampled inputs (the
+    columns of ``input_samples``, shape ``(m, N)``), and the transform
+    ``E = [W; B]`` rebases ``Phi`` to ``E Phi = [I; B G(u)] H'(x)``, an
+    invertible change of basis of the same span.  The result has ``H = H'`` and
+    ``Gtilde(u) = B G(u)``.
+
+    Raises :class:`RankDeficientProbe` when there are fewer probes than
+    state factors or every factor vanishes on them, and
+    :class:`ConfigError` naming the check when ``G(u)`` loses column rank
+    at a sample or the span is not normal on the samples.  The dictionary
+    is built from callables, so it has no descriptor: neither it nor the
+    models extracted from it serialize.
+    """
+    G, H = decompose_separable(terms, probe_states, tol)
+    U = np.atleast_2d(np.asarray(input_samples, dtype=float))
+    rank = check_rank_condition(G, U, tol)
+    if not rank["full_rank"]:
+        raise ConfigError("rank condition fails: G(u) loses column rank at input "
+                          f"{rank['failing_inputs'][:, 0].tolist()}")
+    normality = verify_normality(G, U, tol)
+    if not normality["normal"]:
+        raise ConfigError("normality check fails: no W has W G(u) = I on the samples "
+                          f"(residual {normality['residual']:.3e})")
+    B = normality["transform"][H.dim:]
+    Gt = None if not len(B) else InputMatrixFunction(
+        rows=len(B), cols=H.dim, fn=lambda inputs: np.tensordot(B, G.fn(inputs), axes=1),
+        domain_dim=U.shape[0])
+    return NormalDictionary(H, Gt, state_dim=H.domain_dim, input_dim=U.shape[0])
 
 
 # ----------------------------------------------------------------------
@@ -1013,33 +1041,35 @@ def dictionary_to_json(nd: NormalDictionary) -> dict:
 
 
 def dictionary_from_json(obj: dict) -> NormalDictionary:
-    """Rebuild a dictionary from :func:`dictionary_to_json` output."""
+    """Rebuild a dictionary from :func:`dictionary_to_json` output.
+
+    A missing key raises :class:`ConfigError` naming it.
+    """
     if obj.get("format") != DICTIONARY_FORMAT:
         raise ConfigError("not a kooplift dictionary JSON object")
-    if "kind" not in obj:
-        raise ConfigError("kooplift dictionary JSON object has no 'kind' key")
-    kind = obj["kind"]
-    if kind == EXAMPLE_POLY_BASIS:
-        return example_poly_normal_basis(truncate=obj.get("truncate", ()))
-    dims = obj["dims"]
-    spec = obj["spec"]
-    nd = parametric_family(
-        kind,
-        state_dim=dims["state_dim"],
-        input_dim=dims["input_dim"],
-        s=dims["s"],
-        l=dims["l"],
-        fixed_head=obj["fixed_head"],
-        seed=spec.get("seed", 0),
-        total_degree=spec.get("total_degree"),
-        widths=spec.get("widths"),
-        blocks=spec.get("blocks"),
-        width=spec.get("width"),
-        activation=spec.get("activation", "softplus"),
-    )
-    nd.set_params(np.asarray(obj["parameters"], dtype=float))
-    return nd.with_input_scaling(obj.get("x_scale", np.ones(dims["state_dim"])),
-                                 obj.get("u_scale", np.ones(dims["input_dim"])))
+    try:
+        if obj["kind"] == EXAMPLE_POLY_BASIS:
+            return example_poly_normal_basis(truncate=obj.get("truncate", ()))
+        dims, spec = obj["dims"], obj["spec"]
+        nd = parametric_family(
+            obj["kind"],
+            state_dim=dims["state_dim"],
+            input_dim=dims["input_dim"],
+            s=dims["s"],
+            l=dims["l"],
+            fixed_head=obj["fixed_head"],
+            seed=spec.get("seed", 0),
+            total_degree=spec.get("total_degree"),
+            widths=spec.get("widths"),
+            blocks=spec.get("blocks"),
+            width=spec.get("width"),
+            activation=spec.get("activation", "softplus"),
+        )
+        nd.set_params(np.asarray(obj["parameters"], dtype=float))
+        return nd.with_input_scaling(obj.get("x_scale", np.ones(dims["state_dim"])),
+                                     obj.get("u_scale", np.ones(dims["input_dim"])))
+    except KeyError as exc:
+        raise ConfigError(f"kooplift dictionary JSON object has no {exc.args[0]!r} key") from None
 
 
 def save_dictionary(nd: NormalDictionary, path) -> Path:

@@ -638,10 +638,13 @@ class TestMalformedInputFiles:
     @pytest.mark.parametrize("option, obj, key", [
         ("config", {}, "'family'"),
         ("config", {"s": 7, "l": 4}, "'family'"),
+        ("config", {"family": 3, "s": 7, "l": 4}, "'family' must be a JSON object"),
         ("model", {"format": MODEL_FORMAT}, "'kind'"),
         ("models", {"format": MODEL_FORMAT}, "'kind'"),
         ("dictionary", {"format": DICTIONARY_FORMAT}, "'kind'"),
-    ], ids=["config_empty", "config_no_family", "model", "models", "dictionary"])
+        ("dictionary", {"format": DICTIONARY_FORMAT, "kind": "polynomial"}, "'dims'"),
+    ], ids=["config_empty", "config_no_family", "config_family_not_object", "model", "models",
+            "dictionary", "dictionary_no_dims"])
     def test_names_the_missing_key(self, poly_dataset, poly_model_file, tmp_path, capsys,
                                    option, obj, key):
         bad = tmp_path / "bad.json"
@@ -650,6 +653,39 @@ class TestMalformedInputFiles:
         assert _run(argv) == 2
         assert key in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("option", ["model", "models"])
+    def test_model_without_a_matrix_names_it(self, poly_dataset, poly_model_file, tmp_path,
+                                             capsys, option):
+        obj = json.loads(poly_model_file.read_text())
+        del obj["A11"]
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(obj))
+        argv = self._argv(option, bad, poly_dataset, poly_model_file, tmp_path)
+        assert _run(argv) == 2
+        assert "has no 'A11' key" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("option", ["data", "config", "model", "models", "inputs", "dictionary"])
+def test_directory_as_input_file_exits_2(poly_dataset, poly_model_file, tmp_path, capsys,
+                                         option):
+    folder = tmp_path / "folder"
+    folder.mkdir()
+    inputs = tmp_path / "inputs.csv"
+    inputs.write_text("u1\n0.5\n")
+    predict = ["predict", "--x0", "0.3,-0.4"]
+    argv = {
+        "data": ["consistency", "--data", folder, "--dictionary", "example_poly_basis"],
+        "config": ["learn", "--data", poly_dataset, "--config", folder],
+        "model": predict + ["--model", folder, "--inputs", inputs],
+        "models": ["compare", "--system", "example_poly", "--models", poly_model_file, folder],
+        "inputs": predict + ["--model", poly_model_file, "--inputs", folder],
+        "dictionary": ["extract", "--data", poly_dataset, "--dictionary", folder],
+    }[option]
+    assert _run([str(a) for a in argv] + ["--out", str(tmp_path / "out")]) == 2
+    assert str(folder) in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def _one_thread_env():

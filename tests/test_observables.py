@@ -9,7 +9,9 @@ import pytest
 
 import kooplift as kl
 from kooplift.errors import ConfigError, DimensionMismatch, RankDeficientProbe
-from kooplift.observables import _monomial_exponents, _sigmoid, _softplus
+from kooplift.models import extract_normal
+from kooplift.observables import (_coefficient_stack, _monomial_exponents, _sigmoid,
+                                  _softplus)
 
 
 def _random_aug(rng, n=2, m=1, N=30):
@@ -222,26 +224,45 @@ class TestControlIndependentExtension:
         np.testing.assert_allclose(lhs, rhs, rtol=0, atol=1e-15)
 
 
+def _one(V):
+    return 1.0
+
+
 def _example_terms():
-    one = lambda u: 1.0
+    """The eight product terms of the example basis, as column-block factors."""
     return [
-        [(one, lambda x: x[0])],
-        [(one, lambda x: x[1])],
-        [(one, lambda x: x[0] ** 2)],
-        [(one, lambda x: 1.0)],
-        [(lambda u: u[0], lambda x: x[0])],
-        [(lambda u: u[0], lambda x: 1.0)],
-        [(lambda u: u[0] ** 2, lambda x: 1.0)],
-        [(lambda u: np.sin(u[0]), lambda x: 1.0)],
+        [(_one, lambda X: X[0])],
+        [(_one, lambda X: X[1])],
+        [(_one, lambda X: X[0] ** 2)],
+        [(_one, _one)],
+        [(lambda U: U[0], lambda X: X[0])],
+        [(lambda U: U[0], _one)],
+        [(lambda U: U[0] ** 2, _one)],
+        [(lambda U: np.sin(U[0]), _one)],
     ]
+
+
+def _input_function(rows, cols, fn):
+    return kl.InputMatrixFunction(rows=rows, cols=cols, fn=fn, domain_dim=1)
+
+
+def _scrambled(M, G):
+    """``M G(u)`` for a dictionary's ``G(u) = [I; Gtilde(u)]`` or an input function."""
+    s, l = M.shape[0], (G.l if isinstance(G, kl.NormalDictionary) else G.cols)
+    return _input_function(s, l, lambda U: np.tensordot(
+        M, _coefficient_stack(G, U).transpose(1, 2, 0), axes=1))
+
+
+# G(u) = [u; u^2] spans no constant combination, so no W has W G(u) = I.
+_NOT_NORMAL = _input_function(2, 1, lambda U: np.stack([U[0], U[0] ** 2])[:, None, :])
 
 
 class TestDecomposeSeparable:
     def test_example_terms_recover_state_dimension(self):
         rng = np.random.default_rng(4)
         probes = rng.uniform(-1, 1, (2, 40))
-        G_eval, H_prime = kl.decompose_separable(_example_terms(), probes)
-        assert H_prime.dim == 4
+        G, H_prime = kl.decompose_separable(_example_terms(), probes)
+        assert H_prime.dim == 4 and (G.rows, G.cols) == (8, 4)
         # H' must span {x1, x2, x1^2, 1}: cross-projection leaves no residual
         X = rng.uniform(-1, 1, (2, 60))
         target = kl.eval_matrix(kl.example_poly_state_basis(), X)
@@ -253,29 +274,30 @@ class TestDecomposeSeparable:
         rng = np.random.default_rng(5)
         probes = rng.uniform(-1, 1, (2, 40))
         terms = _example_terms()
-        G_eval, H_prime = kl.decompose_separable(terms, probes)
-        for _ in range(30):
-            x = rng.uniform(-1, 1, 2)
-            u = rng.uniform(-2, 2, 1)
-            want = np.array([sum(p(u) * q(x) for p, q in tl) for tl in terms])
-            got = G_eval(u) @ H_prime(x)
-            assert np.max(np.abs(got - want)) <= 1e-8 * (1 + np.max(np.abs(want)))
+        G, H_prime = kl.decompose_separable(terms, probes)
+        X = rng.uniform(-1, 1, (2, 30))
+        U = rng.uniform(-2, 2, (1, 30))
+        # A constant factor is a scalar, so a term may be one too: broadcast.
+        want = np.array([sum(p(U) * q(X) for p, q in tl) + np.zeros(30) for tl in terms])
+        got = np.einsum("ikN,kN->iN", G.batch(U), kl.eval_matrix(H_prime, X))
+        assert np.all(np.max(np.abs(got - want), axis=0)
+                      <= 1e-8 * (1 + np.max(np.abs(want), axis=0)))
 
     def test_single_term(self):
         rng = np.random.default_rng(6)
-        terms = [[(lambda u: np.cos(u[0]), lambda x: x[0] - x[1])]]
-        G_eval, H_prime = kl.decompose_separable(terms, rng.uniform(-1, 1, (2, 10)))
+        terms = [[(lambda U: np.cos(U[0]), lambda X: X[0] - X[1])]]
+        G, H_prime = kl.decompose_separable(terms, rng.uniform(-1, 1, (2, 10)))
         assert H_prime.dim == 1
         x = np.array([0.3, -0.7])
         u = np.array([1.1])
-        np.testing.assert_allclose(G_eval(u) @ H_prime(x),
+        np.testing.assert_allclose(G(u) @ H_prime(x),
                                    [np.cos(1.1) * (0.3 + 0.7)], rtol=1e-12)
 
     def test_duplicate_state_factors_collapse(self):
         rng = np.random.default_rng(7)
         terms = [
-            [(lambda u: u[0], lambda x: x[0])],
-            [(lambda u: u[0] ** 2, lambda x: x[0])],
+            [(lambda U: U[0], lambda X: X[0])],
+            [(lambda U: U[0] ** 2, lambda X: X[0])],
         ]
         _, H_prime = kl.decompose_separable(terms, rng.uniform(-1, 1, (2, 10)))
         assert H_prime.dim == 1
@@ -288,55 +310,97 @@ class TestDecomposeSeparable:
 
 class TestRankCondition:
     def test_normal_form_always_full_rank(self, poly_basis):
-        us = [np.array([v]) for v in np.linspace(-4, 4, 9)]
-        res = kl.check_rank_condition(poly_basis.G_of, us, tol=1e-8)
-        assert res["full_rank"] and res["failing_inputs"] == []
+        us = np.linspace(-4, 4, 9)[None]
+        res = kl.check_rank_condition(poly_basis, us, tol=1e-8)
+        assert res["full_rank"] and res["failing_inputs"].shape == (1, 0)
 
     def test_scalar_g_fails_at_zero(self):
-        res = kl.check_rank_condition(lambda u: np.array([[float(u[0])]]),
-                                      [np.array([0.0]), np.array([1.0])],
-                                      tol=1e-8)
+        G = _input_function(1, 1, lambda U: U[None])
+        res = kl.check_rank_condition(G, [[0.0, 1.0]], tol=1e-8)
         assert not res["full_rank"]
-        assert any(np.allclose(u, 0.0) for u in res["failing_inputs"])
+        assert res["failing_inputs"].tolist() == [[0.0]]
 
 
 class TestVerifyNormality:
     def test_already_normal(self, poly_basis):
-        us = [np.array([v]) for v in (-1.0, 0.5, 2.0)]
-        res = kl.verify_normality(poly_basis.G_of, us, tol=1e-8)
+        us = np.array([[-1.0, 0.5, 2.0]])
+        res = kl.verify_normality(poly_basis, us, tol=1e-8)
         assert res["normal"] and res["residual"] <= 1e-12
-        np.testing.assert_allclose(res["transform"][:4] @ poly_basis.G_of(us[0]),
+        np.testing.assert_allclose(res["transform"][:4] @ poly_basis.G_of(us[:, 0]),
                                    np.eye(4), atol=1e-10)
 
     def test_scrambled_normal_form_recovered(self, poly_basis):
         rng = np.random.default_rng(9)
         M = rng.normal(size=(8, 8)) + 4 * np.eye(8)
-        G_eval = lambda u: M @ poly_basis.G_of(u)
-        us = [np.array([v]) for v in (-2.0, -0.5, 1.0, 3.0)]
-        res = kl.verify_normality(G_eval, us, tol=1e-8)
+        G = _scrambled(M, poly_basis)
+        us = np.array([[-2.0, -0.5, 1.0, 3.0]])
+        res = kl.verify_normality(G, us, tol=1e-8)
         assert res["normal"]
-        for u in us:
-            top = (res["transform"] @ G_eval(u))[:4]
+        for u in us.T:
+            top = (res["transform"] @ G(u))[:4]
             np.testing.assert_allclose(top, np.eye(4), atol=1e-8)
 
     def test_not_normal_without_constant_combination(self):
-        G_eval = lambda u: np.array([[float(u[0])], [float(u[0]) ** 2]])
-        us = [np.array([v]) for v in (1.0, 2.0, 3.0)]
-        res = kl.verify_normality(G_eval, us, tol=1e-8)
+        us = np.array([[1.0, 2.0, 3.0]])
+        res = kl.verify_normality(_NOT_NORMAL, us, tol=1e-8)
         assert not res["normal"]
         assert res["residual"] > 1e-3
 
     def test_verdict_is_basis_change_covariant(self, poly_basis):
         rng = np.random.default_rng(10)
-        us = [np.array([v]) for v in (-1.5, 0.25, 2.5)]
-        bad = lambda u: np.array([[float(u[0])], [float(u[0]) ** 2]])
+        us = np.array([[-1.5, 0.25, 2.5]])
         for _ in range(5):
             M8 = rng.normal(size=(8, 8)) + 4 * np.eye(8)
             M2 = rng.normal(size=(2, 2)) + 4 * np.eye(2)
-            assert kl.verify_normality(
-                lambda u: M8 @ poly_basis.G_of(u), us, tol=1e-8)["normal"]
-            assert not kl.verify_normality(
-                lambda u: M2 @ bad(u), us, tol=1e-8)["normal"]
+            assert kl.verify_normality(_scrambled(M8, poly_basis), us, tol=1e-8)["normal"]
+            assert not kl.verify_normality(_scrambled(M2, _NOT_NORMAL), us, tol=1e-8)["normal"]
+
+
+class TestNormalFormDictionary:
+    @staticmethod
+    def _build(terms, n_probes=40, us=None):
+        rng = np.random.default_rng(11)
+        system = kl.example_poly()
+        lo, hi = system.state_box
+        probes = rng.uniform(lo[:, None], hi[:, None], (2, n_probes))
+        us = rng.uniform(-1, 1, (1, 50)) if us is None else np.asarray(us)
+        return kl.normal_form_dictionary(terms, probes, us)
+
+    def test_example_terms_recover_the_system(self):
+        """Criterion 1's data: the constructed basis is invariant and its model exact."""
+        nd = self._build(_example_terms())
+        assert (nd.s, nd.l, nd.descriptor) == (8, 4, None)
+        system = kl.example_poly()
+        plan = kl.ExperimentPlan(num_experiments=200, steps_per_experiment=10, rng_seed=7)
+        aug = kl.to_augmented(kl.run_experiments(system, plan))
+        P, Q = nd.eval_pair(aug)
+        fit = kl.fit_edmd(P, Q)
+        rep = kl.consistency_index(P, Q)
+        assert rep.sqrt_index <= 1e-8
+        assert np.linalg.norm(Q - fit.K @ P) <= 1e-8 * np.linalg.norm(Q)
+        model = extract_normal(fit, nd, source_index=rep)
+        rng = np.random.default_rng(12)
+        lo, hi = system.state_box
+        X = rng.uniform(lo[:, None], hi[:, None], (2, 200))
+        U = rng.uniform(-1, 1, (1, 200))
+        A = model.transitions(U)[0]
+        lifted = np.einsum("Nij,jN->iN", A, kl.eval_matrix(nd.H, X))
+        assert np.max(np.abs(lifted - kl.eval_matrix(nd.H, system.step_map(X, U)))) <= 1e-8
+        with pytest.raises(ConfigError, match="serializ"):
+            kl.dictionary_to_json(nd)
+
+    def test_too_few_probes_raise(self):
+        with pytest.raises(RankDeficientProbe, match="probe"):
+            self._build(_example_terms(), n_probes=5)
+
+    def test_g_singular_at_zero_raises(self):
+        with pytest.raises(ConfigError, match="rank condition.*\\[0.0\\]"):
+            self._build([[(lambda U: U[0], lambda X: X[0])]], us=[[-1.0, 0.0, 1.0]])
+
+    def test_non_normal_span_raises(self):
+        terms = [[(lambda U: U[0], _one)], [(lambda U: U[0] ** 2, _one)]]
+        with pytest.raises(ConfigError, match="normality check"):
+            self._build(terms, us=[[1.0, 2.0, 3.0]])
 
 
 def _masked_sigmoid(z):
