@@ -52,6 +52,7 @@ from .observables import (
     dictionary_from_json,
     dictionary_to_json,
     eval_matrix,
+    require_keys,
 )
 
 Array = np.ndarray
@@ -93,12 +94,13 @@ class _LiftedModel:
     A serializable class names its JSON ``kind`` and the key under which
     :func:`model_to_json` stores the descriptor of its basis's source
     dictionary; ``_json_fields`` gives its matrices and ``_from_json``
-    rebuilds it from them.  A class whose ``kind`` is None does not
-    serialize.
+    rebuilds it from them; ``json_keys`` names the keys it cannot do
+    without.  A class whose ``kind`` is None does not serialize.
     """
 
     kind = None
     source_key = "head_of"
+    json_keys = ()
 
     @property
     def basis(self) -> StateDictionary:
@@ -201,6 +203,8 @@ class SeparableModel(_LiftedModel):
                 "A21": _matrix(self.A21), "A22": _matrix(self.A22),
                 "source_index": self.source_index}
 
+    json_keys = ("A11", "A12")
+
     @classmethod
     def _from_json(cls, obj: dict, basis: StateDictionary, decoder) -> "SeparableModel":
         return cls(H=basis, A11=_array(obj["A11"]), A12=_array(obj["A12"]),
@@ -233,6 +237,8 @@ class LinearLiftedModel(_LiftedModel):
 
     def _json_fields(self) -> dict:
         return {"A": _matrix(self.A), "B": _matrix(self.B)}
+
+    json_keys = ("A", "B")
 
     @classmethod
     def _from_json(cls, obj: dict, basis: StateDictionary, decoder) -> "LinearLiftedModel":
@@ -274,6 +280,8 @@ class BilinearLiftedModel(_LiftedModel):
     def _json_fields(self) -> dict:
         return {"A": _matrix(self.A), "Bs": [_matrix(Bi) for Bi in self.Bs],
                 "C": _matrix(self.C), "advisory": self.advisory}
+
+    json_keys = ("A", "Bs")
 
     @classmethod
     def _from_json(cls, obj: dict, basis: StateDictionary, decoder) -> "BilinearLiftedModel":
@@ -711,20 +719,21 @@ def model_to_json(model) -> dict:
 def model_from_json(obj: dict):
     """Rebuild a model from :func:`model_to_json` output.
 
-    A missing key raises :class:`ConfigError` naming it.
+    A missing key raises :class:`ConfigError` naming its path.
     """
     if obj.get("format") != MODEL_FORMAT:
         raise ConfigError("not a kooplift model JSON object")
-    try:
-        cls = _MODEL_CLASSES.get(obj["kind"])
-        if cls is None:
-            raise ConfigError(f"unknown model kind {obj['kind']!r}")
-        decoder = obj.get("decoder")
-        dec = None if decoder is None else (_array(decoder["D"]), float(decoder["residual"]))
-        return cls._from_json(obj, head_dictionary(dictionary_from_json(obj[cls.source_key])),
-                              dec)
-    except KeyError as exc:
-        raise ConfigError(f"kooplift model JSON object has no {exc.args[0]!r} key") from None
+    what = "kooplift model JSON object"
+    require_keys(obj, ("kind",), what)
+    cls = _MODEL_CLASSES.get(obj["kind"])
+    if cls is None:
+        raise ConfigError(f"unknown model kind {obj['kind']!r}")
+    require_keys(obj, (cls.source_key,) + cls.json_keys, what)
+    decoder = obj.get("decoder")
+    if decoder is not None:
+        require_keys(decoder, ("D", "residual"), what, "decoder")
+    dec = None if decoder is None else (_array(decoder["D"]), float(decoder["residual"]))
+    return cls._from_json(obj, head_dictionary(dictionary_from_json(obj[cls.source_key])), dec)
 
 
 def save_model(model, path) -> Path:

@@ -298,7 +298,8 @@ def decompose_separable(terms: SeparableTermList, probe_states: Array,
     """
     probe_states = np.atleast_2d(np.asarray(probe_states, dtype=float))
     n, M = probe_states.shape
-    ps, qs = [p for tl in terms for p, _ in tl], [q for tl in terms for _, q in tl]
+    ps = [p for tl in terms for p, _ in tl]
+    qs = [q for tl in terms for _, q in tl]
     if not qs:
         raise ConfigError("empty term list")
     if M < len(qs):
@@ -311,27 +312,43 @@ def decompose_separable(terms: SeparableTermList, probe_states: Array,
     if rank == 0:
         raise RankDeficientProbe("all state factors vanish on the probe points")
     Ur = np.ascontiguousarray(U[:, :rank])
-    H_prime = StateDictionary(dim=rank, fn=lambda states: Ur.T @ _factor_rows(qs, states),
-                              names=tuple(f"h{k + 1}" for k in range(rank)), domain_dim=n)
+    H_prime = StateDictionary(
+        dim=rank,
+        fn=lambda states: Ur.T @ _factor_rows(qs, states),
+        names=tuple(f"h{k + 1}" for k in range(rank)),
+        domain_dim=n,
+    )
     # C[i, t] is row t of Ur when product term t belongs to phi_i, else 0.
     owner = np.repeat(np.arange(len(terms)), [len(tl) for tl in terms])
     C = np.zeros((len(terms), len(qs), rank))
     C[owner, np.arange(len(qs))] = Ur
-    G = InputMatrixFunction(rows=len(terms), cols=rank,
-                            fn=lambda inputs: np.tensordot(C, _factor_rows(ps, inputs),
-                                                           axes=(1, 0)))
+    G = InputMatrixFunction(
+        rows=len(terms),
+        cols=rank,
+        fn=lambda inputs: np.tensordot(C, _factor_rows(ps, inputs), axes=(1, 0)),
+    )
     return G, H_prime
 
 
+def _sample_block(input_samples) -> Array:
+    """``input_samples`` as a float ``(m, N)`` block, one sample per column.
+
+    Only a 2-D ndarray is taken.  A list of per-sample vectors would read
+    as one sample of many coordinates, so it is rejected, not reinterpreted.
+    """
+    if not isinstance(input_samples, np.ndarray) or input_samples.ndim != 2:
+        raise DimensionMismatch("input samples must be an (m, N) ndarray, one sample per column")
+    if input_samples.shape[1] == 0:
+        raise ConfigError("need at least one input sample")
+    return input_samples.astype(float, copy=False)
+
+
 def _coefficient_stack(G, U: Array) -> Array:
-    """``G(u)`` at every column of ``U``, shape ``(N, s, l)``.
+    """``G(u)`` at every column of the ``(m, N)`` block ``U``, shape ``(N, s, l)``.
 
     ``G`` is an :class:`InputMatrixFunction` or a :class:`NormalDictionary`,
     which stands for its ``[I; Gtilde(u)]``.
     """
-    U = np.atleast_2d(np.asarray(U, dtype=float))
-    if U.shape[1] == 0:
-        raise ConfigError("need at least one input sample")
     if not isinstance(G, NormalDictionary):
         return G.batch(U).transpose(2, 0, 1)
     blocks = [np.broadcast_to(np.eye(G.l), (U.shape[1], G.l, G.l))]
@@ -341,14 +358,15 @@ def _coefficient_stack(G, U: Array) -> Array:
 
 
 def check_rank_condition(G, input_samples: Array, tol: float = DEFAULT_RANK_TOL) -> dict:
-    """Check full column rank of ``G(u)`` at each sampled input (a column, ``(m, N)``).
+    """Check full column rank of ``G(u)`` at each sampled input.
 
-    An input fails when the smallest singular value of ``G(u)`` does not
+    ``input_samples`` is an ``(m, N)`` ndarray, one input per column.  An
+    input fails when the smallest singular value of ``G(u)`` does not
     exceed ``tol`` times the largest.  One stacked SVD covers all inputs.
     ``failing_inputs`` holds the failing columns, shape ``(m, k)``; they
     delimit where pseudo-inverse model extraction is untrustworthy.
     """
-    U = np.atleast_2d(np.asarray(input_samples, dtype=float))
+    U = _sample_block(input_samples)
     Gs = _coefficient_stack(G, U)
     sv = np.linalg.svd(Gs, compute_uv=False)
     bad = (sv[:, -1] <= tol * sv[:, 0]) | (Gs.shape[1] < Gs.shape[2])
@@ -359,13 +377,14 @@ def verify_normality(G, input_samples: Array, tol: float = DEFAULT_RANK_TOL) -> 
     """Decide whether span{G(u) H(x)} admits a normal-form basis.
 
     Solves the stacked least-squares problem ``W G(u_i) = I`` over the
-    sampled inputs, the columns of ``input_samples``.  A solution with
-    (relative) residual at most ``tol`` certifies normality *on the
-    sampled inputs*: the rebased coefficient matrix ``E G(u)`` with
-    ``E = [W; B]`` then has an identity top block.  ``B`` completes ``W`` with an orthonormal
-    basis of its row-space complement, so ``E`` is invertible.
+    sampled inputs, the columns of the ``(m, N)`` ndarray
+    ``input_samples``.  A solution with (relative) residual at most
+    ``tol`` certifies normality *on the sampled inputs*: the rebased
+    coefficient matrix ``E G(u)`` with ``E = [W; B]`` then has an
+    identity top block.  ``B`` completes ``W`` with an orthonormal basis
+    of its row-space complement, so ``E`` is invertible.
     """
-    Gs = _coefficient_stack(G, input_samples)
+    Gs = _coefficient_stack(G, _sample_block(input_samples))
     N, s, l = Gs.shape
     G_stack = Gs.transpose(1, 0, 2).reshape(s, N * l)
     I_stack = np.tile(np.eye(l), N)
@@ -373,22 +392,23 @@ def verify_normality(G, input_samples: Array, tol: float = DEFAULT_RANK_TOL) -> 
     residual = float(np.linalg.norm(W @ G_stack - I_stack) / np.sqrt(N * l))
     if residual > tol:
         return {"normal": False, "transform": None, "residual": residual}
-    B = np.linalg.svd(W, full_matrices=True)[2][l:]
-    return {"normal": True, "transform": np.vstack([W, B]), "residual": residual}
+    _, _, Vt = np.linalg.svd(W, full_matrices=True)
+    return {"normal": True, "transform": np.vstack([W, Vt[l:]]), "residual": residual}
 
 
 def normal_form_dictionary(terms: SeparableTermList, probe_states: Array,
-                           input_samples: Array,
-                           tol: float = DEFAULT_RANK_TOL) -> NormalDictionary:
+                           input_samples: Array) -> NormalDictionary:
     """The normal-form dictionary ``[I; Gtilde(u)] H'(x)`` spanned by product terms.
 
     Chains the three steps: :func:`decompose_separable` gives
     ``Phi = G(u) H'(x)``, :func:`check_rank_condition` and
     :func:`verify_normality` check ``G`` at the sampled inputs (the
-    columns of ``input_samples``, shape ``(m, N)``), and the transform
-    ``E = [W; B]`` rebases ``Phi`` to ``E Phi = [I; B G(u)] H'(x)``, an
-    invertible change of basis of the same span.  The result has ``H = H'`` and
-    ``Gtilde(u) = B G(u)``.
+    columns of ``input_samples``, an ``(m, N)`` ndarray whose ``m`` is
+    the input dimension of the result), and the transform ``E = [W; B]``
+    rebases ``Phi`` to ``E Phi = [I; B G(u)] H'(x)``, an invertible change
+    of basis of the same span.  The result has ``H = H'`` and
+    ``Gtilde(u) = B G(u)``.  All three steps use ``DEFAULT_RANK_TOL``;
+    callers who need other cutoffs chain the three functions themselves.
 
     Raises :class:`RankDeficientProbe` when there are fewer probes than
     state factors or every factor vanishes on them, and
@@ -397,21 +417,26 @@ def normal_form_dictionary(terms: SeparableTermList, probe_states: Array,
     is built from callables, so it has no descriptor: neither it nor the
     models extracted from it serialize.
     """
-    G, H = decompose_separable(terms, probe_states, tol)
-    U = np.atleast_2d(np.asarray(input_samples, dtype=float))
-    rank = check_rank_condition(G, U, tol)
+    G, H = decompose_separable(terms, probe_states)
+    U = _sample_block(input_samples)
+    rank = check_rank_condition(G, U)
     if not rank["full_rank"]:
         raise ConfigError("rank condition fails: G(u) loses column rank at input "
                           f"{rank['failing_inputs'][:, 0].tolist()}")
-    normality = verify_normality(G, U, tol)
+    normality = verify_normality(G, U)
     if not normality["normal"]:
         raise ConfigError("normality check fails: no W has W G(u) = I on the samples "
                           f"(residual {normality['residual']:.3e})")
     B = normality["transform"][H.dim:]
-    Gt = None if not len(B) else InputMatrixFunction(
-        rows=len(B), cols=H.dim, fn=lambda inputs: np.tensordot(B, G.fn(inputs), axes=1),
-        domain_dim=U.shape[0])
-    return NormalDictionary(H, Gt, state_dim=H.domain_dim, input_dim=U.shape[0])
+    Gtilde = None
+    if len(B):
+        Gtilde = InputMatrixFunction(
+            rows=len(B),
+            cols=H.dim,
+            fn=lambda inputs: np.tensordot(B, G.fn(inputs), axes=1),
+            domain_dim=U.shape[0],
+        )
+    return NormalDictionary(H, Gtilde, state_dim=H.domain_dim, input_dim=U.shape[0])
 
 
 # ----------------------------------------------------------------------
@@ -1040,36 +1065,52 @@ def dictionary_to_json(nd: NormalDictionary) -> dict:
     return {"format": DICTIONARY_FORMAT, "dims": dims, **nd.descriptor}
 
 
+def require_keys(obj, keys, what: str, path: str = "") -> None:
+    """Raise :class:`ConfigError` naming the first of ``keys`` missing from ``obj``.
+
+    ``what`` names the JSON object; ``path`` is the dotted path of ``obj``
+    inside it (``"dims"``), so a nested key is named as ``dims.s``.
+    """
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{what}: {path!r} is not a JSON object")
+    prefix = f"{path}." if path else ""
+    for key in keys:
+        if key not in obj:
+            raise ConfigError(f"{what} has no {prefix + key!r} key")
+
+
 def dictionary_from_json(obj: dict) -> NormalDictionary:
     """Rebuild a dictionary from :func:`dictionary_to_json` output.
 
-    A missing key raises :class:`ConfigError` naming it.
+    A missing key raises :class:`ConfigError` naming its path.
     """
     if obj.get("format") != DICTIONARY_FORMAT:
         raise ConfigError("not a kooplift dictionary JSON object")
-    try:
-        if obj["kind"] == EXAMPLE_POLY_BASIS:
-            return example_poly_normal_basis(truncate=obj.get("truncate", ()))
-        dims, spec = obj["dims"], obj["spec"]
-        nd = parametric_family(
-            obj["kind"],
-            state_dim=dims["state_dim"],
-            input_dim=dims["input_dim"],
-            s=dims["s"],
-            l=dims["l"],
-            fixed_head=obj["fixed_head"],
-            seed=spec.get("seed", 0),
-            total_degree=spec.get("total_degree"),
-            widths=spec.get("widths"),
-            blocks=spec.get("blocks"),
-            width=spec.get("width"),
-            activation=spec.get("activation", "softplus"),
-        )
-        nd.set_params(np.asarray(obj["parameters"], dtype=float))
-        return nd.with_input_scaling(obj.get("x_scale", np.ones(dims["state_dim"])),
-                                     obj.get("u_scale", np.ones(dims["input_dim"])))
-    except KeyError as exc:
-        raise ConfigError(f"kooplift dictionary JSON object has no {exc.args[0]!r} key") from None
+    what = "kooplift dictionary JSON object"
+    require_keys(obj, ("kind",), what)
+    if obj["kind"] == EXAMPLE_POLY_BASIS:
+        return example_poly_normal_basis(truncate=obj.get("truncate", ()))
+    require_keys(obj, ("dims", "spec", "fixed_head", "parameters"), what)
+    dims, spec = obj["dims"], obj["spec"]
+    require_keys(dims, ("state_dim", "input_dim", "s", "l"), what, "dims")
+    require_keys(spec, (), what, "spec")
+    nd = parametric_family(
+        obj["kind"],
+        state_dim=dims["state_dim"],
+        input_dim=dims["input_dim"],
+        s=dims["s"],
+        l=dims["l"],
+        fixed_head=obj["fixed_head"],
+        seed=spec.get("seed", 0),
+        total_degree=spec.get("total_degree"),
+        widths=spec.get("widths"),
+        blocks=spec.get("blocks"),
+        width=spec.get("width"),
+        activation=spec.get("activation", "softplus"),
+    )
+    nd.set_params(np.asarray(obj["parameters"], dtype=float))
+    return nd.with_input_scaling(obj.get("x_scale", np.ones(dims["state_dim"])),
+                                 obj.get("u_scale", np.ones(dims["input_dim"])))
 
 
 def save_dictionary(nd: NormalDictionary, path) -> Path:

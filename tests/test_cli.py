@@ -643,8 +643,15 @@ class TestMalformedInputFiles:
         ("models", {"format": MODEL_FORMAT}, "'kind'"),
         ("dictionary", {"format": DICTIONARY_FORMAT}, "'kind'"),
         ("dictionary", {"format": DICTIONARY_FORMAT, "kind": "polynomial"}, "'dims'"),
+        ("dictionary", {"format": DICTIONARY_FORMAT, "kind": "polynomial", "spec": {},
+                        "dims": {"state_dim": 2, "input_dim": 1, "l": 4},
+                        "fixed_head": True, "parameters": []}, "has no 'dims.s' key"),
+        ("dictionary", {"format": DICTIONARY_FORMAT, "kind": "polynomial", "spec": {},
+                        "dims": 3, "fixed_head": True, "parameters": []},
+         "'dims' is not a JSON object"),
     ], ids=["config_empty", "config_no_family", "config_family_not_object", "model", "models",
-            "dictionary", "dictionary_no_dims"])
+            "dictionary", "dictionary_no_dims", "dictionary_dims_without_s",
+            "dictionary_dims_not_object"])
     def test_names_the_missing_key(self, poly_dataset, poly_model_file, tmp_path, capsys,
                                    option, obj, key):
         bad = tmp_path / "bad.json"
@@ -654,16 +661,21 @@ class TestMalformedInputFiles:
         assert key in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("edit, want", [
+        (lambda obj: obj.pop("A11"), "has no 'A11' key"),
+        (lambda obj: obj.pop("gtilde_descriptor"), "has no 'gtilde_descriptor' key"),
+        (lambda obj: obj.update(decoder={"D": [[1.0]]}), "has no 'decoder.residual' key"),
+    ], ids=["A11", "descriptor", "decoder_residual"])
     @pytest.mark.parametrize("option", ["model", "models"])
-    def test_model_without_a_matrix_names_it(self, poly_dataset, poly_model_file, tmp_path,
-                                             capsys, option):
+    def test_model_without_a_key_names_it(self, poly_dataset, poly_model_file, tmp_path,
+                                          capsys, option, edit, want):
         obj = json.loads(poly_model_file.read_text())
-        del obj["A11"]
+        edit(obj)
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(obj))
         argv = self._argv(option, bad, poly_dataset, poly_model_file, tmp_path)
         assert _run(argv) == 2
-        assert "has no 'A11' key" in capsys.readouterr().err
+        assert want in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
 

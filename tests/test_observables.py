@@ -316,7 +316,7 @@ class TestRankCondition:
 
     def test_scalar_g_fails_at_zero(self):
         G = _input_function(1, 1, lambda U: U[None])
-        res = kl.check_rank_condition(G, [[0.0, 1.0]], tol=1e-8)
+        res = kl.check_rank_condition(G, np.array([[0.0, 1.0]]), tol=1e-8)
         assert not res["full_rank"]
         assert res["failing_inputs"].tolist() == [[0.0]]
 
@@ -401,6 +401,19 @@ class TestNormalFormDictionary:
         terms = [[(lambda U: U[0], _one)], [(lambda U: U[0] ** 2, _one)]]
         with pytest.raises(ConfigError, match="normality check"):
             self._build(terms, us=[[1.0, 2.0, 3.0]])
+
+
+@pytest.mark.parametrize("check", ["rank", "normality", "constructor"])
+def test_list_of_sample_vectors_is_rejected(check):
+    """Per-sample vectors would read as one sample of many coordinates."""
+    samples = [np.array([v]) for v in (-1.0, 0.5, 2.0)]
+    probes = np.random.default_rng(4).uniform(-1, 1, (2, 40))
+    G, _ = kl.decompose_separable(_example_terms(), probes)
+    run = {"rank": lambda: kl.check_rank_condition(G, samples),
+           "normality": lambda: kl.verify_normality(G, samples),
+           "constructor": lambda: kl.normal_form_dictionary(_example_terms(), probes, samples)}
+    with pytest.raises(DimensionMismatch, match="one sample per column"):
+        run[check]()
 
 
 def _masked_sigmoid(z):
