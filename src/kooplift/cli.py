@@ -30,8 +30,8 @@ have no numerical cutoff and reject it.
 
 Exit codes: 0 success, 2 usage or configuration error (an input file
 that is missing or a directory, or a config, model or dictionary file
-that is not a JSON object or lacks a key, included), 3 simulation
-failure, 4 numerical failure.
+that is not a JSON object, lacks a key, or holds a value of the wrong
+type or shape, included), 3 simulation failure, 4 numerical failure.
 
 Every subcommand is a ``cmd_*`` function that :func:`main` calls with
 the parsed arguments and a private outputs object.  That object owns

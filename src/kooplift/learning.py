@@ -107,7 +107,10 @@ from .observables import (
     EXAMPLE_POLY_BASIS,
     NormalDictionary,
     TrainableNormalDictionary,
+    check_family_value,
     example_poly_normal_basis,
+    json_array,
+    json_number,
     parametric_family,
 )
 
@@ -415,9 +418,9 @@ def train(config: TrainConfig, data: AugmentedSnapshots):
         return nd, report
 
     x_scale = np.ones(data.state_dim) if config.x_scale is None \
-        else np.asarray(config.x_scale, dtype=float)
+        else json_array(config.x_scale, "x_scale", "TrainConfig", (data.state_dim,))
     u_scale = np.ones(data.input_dim) if config.u_scale is None \
-        else np.asarray(config.u_scale, dtype=float)
+        else json_array(config.u_scale, "u_scale", "TrainConfig", (data.input_dim,))
     train_s = _scaled(train_aug, x_scale, u_scale)
 
     theta = nd.get_params()
@@ -613,8 +616,19 @@ def config_to_json(config: TrainConfig) -> dict:
     return out
 
 
+# The JSON type of each TrainConfig field besides ``family``.  A field
+# whose default is None may also be null.
+_CONFIG_TYPES = {"s": int, "l": int, "epochs": int, "batch_size": int, "seed": int,
+                 "lr_start": float, "lr_end": float, "ridge_scale": float,
+                 "split_fraction": float, "x_scale": list, "u_scale": list}
+
+
 def config_from_json(obj: dict) -> TrainConfig:
     """TrainConfig from its JSON form, rejecting unknown and missing keys.
+
+    A value of the wrong JSON type, in the family spec too, raises
+    :class:`ConfigError` naming its key; the lengths of ``x_scale`` and
+    ``u_scale`` are checked against the data in :func:`train`.
 
     Files written before the held-out metric became the exact index carry
     ``loss_mode``: ``"trace"`` and ``"max_eig"`` are dropped, since the
@@ -634,6 +648,16 @@ def config_from_json(obj: dict) -> TrainConfig:
         raise ConfigError(f"missing TrainConfig keys: {missing}")
     if not isinstance(obj["family"], dict):
         raise ConfigError(f"TrainConfig 'family' must be a JSON object, got {obj['family']!r}")
+    for key, value in obj["family"].items():
+        check_family_value(key, value, f"family.{key}", "TrainConfig")
+    defaults = {f.name: f.default for f in fields}
+    for key, kind in _CONFIG_TYPES.items():
+        if key not in obj or (obj[key] is None and defaults[key] is None):
+            continue
+        if kind is list:
+            json_array(obj[key], key, "TrainConfig", (None,))
+        else:
+            json_number(obj[key], key, "TrainConfig", integer=kind is int)
     return TrainConfig(**obj)
 
 

@@ -33,9 +33,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .dynamics import ControlSystem, SnapshotSet, _simulate_many
-from .edmd import (ConsistencyReport, EdmdFit, PINV_CUTOFF, _DataR, _data_rows, _lstsq,
-                   _stream, fit_edmd)
+from .dynamics import ControlSystem, SnapshotSet, _simulate_many, to_augmented
+from .edmd import (ConsistencyReport, EdmdFit, PINV_CUTOFF, _DataR, _lstsq, _stream,
+                   _stream_r, fit_edmd)
 from .errors import (
     ConfigError,
     DegenerateData,
@@ -52,6 +52,8 @@ from .observables import (
     dictionary_from_json,
     dictionary_to_json,
     eval_matrix,
+    json_array,
+    json_number,
     require_keys,
 )
 
@@ -207,9 +209,17 @@ class SeparableModel(_LiftedModel):
 
     @classmethod
     def _from_json(cls, obj: dict, basis: StateDictionary, decoder) -> "SeparableModel":
-        return cls(H=basis, A11=_array(obj["A11"]), A12=_array(obj["A12"]),
-                   Gtilde=basis.source.Gtilde, source_index=obj.get("source_index"),
-                   A21=_array(obj.get("A21")), A22=_array(obj.get("A22")), decoder=decoder)
+        # With no input rows (s = l) the three off-diagonal blocks are null.
+        l, r = basis.dim, basis.source.s - basis.dim
+        source_index = obj.get("source_index")
+        if source_index is not None:
+            json_number(source_index, "source_index", _MODEL_JSON)
+        return cls(H=basis, A11=_array(obj, "A11", (l, l)),
+                   A12=_array(obj, "A12", (l, r)) if r else None,
+                   Gtilde=basis.source.Gtilde, source_index=source_index,
+                   A21=_array(obj, "A21", (r, l), optional=True) if r else None,
+                   A22=_array(obj, "A22", (r, r), optional=True) if r else None,
+                   decoder=decoder)
 
 
 @dataclasses.dataclass
@@ -242,7 +252,9 @@ class LinearLiftedModel(_LiftedModel):
 
     @classmethod
     def _from_json(cls, obj: dict, basis: StateDictionary, decoder) -> "LinearLiftedModel":
-        return cls(psi=basis, A=_array(obj["A"]), B=_array(obj["B"]), decoder=decoder)
+        l, m = basis.dim, basis.source.input_dim
+        return cls(psi=basis, A=_array(obj, "A", (l, l)), B=_array(obj, "B", (l, m)),
+                   decoder=decoder)
 
 
 @dataclasses.dataclass
@@ -285,8 +297,9 @@ class BilinearLiftedModel(_LiftedModel):
 
     @classmethod
     def _from_json(cls, obj: dict, basis: StateDictionary, decoder) -> "BilinearLiftedModel":
-        return cls(psi=basis, A=_array(obj["A"]), Bs=tuple(_array(Bi) for Bi in obj["Bs"]),
-                   C=_array(obj.get("C")), decoder=decoder,
+        l, m = basis.dim, basis.source.input_dim
+        return cls(psi=basis, A=_array(obj, "A", (l, l)), Bs=tuple(_array(obj, "Bs", (m, l, l))),
+                   C=_array(obj, "C", (l, m), optional=True), decoder=decoder,
                    advisory=bool(obj.get("advisory", False)))
 
 
@@ -490,18 +503,6 @@ def predict_observable(model: SeparableModel, v_h, x, u) -> float:
     return float(v_h @ model.A_of(u) @ model.lift(x))
 
 
-def _head_r(psi: StateDictionary, ss: SnapshotSet) -> _DataR:
-    """The streamed R of ``psi`` alone on ``ss``: ``P = psi(X)``, ``Q = psi(X+)``, s = l."""
-    l = psi.dim
-
-    def rows(a: int, b: int) -> Array:
-        X = ss.X[:, a:b]
-        return _data_rows(eval_matrix(psi, X), eval_matrix(psi, ss.Xplus[:, a:b]),
-                          ss.U[:, a:b], X, l)
-
-    return _DataR(_stream(ss.n_snapshots, rows), s=l, l=l, m=ss.U.shape[0])
-
-
 def _linear_baseline(psi: StateDictionary, d: _DataR) -> LinearLiftedModel:
     """:func:`fit_linear_baseline` read off the columns of a streamed R."""
     R = d.cols("HX", "U")
@@ -536,9 +537,11 @@ def fit_linear_baseline(psi: StateDictionary, ss: SnapshotSet) -> LinearLiftedMo
     """Least-squares lifted linear fit ``[A, B] = psi(X+) pinv([psi(X); U])``.
 
     ``psi`` is evaluated in chunks into one R factor (:func:`kooplift.
-    edmd._stream`); the fit is read off its columns.
+    edmd._stream_r` of its control-independent extension); the fit is read
+    off its columns.
     """
-    return _linear_baseline(psi, _head_r(psi, ss))
+    d = _stream_r(NormalDictionary(psi, None, ss.X.shape[0], ss.U.shape[0]), to_augmented(ss))
+    return _linear_baseline(psi, d)
 
 
 def fit_bilinear_baseline(psi: StateDictionary, ss: SnapshotSet,
@@ -552,7 +555,8 @@ def fit_bilinear_baseline(psi: StateDictionary, ss: SnapshotSet,
     model advisory and warns.  Like :func:`fit_linear_baseline`, the fit
     is read off the columns of one streamed R factor.
     """
-    return _bilinear_baseline(psi, _head_r(psi, ss), include_input_term)
+    d = _stream_r(NormalDictionary(psi, None, ss.X.shape[0], ss.U.shape[0]), to_augmented(ss))
+    return _bilinear_baseline(psi, d, include_input_term)
 
 
 def switched_from_constant_inputs(psi: StateDictionary, subsets) -> SwitchedLinearModel:
@@ -686,8 +690,17 @@ def _matrix(M):
     return None if M is None else [[float(v) for v in row] for row in np.atleast_2d(M)]
 
 
-def _array(M):
-    return None if M is None else np.asarray(M, dtype=float)
+_MODEL_JSON = "kooplift model JSON object"
+
+
+def _array(obj: dict, key: str, shape: tuple, optional: bool = False) -> Array | None:
+    """``obj[key]`` as a float array of ``shape``; None when ``optional`` and absent or null.
+
+    Any other value raises :class:`ConfigError` naming ``key``.
+    """
+    if optional and obj.get(key) is None:
+        return None
+    return json_array(obj[key], key, _MODEL_JSON, shape)
 
 
 _MODEL_CLASSES = {cls.kind: cls for cls in (SeparableModel, LinearLiftedModel,
@@ -719,21 +732,25 @@ def model_to_json(model) -> dict:
 def model_from_json(obj: dict):
     """Rebuild a model from :func:`model_to_json` output.
 
-    A missing key raises :class:`ConfigError` naming its path.
+    A missing key, or a value of the wrong type or shape (each matrix has
+    the shape its basis and input dimension fix), raises
+    :class:`ConfigError` naming its path.
     """
     if obj.get("format") != MODEL_FORMAT:
         raise ConfigError("not a kooplift model JSON object")
-    what = "kooplift model JSON object"
-    require_keys(obj, ("kind",), what)
-    cls = _MODEL_CLASSES.get(obj["kind"])
+    require_keys(obj, ("kind",), _MODEL_JSON)
+    cls = _MODEL_CLASSES.get(obj["kind"]) if isinstance(obj["kind"], str) else None
     if cls is None:
         raise ConfigError(f"unknown model kind {obj['kind']!r}")
-    require_keys(obj, (cls.source_key,) + cls.json_keys, what)
+    require_keys(obj, (cls.source_key,) + cls.json_keys, _MODEL_JSON)
+    basis = head_dictionary(dictionary_from_json(obj[cls.source_key]))
     decoder = obj.get("decoder")
     if decoder is not None:
-        require_keys(decoder, ("D", "residual"), what, "decoder")
-    dec = None if decoder is None else (_array(decoder["D"]), float(decoder["residual"]))
-    return cls._from_json(obj, head_dictionary(dictionary_from_json(obj[cls.source_key])), dec)
+        require_keys(decoder, ("D", "residual"), _MODEL_JSON, "decoder")
+        decoder = (json_array(decoder["D"], "decoder.D", _MODEL_JSON,
+                              (basis.source.state_dim, basis.dim)),
+                   float(json_number(decoder["residual"], "decoder.residual", _MODEL_JSON)))
+    return cls._from_json(obj, basis, decoder)
 
 
 def save_model(model, path) -> Path:

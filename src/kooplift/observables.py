@@ -501,158 +501,67 @@ _ACTIVATIONS = {
 }
 
 
-class _LinearMap:
-    """Linear feature model ``y = W t(x)`` for a fixed featurizer ``t``."""
+class _DenseNet:
+    """A stack of dense layers on ``(in_dim, N)`` columns.
 
-    def __init__(self, featurize: Callable[[Array], Array], n_features: int,
-                 out_dim: int, rng: np.random.Generator):
-        self.featurize = featurize
-        self.W = rng.standard_normal((out_dim, n_features)) / np.sqrt(n_features)
-
-    def params_list(self):
-        return [self.W]
-
-    def forward(self, X: Array, grad: bool = False):
-        T = self.featurize(X)
-        return self.W @ T, T
-
-    def backward(self, cache, Gout: Array):
-        return [Gout @ cache.T]
-
-
-class _MLP:
-    """Plain fully connected network, hidden activations + linear output."""
-
-    def __init__(self, in_dim: int, widths: Sequence[int], out_dim: int,
-                 activation: str, rng: np.random.Generator):
-        act = _ACTIVATIONS.get(activation)
-        if act is None:
-            raise ConfigError(f"unknown activation {activation!r}")
-        self.act, self.act_and_deriv = act
-        sizes = [in_dim, *widths, out_dim]
-        self.Ws = []
-        self.bs = []
-        for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
-            self.Ws.append(rng.standard_normal((fan_out, fan_in)) * np.sqrt(2.0 / fan_in))
-            self.bs.append(np.zeros(fan_out))
-
-    def params_list(self):
-        out = []
-        for W, b in zip(self.Ws, self.bs):
-            out.extend([W, b])
-        return out
-
-    def forward(self, X: Array, grad: bool = False):
-        """``(output, cache)``; the cache, for :meth:`backward`, only with ``grad``."""
-        acts = [X]
-        derivs = []
-        h = X
-        last = len(self.Ws) - 1
-        for i, (W, b) in enumerate(zip(self.Ws, self.bs)):
-            h = W @ h
-            h += b[:, None]
-            if i == last:
-                break
-            if grad:
-                h, d = self.act_and_deriv(h)
-                acts.append(h)
-                derivs.append(d)
-            else:
-                h = self.act(h)
-        return h, ((acts, derivs) if grad else None)
-
-    def backward(self, cache, Gout: Array):
-        acts, derivs = cache
-        grads = [None] * (2 * len(self.Ws))
-        g = Gout
-        for i in range(len(self.Ws) - 1, -1, -1):
-            if i != len(self.Ws) - 1:
-                g = g * derivs[i]
-            grads[2 * i] = g @ acts[i].T
-            grads[2 * i + 1] = g.sum(axis=1)
-            if i > 0:
-                g = self.Ws[i].T @ g
-        return grads
-
-
-class _ResidualMLP:
-    """Residual network: linear embed, additive blocks, linear head.
-
-    Each block computes ``y <- y + W2 act(W1 y + b1) + b2``.
+    Each layer is a tuple ``(W, b, act, skip)``.  Layer ``i`` maps its
+    input ``h_i`` to ``act(W h_i + h_skip + b)``: ``h_skip`` is the input
+    of the earlier layer ``skip``, added when ``skip`` is not None; ``b``
+    may be None; ``act`` is an entry of ``_ACTIVATIONS`` or None for a
+    linear layer.  An optional ``featurize`` maps the data to the first
+    layer's input.
     """
 
-    def __init__(self, in_dim: int, blocks: int, width: int, out_dim: int,
-                 activation: str, rng: np.random.Generator):
-        act = _ACTIVATIONS.get(activation)
-        if act is None:
-            raise ConfigError(f"unknown activation {activation!r}")
-        self.act, self.act_and_deriv = act
-        self.W0 = rng.standard_normal((width, in_dim)) * np.sqrt(2.0 / in_dim)
-        self.b0 = np.zeros(width)
-        self.blocks = []
-        for _ in range(blocks):
-            W1 = rng.standard_normal((width, width)) * np.sqrt(2.0 / width)
-            b1 = np.zeros(width)
-            W2 = rng.standard_normal((width, width)) * np.sqrt(2.0 / width) / np.sqrt(blocks)
-            b2 = np.zeros(width)
-            self.blocks.append([W1, b1, W2, b2])
-        self.Wh = rng.standard_normal((out_dim, width)) * np.sqrt(2.0 / width)
-        self.bh = np.zeros(out_dim)
+    def __init__(self, layers, featurize: Callable[[Array], Array] | None = None):
+        self.layers = layers
+        self.featurize = featurize
+        self._skipped = {skip for *_, skip in layers if skip is not None}
 
     def params_list(self):
-        out = [self.W0, self.b0]
-        for W1, b1, W2, b2 in self.blocks:
-            out.extend([W1, b1, W2, b2])
-        out.extend([self.Wh, self.bh])
-        return out
+        return [p for W, b, _, _ in self.layers for p in (W, b) if p is not None]
 
     def forward(self, X: Array, grad: bool = False):
-        """``(output, cache)``; the cache, for :meth:`backward`, only with ``grad``."""
-        # Sums are accumulated into the product just made, in the order
-        # of ``y + W2 @ a + b2``, so no temporary the size of the data
-        # is allocated for them.
-        y = self.W0 @ X
-        y += self.b0[:, None]
-        block_caches = []
-        for W1, b1, W2, b2 in self.blocks:
-            z = W1 @ y
-            z += b1[:, None]
-            if grad:
-                a, d = self.act_and_deriv(z)
-                block_caches.append((y, d, a))
-            else:
-                a = self.act(z)
-            y_next = W2 @ a
-            y_next += y
-            y_next += b2[:, None]
-            y = y_next
-        out = self.Wh @ y
-        out += self.bh[:, None]
-        return out, ((X, block_caches, y) if grad else None)
+        """``(output, cache)``; the cache, for :meth:`backward`, only with ``grad``.
+
+        Without ``grad`` only the layer inputs a later skip reads are kept.
+        """
+        h = X if self.featurize is None else self.featurize(X)
+        inputs, derivs = [], []
+        for i, (W, b, act, skip) in enumerate(self.layers):
+            inputs.append(h if grad or i in self._skipped else None)
+            # Sums are accumulated into the product just made, in the order
+            # of ``W h + h_skip + b``, so no temporary the size of the data
+            # is allocated for them.
+            h = W @ h
+            if skip is not None:
+                h += inputs[skip]
+            if b is not None:
+                h += b[:, None]
+            d = None
+            if act is not None:
+                h, d = act[1](h) if grad else (act[0](h), None)
+            derivs.append(d)
+        return h, ((inputs, derivs) if grad else None)
 
     def backward(self, cache, Gout: Array):
-        X, block_caches, y_final = cache
-        g_Wh = Gout @ y_final.T
-        g_bh = Gout.sum(axis=1)
-        gy = self.Wh.T @ Gout
-        block_grads = []
-        for (W1, b1, W2, b2), (y_in, d, a) in zip(reversed(self.blocks),
-                                                  reversed(block_caches)):
-            g_W2 = gy @ a.T
-            g_b2 = gy.sum(axis=1)
-            ga = W2.T @ gy
-            gz = ga * d
-            g_W1 = gz @ y_in.T
-            g_b1 = gz.sum(axis=1)
-            block_grads.append([g_W1, g_b1, g_W2, g_b2])
-            gy = gy + W1.T @ gz
-        g_W0 = gy @ X.T
-        g_b0 = gy.sum(axis=1)
-        grads = [g_W0, g_b0]
-        for bg in reversed(block_grads):
-            grads.extend(bg)
-        grads.extend([g_Wh, g_bh])
-        return grads
+        """Gradients of ``sum(Gout * output)``, laid out like :meth:`params_list`."""
+        inputs, derivs = cache
+        grads, skip_grads = [], {}
+        g = Gout
+        for i in range(len(self.layers) - 1, -1, -1):
+            W, b, _, skip = self.layers[i]
+            if derivs[i] is not None:
+                g = g * derivs[i]
+            if b is not None:
+                grads.append(g.sum(axis=1))
+            grads.append(g @ inputs[i].T)
+            if skip is not None:
+                skip_grads[skip] = g
+            if i in skip_grads:  # the input of layer i also feeds a later skip
+                g = skip_grads.pop(i) + W.T @ g
+            elif i > 0:
+                g = W.T @ g
+        return grads[::-1]
 
 
 def _monomial_exponents(n_vars: int, degree: int):
@@ -898,25 +807,43 @@ class TrainableNormalDictionary(NormalDictionary):
 
 
 def _build_net(kind: str, in_dim: int, out_dim: int, spec: dict, rng: np.random.Generator):
+    """The family's network as a layer list, or None when it has no output."""
     if out_dim == 0:
         return None
     if kind == "polynomial":
         degree = int(spec["total_degree"])
         if degree < 1:
             raise ConfigError("polynomial total_degree must be >= 1")
-        featurize, _ = monomial_featurizer(in_dim, degree)
-        n_features = len(_monomial_exponents(in_dim, degree))
-        return _LinearMap(featurize, n_features, out_dim, rng)
+        featurize, names = monomial_featurizer(in_dim, degree)
+        W = rng.standard_normal((out_dim, len(names))) / np.sqrt(len(names))
+        return _DenseNet([(W, None, None, None)], featurize)
+    act = _ACTIVATIONS.get(spec["activation"])
+    if act is None:
+        raise ConfigError(f"unknown activation {spec['activation']!r}")
+
+    def dense(fan_in, fan_out, act=None, skip=None, scale=1.0):
+        """One layer: He-initialised weights (divided by ``scale``), zero bias."""
+        W = rng.standard_normal((fan_out, fan_in)) * np.sqrt(2.0 / fan_in) / scale
+        return W, np.zeros(fan_out), act, skip
+
     if kind == "mlp":
         widths = [int(w) for w in spec["widths"]]
         if not widths or any(w < 1 for w in widths):
             raise ConfigError("mlp widths must be positive")
-        return _MLP(in_dim, widths, out_dim, spec["activation"], rng)
-    # residual_mlp: parametric_family has rejected every other kind.
+        sizes = [in_dim, *widths]
+        return _DenseNet([*(dense(i, o, act) for i, o in zip(sizes, widths)),
+                          dense(widths[-1], out_dim)])
+    # residual_mlp: parametric_family has rejected every other kind.  Each
+    # block computes ``y <- y + W2 act(W1 y + b1) + b2``.
     blocks, width = int(spec["blocks"]), int(spec["width"])
     if blocks < 1 or width < 1:
         raise ConfigError("residual_mlp blocks and width must be positive")
-    return _ResidualMLP(in_dim, blocks, width, out_dim, spec["activation"], rng)
+    layers = [dense(in_dim, width)]
+    for _ in range(blocks):
+        layers.append(dense(width, width, act))
+        layers.append(dense(width, width, skip=len(layers) - 1, scale=np.sqrt(blocks)))
+    layers.append(dense(width, out_dim))
+    return _DenseNet(layers)
 
 
 def parametric_family(
@@ -1079,21 +1006,83 @@ def require_keys(obj, keys, what: str, path: str = "") -> None:
             raise ConfigError(f"{what} has no {prefix + key!r} key")
 
 
+def json_number(value, path: str, what: str, integer: bool = False):
+    """``value`` when it is a JSON number, or an integer with ``integer``.
+
+    Anything else, a boolean or a numeric string included, raises
+    :class:`ConfigError` naming ``path`` inside the JSON object ``what``.
+    """
+    if isinstance(value, bool) or not isinstance(value, int if integer else (int, float)):
+        kind = "an integer" if integer else "a number"
+        raise ConfigError(f"{what}: {path!r} must be {kind}, got {value!r}")
+    return value
+
+
+def json_array(value, path: str, what: str, shape: tuple) -> Array:
+    """``value`` as a float array of ``shape``; a None in ``shape`` allows any length.
+
+    A value that is not a numeric array of that shape (a string, a ragged
+    nesting, a boolean or null entry) raises :class:`ConfigError` naming
+    ``path`` inside the JSON object ``what``.
+    """
+    try:
+        a = np.asarray(value)
+    except ValueError:  # a ragged nesting
+        a = np.asarray(None)
+    if (a.dtype.kind not in "iuf" or a.ndim != len(shape)
+            or any(k is not None and k != d for k, d in zip(shape, a.shape))):
+        dims = " x ".join("n" if k is None else str(k) for k in shape)
+        raise ConfigError(f"{what}: {path!r} must be a numeric array of shape {dims}")
+    return a.astype(float)
+
+
+def check_family_value(key: str, value, path: str, what: str) -> None:
+    """Raise :class:`ConfigError` naming ``path`` when a family parameter has the wrong JSON type.
+
+    ``kind`` and ``activation`` are strings and ``truncate`` a list of
+    them; ``total_degree``, ``blocks``, ``width`` and ``seed`` integers;
+    ``widths`` a list of integers and ``fixed_head`` one too, or null, or
+    ``"state"``.  Other keys are left to the checks of
+    :func:`parametric_family`.
+    """
+    if key in ("kind", "activation") and not isinstance(value, str):
+        raise ConfigError(f"{what}: {path!r} must be a string, got {value!r}")
+    if key == "truncate" and not (isinstance(value, list)
+                                  and all(isinstance(v, str) for v in value)):
+        raise ConfigError(f"{what}: {path!r} must be a list of strings, got {value!r}")
+    if key in ("total_degree", "blocks", "width", "seed"):
+        json_number(value, path, what, integer=True)
+    if key == "widths" or (key == "fixed_head" and value not in (None, "state")):
+        if not isinstance(value, list):
+            raise ConfigError(f"{what}: {path!r} must be a list of integers, got {value!r}")
+        for i, v in enumerate(value):
+            json_number(v, f"{path}[{i}]", what, integer=True)
+
+
 def dictionary_from_json(obj: dict) -> NormalDictionary:
     """Rebuild a dictionary from :func:`dictionary_to_json` output.
 
-    A missing key raises :class:`ConfigError` naming its path.
+    A missing key, or a value of the wrong type or shape, raises
+    :class:`ConfigError` naming its path.
     """
     if obj.get("format") != DICTIONARY_FORMAT:
         raise ConfigError("not a kooplift dictionary JSON object")
     what = "kooplift dictionary JSON object"
     require_keys(obj, ("kind",), what)
     if obj["kind"] == EXAMPLE_POLY_BASIS:
-        return example_poly_normal_basis(truncate=obj.get("truncate", ()))
+        truncate = obj.get("truncate", [])
+        check_family_value("truncate", truncate, "truncate", what)
+        return example_poly_normal_basis(truncate=truncate)
     require_keys(obj, ("dims", "spec", "fixed_head", "parameters"), what)
     dims, spec = obj["dims"], obj["spec"]
     require_keys(dims, ("state_dim", "input_dim", "s", "l"), what, "dims")
     require_keys(spec, (), what, "spec")
+    for key, value in dims.items():
+        json_number(value, f"dims.{key}", what, integer=True)
+    for key, value in [("kind", obj["kind"]), ("fixed_head", obj["fixed_head"])]:
+        check_family_value(key, value, key, what)
+    for key, value in spec.items():
+        check_family_value(key, value, f"spec.{key}", what)
     nd = parametric_family(
         obj["kind"],
         state_dim=dims["state_dim"],
@@ -1108,9 +1097,10 @@ def dictionary_from_json(obj: dict) -> NormalDictionary:
         width=spec.get("width"),
         activation=spec.get("activation", "softplus"),
     )
-    nd.set_params(np.asarray(obj["parameters"], dtype=float))
-    return nd.with_input_scaling(obj.get("x_scale", np.ones(dims["state_dim"])),
-                                 obj.get("u_scale", np.ones(dims["input_dim"])))
+    nd.set_params(json_array(obj["parameters"], "parameters", what, (nd.n_params,)))
+    n, m = dims["state_dim"], dims["input_dim"]
+    return nd.with_input_scaling(json_array(obj.get("x_scale", np.ones(n)), "x_scale", what, (n,)),
+                                 json_array(obj.get("u_scale", np.ones(m)), "u_scale", what, (m,)))
 
 
 def save_dictionary(nd: NormalDictionary, path) -> Path:

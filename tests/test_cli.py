@@ -604,6 +604,18 @@ class TestTolOption:
         assert meta["config_hash"] == cli._config_hash(cfg)
 
 
+def _dictionary_json(**edits):
+    """A polynomial dictionary's JSON object, with top-level ``edits``."""
+    nd = kl.parametric_family("polynomial", state_dim=2, input_dim=1, s=7, l=4, total_degree=2)
+    return {**kl.dictionary_to_json(nd), **edits}
+
+
+def _config_json(**edits):
+    """A short polynomial ``learn`` config, with ``edits``."""
+    return {"family": {"kind": "polynomial", "total_degree": 2}, "s": 7, "l": 4,
+            "epochs": 2, "batch_size": 50, **edits}
+
+
 class TestMalformedInputFiles:
     """Config, model and dictionary files that are not what they claim exit 2."""
 
@@ -649,9 +661,29 @@ class TestMalformedInputFiles:
         ("dictionary", {"format": DICTIONARY_FORMAT, "kind": "polynomial", "spec": {},
                         "dims": 3, "fixed_head": True, "parameters": []},
          "'dims' is not a JSON object"),
+        ("config", _config_json(epochs="3"), "'epochs' must be an integer"),
+        ("config", _config_json(s="6"), "'s' must be an integer"),
+        ("config", _config_json(lr_start="x"), "'lr_start' must be a number"),
+        ("config", _config_json(batch_size=2.5), "'batch_size' must be an integer"),
+        ("config", _config_json(x_scale=[1.0]), "'x_scale' must be a numeric array of shape 2"),
+        ("config", _config_json(family={"kind": "polynomial", "total_degree": "two"}),
+         "'family.total_degree' must be an integer"),
+        ("dictionary", _dictionary_json(parameters="x"), "'parameters' must be a numeric array"),
+        ("dictionary", _dictionary_json(dims={"state_dim": 2, "input_dim": 1, "s": "6", "l": 4}),
+         "'dims.s' must be an integer"),
+        ("dictionary", _dictionary_json(spec={"total_degree": "two"}),
+         "'spec.total_degree' must be an integer"),
+        ("dictionary", _dictionary_json(x_scale=[1.0]),
+         "'x_scale' must be a numeric array of shape 2"),
+        ("dictionary", {"format": DICTIONARY_FORMAT, "kind": "example_poly_basis",
+                        "truncate": 5}, "'truncate' must be a list of strings"),
     ], ids=["config_empty", "config_no_family", "config_family_not_object", "model", "models",
             "dictionary", "dictionary_no_dims", "dictionary_dims_without_s",
-            "dictionary_dims_not_object"])
+            "dictionary_dims_not_object", "config_epochs_string", "config_s_string",
+            "config_lr_start_string", "config_batch_size_fraction", "config_x_scale_short",
+            "config_total_degree_string", "dictionary_parameters_string",
+            "dictionary_dims_s_string", "dictionary_total_degree_string",
+            "dictionary_x_scale_short", "dictionary_truncate_number"])
     def test_names_the_missing_key(self, poly_dataset, poly_model_file, tmp_path, capsys,
                                    option, obj, key):
         bad = tmp_path / "bad.json"
@@ -665,7 +697,14 @@ class TestMalformedInputFiles:
         (lambda obj: obj.pop("A11"), "has no 'A11' key"),
         (lambda obj: obj.pop("gtilde_descriptor"), "has no 'gtilde_descriptor' key"),
         (lambda obj: obj.update(decoder={"D": [[1.0]]}), "has no 'decoder.residual' key"),
-    ], ids=["A11", "descriptor", "decoder_residual"])
+        (lambda obj: obj.update(A11=[[1.0]]), "'A11' must be a numeric array of shape 4 x 4"),
+        (lambda obj: obj.update(A11="x"), "'A11' must be a numeric array"),
+        (lambda obj: obj.update(A11=[[1, 2], [3]]), "'A11' must be a numeric array"),
+        (lambda obj: obj.update(kind=["separable"]), "unknown model kind"),
+        (lambda obj: obj.update(decoder={"D": [[1.0]], "residual": 0.1}),
+         "'decoder.D' must be a numeric array of shape 2 x 4"),
+    ], ids=["A11", "descriptor", "decoder_residual", "A11_1x1", "A11_string", "A11_ragged",
+            "kind_list", "decoder_D_1x1"])
     @pytest.mark.parametrize("option", ["model", "models"])
     def test_model_without_a_key_names_it(self, poly_dataset, poly_model_file, tmp_path,
                                           capsys, option, edit, want):

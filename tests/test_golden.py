@@ -6,8 +6,16 @@ byte for byte, and evaluate like a freshly built object within the
 round-trip tolerances of the serialization tests.  The files pin the
 on-disk format: rewrite them (``python tests/test_golden.py``) only for a
 deliberate format change.
+
+``network_outputs.json`` pins the arithmetic of the network families
+instead: ``eval_aug`` and the trace loss with its gradient of MLP and
+residual-MLP dictionaries at fixed parameters, compared bit for bit.  A
+loaded dictionary is compared with a fresh build through the same code
+above, so only these values catch a change in the order of a network's
+sums.
 """
 
+import json
 import warnings
 from pathlib import Path
 
@@ -15,7 +23,9 @@ import numpy as np
 import pytest
 
 import kooplift as kl
+from kooplift.dynamics import AugmentedSnapshots
 from kooplift.errors import RankWarning
+from kooplift.learning import loss_gradient
 from kooplift.models import (extract_normal, fit_bilinear_baseline, fit_linear_baseline,
                              head_dictionary, load_model, save_model, states_from_lifted,
                              with_decoder)
@@ -56,6 +66,30 @@ MODELS = {
         lambda ss: fit_bilinear_baseline(head_dictionary(_dictionary("dict_polynomial_scaled")),
                                          ss, include_input_term=True),
 }
+
+
+# name -> family keyword arguments; every network has softplus activations.
+NETWORKS = {
+    "mlp_state_head": dict(kind="mlp", widths=[6, 5]),
+    "mlp_headless": dict(kind="mlp", widths=[6, 5], fixed_head=None),
+    "residual_mlp_state_head": dict(kind="residual_mlp", blocks=2, width=6),
+    "residual_mlp_headless": dict(kind="residual_mlp", blocks=2, width=6, fixed_head=None),
+}
+
+
+def _network_outputs(name):
+    """``eval_aug`` on a fixed ``Z`` and ``loss_gradient`` on a fixed batch.
+
+    The initial biases are zero, so the parameters are perturbed: every
+    bias then takes part in the sums whose order the values pin.
+    """
+    nd = kl.parametric_family(state_dim=2, input_dim=1, s=7, l=4, seed=5, **NETWORKS[name])
+    rng = np.random.default_rng(31)
+    nd.set_params(nd.get_params() + 0.3 * rng.standard_normal(nd.n_params))
+    Z = np.vstack([rng.uniform(-2, 2, size=(2, 12)), rng.uniform(-1, 1, size=(1, 12))])
+    Zplus = np.vstack([rng.uniform(-2, 2, size=(2, 12)), Z[2:]])
+    value, grad = loss_gradient(nd, AugmentedSnapshots(Z, Zplus, 2, 1))
+    return {"eval_aug": nd.eval_aug(Z).tolist(), "loss": value, "gradient": grad.tolist()}
 
 
 def _snapshots():
@@ -107,6 +141,15 @@ def test_model_file_round_trips(name, snapshots, tmp_path):
     assert (model.decoder is None) == (fresh.decoder is None)
 
 
+@pytest.mark.parametrize("name", sorted(NETWORKS))
+def test_network_outputs_are_pinned(name):
+    pinned = json.loads((FIXTURES / "network_outputs.json").read_text())[name]
+    outputs = _network_outputs(name)
+    for key in ("eval_aug", "gradient"):
+        np.testing.assert_array_equal(np.array(outputs[key]), np.array(pinned[key]), err_msg=key)
+    assert outputs["loss"] == pinned["loss"]
+
+
 if __name__ == "__main__":
     FIXTURES.mkdir(exist_ok=True)
     for name in DICTIONARIES:
@@ -114,3 +157,5 @@ if __name__ == "__main__":
     ss = _snapshots()
     for name in MODELS:
         save_model(_build_model(name, ss), FIXTURES / f"{name}.json")
+    outputs = {name: _network_outputs(name) for name in NETWORKS}
+    (FIXTURES / "network_outputs.json").write_text(json.dumps(outputs, indent=1) + "\n")

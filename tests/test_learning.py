@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import re
 import warnings
 from fractions import Fraction
 
@@ -379,6 +380,39 @@ class TestTrainConfig:
         with pytest.raises(ConfigError, match="unknown"):
             config_from_json({"family": {"kind": "polynomial"},
                               "learning_rate": 0.1})
+
+    @pytest.mark.parametrize("edit, key", [
+        ({"epochs": "3"}, "'epochs' must be an integer"),
+        ({"s": "6"}, "'s' must be an integer"),
+        ({"lr_start": "x"}, "'lr_start' must be a number"),
+        ({"batch_size": 2.5}, "'batch_size' must be an integer"),
+        ({"epochs": None}, "'epochs' must be an integer"),
+        ({"seed": True}, "'seed' must be an integer"),
+        ({"u_scale": "x"}, "'u_scale' must be a numeric array"),
+        ({"family": {"kind": ["mlp"]}}, "'family.kind' must be a string"),
+        ({"family": {"kind": "mlp", "widths": [4, 2.5]}}, "'family.widths[1]' must be an integer"),
+        ({"family": {"kind": "mlp", "widths": [4], "activation": 1}},
+         "'family.activation' must be a string"),
+        ({"family": {"kind": "polynomial", "total_degree": 2, "fixed_head": "x"}},
+         "'family.fixed_head' must be a list of integers"),
+        ({"family": {"kind": "example_poly_basis", "truncate": 5}},
+         "'family.truncate' must be a list of strings"),
+    ])
+    def test_value_of_the_wrong_type_names_its_key(self, edit, key):
+        obj = {"family": {"kind": "polynomial", "total_degree": 2}, "s": 7, "l": 4, **edit}
+        with pytest.raises(ConfigError, match=re.escape(key)):
+            config_from_json(obj)
+
+    def test_null_loads_where_the_default_is_null(self):
+        fam = {"kind": "polynomial", "total_degree": 2, "fixed_head": None}
+        cfg = config_from_json({"family": fam, "s": None, "l": None, "x_scale": None})
+        assert cfg == TrainConfig(family=fam)
+
+    def test_scale_of_the_wrong_length_names_its_key(self, zero_sine_augmented):
+        config = TrainConfig(family={"kind": "polynomial", "total_degree": 2}, s=7, l=4,
+                             epochs=1, batch_size=50, x_scale=[1.0])
+        with pytest.raises(ConfigError, match="'x_scale' must be a numeric array of shape 2"):
+            train(config, zero_sine_augmented)
 
 
 class TestTrain:
