@@ -28,10 +28,12 @@ compare
 cutoff of the pseudo-inverses' singular values; the other subcommands
 have no numerical cutoff and reject it.
 
-Exit codes: 0 success, 2 usage or configuration error (an input file
-that is missing or a directory, or a config, model or dictionary file
-that is not a JSON object, lacks a key, or holds a value of the wrong
-type or shape, included), 3 simulation failure, 4 numerical failure.
+Exit codes: 0 success, 2 usage or configuration error (a negative
+``--seed``, ``compare --steps`` below 1, an input file that is missing
+or a directory, or a config, model or dictionary file that is not a JSON
+object, lacks a key, holds a family key its kind does not take, or holds
+a value of the wrong type, range or shape, included), 3 simulation
+failure, 4 numerical failure.
 
 Every subcommand is a ``cmd_*`` function that :func:`main` calls with
 the parsed arguments and a private outputs object.  That object owns
@@ -568,6 +570,8 @@ def _attach_negative_values(argv) -> list[str]:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(_attach_negative_values(argv))
+    if (args.seed or 0) < 0:  # numpy's generators take no negative seed
+        parser.error(f"argument --seed: must be a non-negative integer, got {args.seed}")
     t0 = time.perf_counter()
     out = _Outputs(args.out, args.command)
     try:

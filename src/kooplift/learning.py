@@ -107,7 +107,7 @@ from .observables import (
     EXAMPLE_POLY_BASIS,
     NormalDictionary,
     TrainableNormalDictionary,
-    check_family_value,
+    check_family,
     example_poly_normal_basis,
     json_array,
     json_number,
@@ -121,13 +121,16 @@ Array = np.ndarray
 class TrainConfig:
     """Configuration for dictionary training.
 
-    ``family`` holds the dictionary-family keywords: ``kind`` plus the
-    family parameters (``total_degree``, ``widths``, or ``blocks`` and
-    ``width``, optional ``activation``, ``fixed_head`` and ``seed``); the
-    special kind ``"example_poly_basis"`` selects the frozen builtin
-    basis, which skips optimization entirely and takes only
-    ``truncate``.  Any other key raises :class:`ConfigError` when the
-    dictionary is built.  ``s`` and ``l`` are the augmented and
+    ``family`` holds ``kind`` and exactly the parameters that kind takes
+    in :data:`kooplift.observables.FAMILIES` (``total_degree``,
+    ``widths``, or ``blocks`` and ``width``, optional ``activation``,
+    ``fixed_head`` and ``seed``, which defaults to the config's
+    ``seed``); the special kind ``"example_poly_basis"`` selects the
+    frozen builtin basis, which skips optimization entirely and takes
+    only ``truncate``.  Any other key, or a value of the wrong type or
+    range, raises :class:`ConfigError` naming its path (``family.widths[1]``)
+    when the config is made, so before any data are read.  ``seed`` is a
+    non-negative integer.  ``s`` and ``l`` are the augmented and
     state dictionary dimensions (taken from the basis for the frozen
     kind).  The learning rate decreases linearly from ``lr_start`` to
     ``lr_end`` over the epochs.  Optimization minimizes the trace loss;
@@ -162,6 +165,11 @@ class TrainConfig:
                 f"need 0 < lr_end <= lr_start, got {self.lr_start} -> {self.lr_end}")
         if not (0.0 < self.split_fraction < 1.0):
             raise ConfigError("split_fraction must be in (0, 1)")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        if not isinstance(self.family, dict):
+            raise ConfigError(f"TrainConfig: 'family' must be a JSON object, got {self.family!r}")
+        check_family(self.family, "TrainConfig", "family.{}".format)
 
 
 @dataclasses.dataclass
@@ -313,33 +321,15 @@ def loss_gradient(nd: TrainableNormalDictionary, batch: AugmentedSnapshots,
     return value, grad
 
 
-# The keys a family spec may hold besides ``kind``, by kind.
-_SHARED_FAMILY_KEYS = ("fixed_head", "seed", "activation")
-_FAMILY_KEYS = {
-    EXAMPLE_POLY_BASIS: ("truncate",),
-    "polynomial": ("total_degree", *_SHARED_FAMILY_KEYS),
-    "mlp": ("widths", *_SHARED_FAMILY_KEYS),
-    "residual_mlp": ("blocks", "width", *_SHARED_FAMILY_KEYS),
-}
-
-
 def _build_dictionary(config: TrainConfig, state_dim: int, input_dim: int):
-    fam = dict(config.family)
-    kind = fam.pop("kind", None)
-    if kind is None:
-        raise ConfigError("family spec needs a 'kind' entry")
-    if kind not in _FAMILY_KEYS:
-        raise ConfigError(f"unknown family kind {kind!r}; expected one of {sorted(_FAMILY_KEYS)}")
-    unknown = set(fam) - set(_FAMILY_KEYS[kind])
-    if unknown:
-        raise ConfigError(f"unknown keys for family kind {kind!r}: {sorted(unknown)}")
+    family = dict(config.family)
+    kind = family.pop("kind")
     if kind == EXAMPLE_POLY_BASIS:
-        return example_poly_normal_basis(truncate=fam.pop("truncate", ()))
+        return example_poly_normal_basis(**family)
     if config.s is None or config.l is None:
         raise ConfigError("parametric families need explicit s and l")
-    fam.setdefault("seed", config.seed)
     return parametric_family(kind, state_dim=state_dim, input_dim=input_dim,
-                             s=config.s, l=config.l, **fam)
+                             s=config.s, l=config.l, **{"seed": config.seed, **family})
 
 
 def _held_out_proximity(nd: NormalDictionary, batch: AugmentedSnapshots):
@@ -626,9 +616,10 @@ _CONFIG_TYPES = {"s": int, "l": int, "epochs": int, "batch_size": int, "seed": i
 def config_from_json(obj: dict) -> TrainConfig:
     """TrainConfig from its JSON form, rejecting unknown and missing keys.
 
-    A value of the wrong JSON type, in the family spec too, raises
-    :class:`ConfigError` naming its key; the lengths of ``x_scale`` and
-    ``u_scale`` are checked against the data in :func:`train`.
+    A value of the wrong JSON type raises :class:`ConfigError` naming its
+    key, and :class:`TrainConfig` checks the family; the lengths of
+    ``x_scale`` and ``u_scale`` are checked against the data in
+    :func:`train`.
 
     Files written before the held-out metric became the exact index carry
     ``loss_mode``: ``"trace"`` and ``"max_eig"`` are dropped, since the
@@ -646,10 +637,6 @@ def config_from_json(obj: dict) -> TrainConfig:
                and f.default is f.default_factory is dataclasses.MISSING]
     if missing:
         raise ConfigError(f"missing TrainConfig keys: {missing}")
-    if not isinstance(obj["family"], dict):
-        raise ConfigError(f"TrainConfig 'family' must be a JSON object, got {obj['family']!r}")
-    for key, value in obj["family"].items():
-        check_family_value(key, value, f"family.{key}", "TrainConfig")
     defaults = {f.name: f.default for f in fields}
     for key, kind in _CONFIG_TYPES.items():
         if key not in obj or (obj[key] is None and defaults[key] is None):

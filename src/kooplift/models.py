@@ -634,8 +634,11 @@ def evaluate_rollouts(system: ControlSystem, models: dict, x0s, n_steps: int,
     Each model rolls all ``x0s`` as one lifted block through its
     ``transitions``, which it computes once for the test signal.  A
     column that goes non-finite records its step; ``diverged_at`` is the
-    earliest of them, and that ``x0``'s trajectory is None.
+    earliest of them, and that ``x0``'s trajectory is None.  ``n_steps``
+    below 1 raises :class:`ConfigError`.
     """
+    if n_steps < 1:
+        raise ConfigError(f"need at least 1 rollout step, got {n_steps}")
     rng = np.random.default_rng(seed)
     lo, hi = system.input_box
     U = rng.uniform(lo, hi, size=(n_steps, system.input_dim)).T

@@ -24,6 +24,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import json
+from numbers import Integral, Real
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -644,10 +645,6 @@ class TrainableNormalDictionary(NormalDictionary):
         self.spec = dict(spec)
         self.x_scale = np.ones(state_dim) if x_scale is None else np.asarray(x_scale, float)
         self.u_scale = np.ones(input_dim) if u_scale is None else np.asarray(u_scale, float)
-        if any(i < 0 or i >= state_dim for i in self.fixed_head):
-            raise ConfigError("fixed_head indices must be valid state coordinates")
-        if len(self.fixed_head) > l:
-            raise ConfigError("fixed_head longer than dictionary dimension l")
         head_names = tuple(f"x{i + 1}" for i in self.fixed_head)
         free_names = tuple(f"{kind}{j + 1}" for j in range(l - len(self.fixed_head)))
         H = StateDictionary(dim=l, fn=self._eval_H, names=head_names + free_names,
@@ -807,19 +804,17 @@ class TrainableNormalDictionary(NormalDictionary):
 
 
 def _build_net(kind: str, in_dim: int, out_dim: int, spec: dict, rng: np.random.Generator):
-    """The family's network as a layer list, or None when it has no output."""
+    """The family's network as a layer list, or None when it has no output.
+
+    ``spec`` holds the family's parameters, checked by :func:`check_family`.
+    """
     if out_dim == 0:
         return None
     if kind == "polynomial":
-        degree = int(spec["total_degree"])
-        if degree < 1:
-            raise ConfigError("polynomial total_degree must be >= 1")
-        featurize, names = monomial_featurizer(in_dim, degree)
+        featurize, names = monomial_featurizer(in_dim, spec["total_degree"])
         W = rng.standard_normal((out_dim, len(names))) / np.sqrt(len(names))
         return _DenseNet([(W, None, None, None)], featurize)
-    act = _ACTIVATIONS.get(spec["activation"])
-    if act is None:
-        raise ConfigError(f"unknown activation {spec['activation']!r}")
+    act = _ACTIVATIONS[spec["activation"]]
 
     def dense(fan_in, fan_out, act=None, skip=None, scale=1.0):
         """One layer: He-initialised weights (divided by ``scale``), zero bias."""
@@ -827,17 +822,12 @@ def _build_net(kind: str, in_dim: int, out_dim: int, spec: dict, rng: np.random.
         return W, np.zeros(fan_out), act, skip
 
     if kind == "mlp":
-        widths = [int(w) for w in spec["widths"]]
-        if not widths or any(w < 1 for w in widths):
-            raise ConfigError("mlp widths must be positive")
+        widths = spec["widths"]
         sizes = [in_dim, *widths]
         return _DenseNet([*(dense(i, o, act) for i, o in zip(sizes, widths)),
                           dense(widths[-1], out_dim)])
-    # residual_mlp: parametric_family has rejected every other kind.  Each
-    # block computes ``y <- y + W2 act(W1 y + b1) + b2``.
-    blocks, width = int(spec["blocks"]), int(spec["width"])
-    if blocks < 1 or width < 1:
-        raise ConfigError("residual_mlp blocks and width must be positive")
+    # residual_mlp: each block computes ``y <- y + W2 act(W1 y + b1) + b2``.
+    blocks, width = spec["blocks"], spec["width"]
     layers = [dense(in_dim, width)]
     for _ in range(blocks):
         layers.append(dense(width, width, act))
@@ -846,22 +836,14 @@ def _build_net(kind: str, in_dim: int, out_dim: int, spec: dict, rng: np.random.
     return _DenseNet(layers)
 
 
-def parametric_family(
-    kind: str,
-    *,
-    state_dim: int,
-    input_dim: int,
-    s: int,
-    l: int,
-    fixed_head="state",
-    seed: int = 0,
-    total_degree: int | None = None,
-    widths: Sequence[int] | None = None,
-    blocks: int | None = None,
-    width: int | None = None,
-    activation: str = "softplus",
-) -> TrainableNormalDictionary:
+def parametric_family(kind: str, *, state_dim: int, input_dim: int, s: int, l: int,
+                      **params) -> TrainableNormalDictionary:
     """Construct a trainable normal-form dictionary.
+
+    ``params`` are the family's parameters, checked against
+    :data:`FAMILIES` by :func:`check_family`: a key the kind does not take,
+    a missing required key, or a value of the wrong type or range raises
+    :class:`ConfigError` naming the key.
 
     Parameters
     ----------
@@ -870,45 +852,36 @@ def parametric_family(
         (entries of both H and Gtilde are polynomials); ``mlp`` uses fully
         connected networks with the given hidden ``widths``;
         ``residual_mlp`` uses ``blocks`` residual blocks of ``width``
-        neurons each.
+        neurons each.  Each kind requires its own parameters and takes no
+        other kind's.
     s, l : int
         Augmented and state dictionary dimensions, ``s >= l``.
-    fixed_head : "state", sequence of int, or None
-        State-coordinate indices frozen as the first rows of H.  The
-        default freezes the full state vector, the usual practice so that
-        lifted rollouts read states directly off the head.
+    fixed_head : "state", list of int, or None
+        Distinct state-coordinate indices frozen as the first rows of H, at
+        most ``l`` of them.  The default freezes the full state vector, the
+        usual practice so that lifted rollouts read states directly off the
+        head.
     activation : {"softplus", "relu", "tanh"}
         ``softplus`` (default) keeps the family smooth so that gradient
         checks need no kink avoidance; ``relu`` is the conventional choice
-        at larger scale.
+        at larger scale.  The polynomial family takes it but has no
+        activation to apply.
     seed : int
-        Deterministic parameter initialization.
+        Deterministic parameter initialization, non-negative; default 0.
     """
+    if kind == EXAMPLE_POLY_BASIS:
+        raise ConfigError(f"{kind!r} is a builtin dictionary, not a parametric family")
+    spec = check_family({"kind": kind, **params}, "parametric_family")
     if s < l or l < 1:
         raise ConfigError(f"need s >= l >= 1, got s={s}, l={l}")
-    if fixed_head == "state":
-        fixed_head = list(range(state_dim))
-    fixed_head = [int(i) for i in (fixed_head or [])]
-    if len(fixed_head) > l:
-        raise ConfigError("fixed_head longer than l")
-    spec = {"activation": activation}
-    if kind == "polynomial":
-        if total_degree is None:
-            raise ConfigError("polynomial family needs total_degree")
-        spec["total_degree"] = int(total_degree)
-    elif kind == "mlp":
-        if widths is None:
-            raise ConfigError("mlp family needs widths")
-        spec["widths"] = [int(w) for w in widths]
-    elif kind == "residual_mlp":
-        if blocks is None or width is None:
-            raise ConfigError("residual_mlp family needs blocks and width")
-        spec["blocks"], spec["width"] = int(blocks), int(width)
-    else:
-        raise ConfigError(f"unknown family kind {kind!r}")
+    head = spec.pop("fixed_head")
+    head = list(range(state_dim)) if head == "state" else head or []
+    if len(set(head)) < len(head) or len(head) > l or any(i >= state_dim for i in head):
+        raise ConfigError(f"fixed_head {head} must be at most l = {l} distinct state "
+                          f"coordinates below {state_dim}")
 
-    rng = np.random.default_rng(seed)
-    h_net = _build_net(kind, state_dim, l - len(fixed_head), spec, rng)
+    rng = np.random.default_rng(spec["seed"])
+    h_net = _build_net(kind, state_dim, l - len(head), spec, rng)
     g_net = _build_net(kind, input_dim, (s - l) * l, spec, rng) if s > l else None
     return TrainableNormalDictionary(
         kind=kind,
@@ -916,10 +889,10 @@ def parametric_family(
         input_dim=input_dim,
         s=s,
         l=l,
-        fixed_head=fixed_head,
+        fixed_head=head,
         h_net=h_net,
         g_net=g_net,
-        spec={**spec, "seed": seed},
+        spec=spec,
     )
 
 
@@ -978,6 +951,103 @@ def example_poly_normal_basis(truncate: Sequence[str] = ()) -> NormalDictionary:
 
 
 # ----------------------------------------------------------------------
+# Dictionary families and their parameters
+#
+# Each check takes a value, its key path and the name of the object that
+# holds it, and returns the value as the family uses it or raises
+# ConfigError naming the path.
+
+
+def _integer(low: int):
+    """The check of an integer of at least ``low``."""
+
+    def check(value, path: str, what: str) -> int:
+        if json_number(value, path, what, integer=True) < low:
+            raise ConfigError(f"{what}: {path!r} must be >= {low}, got {value!r}")
+        return int(value)
+
+    return check
+
+
+def _list_of(item, of: str, least: int = 0):
+    """The check of a list of at least ``least`` entries, each passing ``item``.
+
+    ``of`` names the entries in the error.
+    """
+
+    def check(value, path: str, what: str) -> list:
+        if not isinstance(value, (list, tuple)) or len(value) < least:
+            raise ConfigError(f"{what}: {path!r} must be a list of {of}, got {value!r}")
+        return [item(v, f"{path}[{i}]", what) for i, v in enumerate(value)]
+
+    return check
+
+
+def _string(value, path: str, what: str) -> str:
+    if not isinstance(value, str):
+        raise ConfigError(f"{what}: {path!r} must be a string, got {value!r}")
+    return value
+
+
+def _activation(value, path: str, what: str) -> str:
+    if _string(value, path, what) not in _ACTIVATIONS:
+        raise ConfigError(f"{what}: {path!r} must be one of {sorted(_ACTIVATIONS)}, "
+                          f"got {value!r}")
+    return value
+
+
+def _fixed_head(value, path: str, what: str):
+    """``"state"``, None, or a list of indices; :func:`parametric_family` checks their range."""
+    if value is None or isinstance(value, str) and value == "state":
+        return value
+    return _list_of(_integer(0), "integers")(value, path, what)
+
+
+# The parameters every parametric family takes.
+_PARAMETRIC = {
+    "fixed_head": (_fixed_head, "state"),
+    "seed": (_integer(0), 0),
+    "activation": (_activation, "softplus"),
+}
+
+# kind -> {parameter: (check, default)}; a default of ``...`` marks a
+# required parameter.  The builtin basis takes only the bottom-block rows
+# to drop.
+FAMILIES = {
+    EXAMPLE_POLY_BASIS: {"truncate": (_list_of(_string, "strings"), ())},
+    "polynomial": {"total_degree": (_integer(1), ...), **_PARAMETRIC},
+    "mlp": {"widths": (_list_of(_integer(1), "one or more integers", least=1), ...),
+            **_PARAMETRIC},
+    "residual_mlp": {"blocks": (_integer(1), ...), "width": (_integer(1), ...), **_PARAMETRIC},
+}
+
+
+def check_family(family: dict, what: str, path: Callable[[str], str] = str) -> dict:
+    """The parameters of ``family`` checked against :data:`FAMILIES`, defaults filled in.
+
+    ``family`` holds ``kind`` and that kind's parameters.  A missing or
+    unknown kind, a key the kind does not take, a missing required key, or
+    a value of the wrong type or range raises :class:`ConfigError` naming
+    the key's path inside the object ``what``; ``path`` maps a key to its
+    path (``"family.{}".format`` for a ``learn`` config).  The result holds
+    every parameter of the kind and not ``kind``.
+    """
+    kind = _string(family.get("kind"), path("kind"), what)
+    if kind not in FAMILIES:
+        raise ConfigError(f"{what}: unknown family kind {kind!r}; known: {sorted(FAMILIES)}")
+    table = FAMILIES[kind]
+    for key in family:
+        if key != "kind" and key not in table:
+            raise ConfigError(f"{what}: family kind {kind!r} takes no {key!r} key "
+                              f"({path(key)!r}); it takes {list(table)}")
+    for key, (_, default) in table.items():
+        if default is ... and key not in family:
+            raise ConfigError(f"{what}: family kind {kind!r} needs {path(key)!r}")
+    return {key: check(family[key], path(key), what) if key in family else default
+            for key, (check, default) in table.items()}
+
+
+# ----------------------------------------------------------------------
 # Serialization
 
 
@@ -1012,7 +1082,7 @@ def json_number(value, path: str, what: str, integer: bool = False):
     Anything else, a boolean or a numeric string included, raises
     :class:`ConfigError` naming ``path`` inside the JSON object ``what``.
     """
-    if isinstance(value, bool) or not isinstance(value, int if integer else (int, float)):
+    if isinstance(value, bool) or not isinstance(value, Integral if integer else Real):
         kind = "an integer" if integer else "a number"
         raise ConfigError(f"{what}: {path!r} must be {kind}, got {value!r}")
     return value
@@ -1036,33 +1106,12 @@ def json_array(value, path: str, what: str, shape: tuple) -> Array:
     return a.astype(float)
 
 
-def check_family_value(key: str, value, path: str, what: str) -> None:
-    """Raise :class:`ConfigError` naming ``path`` when a family parameter has the wrong JSON type.
-
-    ``kind`` and ``activation`` are strings and ``truncate`` a list of
-    them; ``total_degree``, ``blocks``, ``width`` and ``seed`` integers;
-    ``widths`` a list of integers and ``fixed_head`` one too, or null, or
-    ``"state"``.  Other keys are left to the checks of
-    :func:`parametric_family`.
-    """
-    if key in ("kind", "activation") and not isinstance(value, str):
-        raise ConfigError(f"{what}: {path!r} must be a string, got {value!r}")
-    if key == "truncate" and not (isinstance(value, list)
-                                  and all(isinstance(v, str) for v in value)):
-        raise ConfigError(f"{what}: {path!r} must be a list of strings, got {value!r}")
-    if key in ("total_degree", "blocks", "width", "seed"):
-        json_number(value, path, what, integer=True)
-    if key == "widths" or (key == "fixed_head" and value not in (None, "state")):
-        if not isinstance(value, list):
-            raise ConfigError(f"{what}: {path!r} must be a list of integers, got {value!r}")
-        for i, v in enumerate(value):
-            json_number(v, f"{path}[{i}]", what, integer=True)
-
-
 def dictionary_from_json(obj: dict) -> NormalDictionary:
     """Rebuild a dictionary from :func:`dictionary_to_json` output.
 
-    A missing key, or a value of the wrong type or shape, raises
+    The family is checked by :func:`check_family`: ``kind`` and
+    ``fixed_head`` sit at the top level, the other parameters in ``spec``.
+    A missing key, or a value of the wrong type, range or shape, raises
     :class:`ConfigError` naming its path.
     """
     if obj.get("format") != DICTIONARY_FORMAT:
@@ -1070,33 +1119,21 @@ def dictionary_from_json(obj: dict) -> NormalDictionary:
     what = "kooplift dictionary JSON object"
     require_keys(obj, ("kind",), what)
     if obj["kind"] == EXAMPLE_POLY_BASIS:
-        truncate = obj.get("truncate", [])
-        check_family_value("truncate", truncate, "truncate", what)
-        return example_poly_normal_basis(truncate=truncate)
+        family = {key: obj[key] for key in ("kind", "truncate") if key in obj}
+        return example_poly_normal_basis(**check_family(family, what))
     require_keys(obj, ("dims", "spec", "fixed_head", "parameters"), what)
     dims, spec = obj["dims"], obj["spec"]
     require_keys(dims, ("state_dim", "input_dim", "s", "l"), what, "dims")
     require_keys(spec, (), what, "spec")
     for key, value in dims.items():
         json_number(value, f"dims.{key}", what, integer=True)
-    for key, value in [("kind", obj["kind"]), ("fixed_head", obj["fixed_head"])]:
-        check_family_value(key, value, key, what)
-    for key, value in spec.items():
-        check_family_value(key, value, f"spec.{key}", what)
-    nd = parametric_family(
-        obj["kind"],
-        state_dim=dims["state_dim"],
-        input_dim=dims["input_dim"],
-        s=dims["s"],
-        l=dims["l"],
-        fixed_head=obj["fixed_head"],
-        seed=spec.get("seed", 0),
-        total_degree=spec.get("total_degree"),
-        widths=spec.get("widths"),
-        blocks=spec.get("blocks"),
-        width=spec.get("width"),
-        activation=spec.get("activation", "softplus"),
-    )
+    top = {"kind": obj["kind"], "fixed_head": obj["fixed_head"]}
+    if top.keys() & spec.keys():
+        raise ConfigError(f"{what}: 'spec' holds {sorted(top.keys() & spec.keys())}, "
+                          "which belong at the top level")
+    check_family({**spec, **top}, what, lambda key: key if key in top else f"spec.{key}")
+    nd = parametric_family(**top, state_dim=dims["state_dim"], input_dim=dims["input_dim"],
+                           s=dims["s"], l=dims["l"], **spec)
     nd.set_params(json_array(obj["parameters"], "parameters", what, (nd.n_params,)))
     n, m = dims["state_dim"], dims["input_dim"]
     return nd.with_input_scaling(json_array(obj.get("x_scale", np.ones(n)), "x_scale", what, (n,)),

@@ -365,6 +365,14 @@ class TestCompare:
         assert rc == 2
         assert "at least 2" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("steps", ["0", "-3"])
+    def test_fewer_than_one_step_exits_2(self, poly_model_file, tmp_path, capsys, steps):
+        rc = _run(["compare", "--system", "example_poly", "--models", str(poly_model_file),
+                   str(poly_model_file), "--steps", steps, "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert f"need at least 1 rollout step, got {steps}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_model_against_itself(self, poly_model_file, tmp_path):
         rc = _run(["compare", "--system", "example_poly",
                    "--models", str(poly_model_file), str(poly_model_file),
@@ -454,6 +462,16 @@ class TestLearn:
                    "--config", str(config), "--out", str(tmp_path)])
         assert rc == 2
         assert repr(key) in capsys.readouterr().err
+
+    def test_family_is_checked_before_the_data_file(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"family": {"kind": "polynomial", "total_degre": 2},
+                                      "s": 7, "l": 4}))
+        rc = _run(["learn", "--data", str(tmp_path / "nope.csv"),
+                   "--config", str(config), "--out", str(tmp_path / "out")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "'family.total_degre'" in err and "nope.csv" not in err
 
     def test_unknown_family_kind_rejected(self, poly_dataset, tmp_path, capsys):
         config = tmp_path / "config.json"
@@ -677,13 +695,30 @@ class TestMalformedInputFiles:
          "'x_scale' must be a numeric array of shape 2"),
         ("dictionary", {"format": DICTIONARY_FORMAT, "kind": "example_poly_basis",
                         "truncate": 5}, "'truncate' must be a list of strings"),
+        ("dictionary", _dictionary_json(spec={"total_degree": 2, "seed": 0, "widths": [4]}),
+         "takes no 'widths' key ('spec.widths')"),
+        ("dictionary", _dictionary_json(spec={"total_degre": 2, "seed": 0}),
+         "takes no 'total_degre' key ('spec.total_degre')"),
+        ("dictionary", _dictionary_json(spec={"total_degree": 2, "activation": "bogus"}),
+         "'spec.activation' must be one of"),
+        ("config", _config_json(family={"kind": "polynomial", "total_degree": 2, "seed": -1}),
+         "'family.seed' must be >= 0"),
+        ("config", _config_json(family={"kind": "polynomial", "total_degree": 2,
+                                        "activation": "bogus"}),
+         "'family.activation' must be one of"),
+        ("config", _config_json(family={"kind": "mlp", "widths": [4], "fixed_head": [0, 0]}),
+         "fixed_head [0, 0] must be at most l = 4 distinct state coordinates"),
+        ("config", _config_json(seed=-2), "seed must be >= 0"),
     ], ids=["config_empty", "config_no_family", "config_family_not_object", "model", "models",
             "dictionary", "dictionary_no_dims", "dictionary_dims_without_s",
             "dictionary_dims_not_object", "config_epochs_string", "config_s_string",
             "config_lr_start_string", "config_batch_size_fraction", "config_x_scale_short",
             "config_total_degree_string", "dictionary_parameters_string",
             "dictionary_dims_s_string", "dictionary_total_degree_string",
-            "dictionary_x_scale_short", "dictionary_truncate_number"])
+            "dictionary_x_scale_short", "dictionary_truncate_number",
+            "dictionary_widths_on_polynomial", "dictionary_misspelled_key",
+            "dictionary_activation_unknown", "config_family_seed_negative",
+            "config_activation_unknown", "config_fixed_head_repeated", "config_seed_negative"])
     def test_names_the_missing_key(self, poly_dataset, poly_model_file, tmp_path, capsys,
                                    option, obj, key):
         bad = tmp_path / "bad.json"
@@ -736,6 +771,20 @@ def test_directory_as_input_file_exits_2(poly_dataset, poly_model_file, tmp_path
     }[option]
     assert _run([str(a) for a in argv] + ["--out", str(tmp_path / "out")]) == 2
     assert str(folder) in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--system", "example_poly", "--seed", "-1"],
+    ["consistency", "--data", "d.csv", "--dictionary", "example_poly_basis", "--seed", "-1"],
+    ["learn", "--data", "d.csv", "--config", "c.json", "--seed", "-3"],
+    ["compare", "--system", "example_poly", "--models", "a.json", "b.json", "--seed", "-1"],
+], ids=["simulate", "consistency", "learn", "compare"])
+def test_negative_seed_is_a_usage_error(tmp_path, capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        _run(argv + ["--out", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    assert "--seed: must be a non-negative integer" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 

@@ -360,6 +360,8 @@ class TestTrainConfig:
             config_from_json({"family": fam, "loss_mode": "hinge"})
         with pytest.raises(ConfigError):
             TrainConfig(family=fam, split_fraction=1.0)
+        with pytest.raises(ConfigError, match="seed must be >= 0"):
+            TrainConfig(family=fam, seed=-2)
 
     @pytest.mark.parametrize("mode", ["trace", "max_eig"])
     def test_legacy_loss_mode_still_loads(self, mode):

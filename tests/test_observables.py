@@ -10,8 +10,8 @@ import pytest
 import kooplift as kl
 from kooplift.errors import ConfigError, DimensionMismatch, RankDeficientProbe
 from kooplift.models import extract_normal
-from kooplift.observables import (_coefficient_stack, _monomial_exponents, _sigmoid,
-                                  _softplus)
+from kooplift.observables import (FAMILIES, _coefficient_stack, _monomial_exponents,
+                                  _sigmoid, _softplus)
 
 
 def _random_aug(rng, n=2, m=1, N=30):
@@ -521,6 +521,12 @@ class TestParametricFamily:
         with pytest.raises(ConfigError):
             kl.parametric_family("mlp", state_dim=2, input_dim=1,
                                  s=7, l=4, widths=[0])
+        with pytest.raises(ConfigError, match="'total_degree' must be an integer"):
+            kl.parametric_family("polynomial", state_dim=2, input_dim=1,
+                                 s=7, l=4, total_degree=2.7)
+        with pytest.raises(ConfigError, match="takes no 'widths' key"):
+            kl.parametric_family("polynomial", state_dim=2, input_dim=1,
+                                 s=7, l=4, total_degree=2, widths=[3])
 
     def test_deterministic_initialization(self):
         a = kl.parametric_family("mlp", state_dim=2, input_dim=1,
@@ -538,6 +544,19 @@ class TestSerialization:
         rng = np.random.default_rng(14)
         Z = _random_aug(rng)
         np.testing.assert_array_equal(poly_basis.eval_aug(Z), nd2.eval_aug(Z))
+
+    @pytest.mark.parametrize("kind", sorted(set(FAMILIES) - {"example_poly_basis"}))
+    def test_every_family_builds_from_its_required_keys(self, kind):
+        """Each parametric kind of the table builds from its required keys and round-trips."""
+        examples = {"total_degree": 2, "widths": [5], "blocks": 1, "width": 5}
+        required = {key: examples[key] for key, (_, default) in FAMILIES[kind].items()
+                    if default is ...}
+        nd = kl.parametric_family(kind, state_dim=2, input_dim=1, s=7, l=4, **required)
+        obj = kl.dictionary_to_json(nd)
+        nd2 = kl.dictionary_from_json(json.loads(json.dumps(obj)))
+        assert kl.dictionary_to_json(nd2) == obj
+        Z = _random_aug(np.random.default_rng(15))
+        np.testing.assert_array_equal(nd.eval_aug(Z), nd2.eval_aug(Z))
 
     def test_truncated_builtin_round_trip(self):
         nd = kl.example_poly_normal_basis(truncate=("sin(u)", "u^2"))
