@@ -13,8 +13,16 @@ residual-MLP dictionaries at fixed parameters, compared bit for bit.  A
 loaded dictionary is compared with a fresh build through the same code
 above, so only these values catch a change in the order of a network's
 sums.
+
+``train_outputs.json`` pins a whole training run the same way: the
+curves, the final proximities, the counters and a digest of the final
+parameters of :func:`train` on small datasets, compared at atol 0, so
+a change in the order of the optimizer's arithmetic or its random draws
+shows.  The aborted run's curves are not pinned; its counters, proximities
+and parameters are.
 """
 
+import hashlib
 import json
 import warnings
 from pathlib import Path
@@ -25,7 +33,7 @@ import pytest
 import kooplift as kl
 from kooplift.dynamics import AugmentedSnapshots
 from kooplift.errors import RankWarning
-from kooplift.learning import loss_gradient
+from kooplift.learning import TrainConfig, loss_gradient, train
 from kooplift.models import (extract_normal, fit_bilinear_baseline, fit_linear_baseline,
                              head_dictionary, load_model, save_model, states_from_lifted,
                              with_decoder)
@@ -92,6 +100,90 @@ def _network_outputs(name):
     return {"eval_aug": nd.eval_aug(Z).tolist(), "loss": value, "gradient": grad.tolist()}
 
 
+def _example_aug(experiments):
+    plan = kl.ExperimentPlan(num_experiments=experiments, steps_per_experiment=5, rng_seed=17)
+    return kl.to_augmented(kl.run_experiments(kl.example_poly(g=0.0), plan))
+
+
+def _motor_case():
+    plan = kl.ExperimentPlan(num_experiments=40, steps_per_experiment=5, rng_seed=0,
+                             input_mode="constant")
+    aug = kl.to_augmented(kl.run_experiments(kl.get_system("dc_motor_tanh"), plan))
+    config = TrainConfig(family={"kind": "residual_mlp", "blocks": 1, "width": 8,
+                                 "fixed_head": [0, 1]},
+                         s=8, l=4, epochs=3, batch_size=50, lr_start=5e-3, lr_end=1e-4,
+                         seed=2, x_scale=[1 / 5, 1 / 80], u_scale=[1 / 2])
+    return config, aug
+
+
+def _polynomial_case():
+    config = TrainConfig(family={"kind": "polynomial", "total_degree": 2, "seed": 2},
+                         s=7, l=4, epochs=3, batch_size=50, lr_start=1e-2, lr_end=1e-3,
+                         seed=9)
+    return config, _example_aug(100)
+
+
+def _frozen_case():
+    # The scales do not apply to a frozen basis: they are ignored, not checked.
+    config = TrainConfig(family={"kind": "example_poly_basis"}, seed=5,
+                         x_scale=[1 / 5, 1 / 80], u_scale=[1 / 2])
+    return config, _example_aug(100)
+
+
+def _held_out_nan_case():
+    # One non-finite held-out column: every held-out pass fails and is counted.
+    config = TrainConfig(family={"kind": "polynomial", "total_degree": 2},
+                         s=7, l=4, epochs=3, batch_size=50, seed=4)
+    aug = _example_aug(100)
+    Z = aug.Z.copy()
+    Z[0, train(config, aug)[1].val_indices[3]] = np.nan
+    return config, AugmentedSnapshots(Z, aug.Zplus, 2, 1)
+
+
+def _aborted_case():
+    # Every fifth training column is non-finite: the first epoch completes
+    # and the second aborts after some finite batches.
+    config = TrainConfig(family={"kind": "polynomial", "total_degree": 2}, s=7, l=4,
+                         epochs=8, batch_size=2, lr_start=1e-2, lr_end=1e-3, seed=2)
+    aug = _example_aug(40)
+    split = train(TrainConfig(family={"kind": "example_poly_basis"}, seed=2), aug)[1]
+    Z = aug.Z.copy()
+    Z[0, split.train_indices[::5]] = np.nan
+    return config, AugmentedSnapshots(Z, aug.Zplus, 2, 1)
+
+
+# name -> builder of (config, data)
+TRAINING_RUNS = {
+    "residual_mlp_motor_scales": _motor_case,
+    "polynomial": _polynomial_case,
+    "example_poly_basis": _frozen_case,
+    "held_out_nan": _held_out_nan_case,
+    "aborted": _aborted_case,
+}
+CURVES = ("train_curve", "val_curve", "lr_schedule")
+
+
+def _train_outputs(name):
+    """The report of one training run and the sha256 of its final parameters.
+
+    A frozen basis has no parameter vector, so its digest is None.  The
+    aborted run leaves out its curves.
+    """
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        config, aug = TRAINING_RUNS[name]()
+        nd, report = train(config, aug)
+    get = getattr(nd, "get_params", None)
+    out = {key: getattr(report, key) for key in (
+        *CURVES, "final_proximity_train", "final_proximity_test", "best_epoch",
+        "nan_batches", "aborted")}
+    out["params_sha256"] = None if get is None else hashlib.sha256(get().tobytes()).hexdigest()
+    if report.aborted:
+        for key in CURVES:
+            del out[key]
+    return out
+
+
 def _snapshots():
     plan = kl.ExperimentPlan(num_experiments=30, steps_per_experiment=5, rng_seed=3,
                              input_mode="piecewise")
@@ -150,6 +242,14 @@ def test_network_outputs_are_pinned(name):
     assert outputs["loss"] == pinned["loss"]
 
 
+@pytest.mark.parametrize("name", list(TRAINING_RUNS))
+def test_train_outputs_are_pinned(name):
+    pinned = json.loads((FIXTURES / "train_outputs.json").read_text())[name]
+    outputs = _train_outputs(name)
+    assert sorted(outputs) == sorted(pinned)
+    for key, value in pinned.items():
+        np.testing.assert_array_equal(np.asarray(outputs[key]), np.asarray(value), err_msg=key)
+
 if __name__ == "__main__":
     FIXTURES.mkdir(exist_ok=True)
     for name in DICTIONARIES:
@@ -159,3 +259,5 @@ if __name__ == "__main__":
         save_model(_build_model(name, ss), FIXTURES / f"{name}.json")
     outputs = {name: _network_outputs(name) for name in NETWORKS}
     (FIXTURES / "network_outputs.json").write_text(json.dumps(outputs, indent=1) + "\n")
+    outputs = {name: _train_outputs(name) for name in TRAINING_RUNS}
+    (FIXTURES / "train_outputs.json").write_text(json.dumps(outputs, indent=1) + "\n")
