@@ -69,10 +69,14 @@ both baselines (least squares on R's column blocks, no second pass of
 H).  It compares models on held-out data through the models' batched
 transition protocol (:mod:`kooplift.models`).
 
-Training follows the conventional recipe: split the data in half, run a
-moment-based adaptive gradient method (decay 0.9/0.999, stabilizer 1e-8)
-with a linearly decreasing learning rate over shuffled mini-batches, and
-keep the parameters that score the best held-out proximity.
+Training (:func:`train`) follows the conventional recipe in named
+stages.  ``_split`` cuts the data in half.  Each epoch, ``_epoch`` runs
+shuffled mini-batches through :func:`loss_gradient` and one Adam update,
+``_adam_update`` (decay 0.9/0.999, stabilizer 1e-8, a linearly
+decreasing learning rate), and applies the abort rule;
+``_held_out_proximity`` then scores the epoch, and the parameters with
+the best held-out proximity are kept.  The report is built in one place,
+at the end.  A frozen family runs zero epochs through the same stages.
 """
 
 from __future__ import annotations
@@ -187,6 +191,10 @@ class TrainReport:
     epoch.  Final proximities are ridge-free and computed in original
     coordinates; ``final_proximity_test`` is read off the best epoch's
     held-out R, so it equals ``val_curve[best_epoch]`` bit for bit.
+    ``lr_schedule`` holds each epoch's learning rate.  The three curves
+    have one entry per epoch begun: the epoch in which a run aborts
+    records the mean loss of its finite batches (NaN when none was
+    finite) and a NaN held-out entry, since no held-out pass runs.
     ``wall_time`` is informational and excluded from the deterministic
     JSON so that metric files are byte-reproducible.
     ``train_consistency`` is the consistency report behind
@@ -364,139 +372,165 @@ def _sqrt_index(report) -> float:
     return float("nan") if report is None else report.sqrt_index
 
 
+def _split(config: TrainConfig, N: int):
+    """Training and held-out column indices, each sorted.
+
+    One permutation drawn from ``[seed, 1]``, cut at ``split_fraction``
+    with at least one column on each side.
+    """
+    perm = np.random.default_rng([config.seed, 1]).permutation(N)
+    n_train = min(max(int(round(config.split_fraction * N)), 1), N - 1)
+    return np.sort(perm[:n_train]), np.sort(perm[n_train:])
+
+
+def _scales(config: TrainConfig, data: AugmentedSnapshots):
+    """``(x_scale, u_scale)`` checked against the data; ones where unset."""
+    return tuple(np.ones(dim) if value is None else json_array(value, key, "TrainConfig", (dim,))
+                 for key, value, dim in (("x_scale", config.x_scale, data.state_dim),
+                                         ("u_scale", config.u_scale, data.input_dim)))
+
+
+@dataclasses.dataclass
+class _Adam:
+    """Adam's state: the moment estimates ``m`` and ``v`` and the step count ``t``."""
+
+    m: Array
+    v: Array
+    t: int = 0
+
+
+def _adam_update(adam: _Adam, theta: Array, grad: Array, lr: float) -> None:
+    """One Adam step (decay 0.9/0.999, stabilizer 1e-8) on ``theta``.
+
+    ``m``, ``v`` and ``theta`` are updated in place, by the operations of
+    ``m = b1 m + (1 - b1) g``, ``v = b2 v + (1 - b2) g g`` and
+    ``theta -= lr m_hat / (sqrt(v_hat) + 1e-8)`` in their order, so the
+    step is bit for bit that of the textbook expressions.
+    """
+    b1, b2 = 0.9, 0.999
+    adam.t += 1
+    adam.m *= b1
+    adam.m += (1 - b1) * grad
+    adam.v *= b2
+    adam.v += (1 - b2) * grad * grad
+    step = adam.m / (1 - b1**adam.t)
+    step *= lr
+    step /= np.sqrt(adam.v / (1 - b2**adam.t)) + 1e-8
+    theta -= step
+
+
+@dataclasses.dataclass
+class _Run:
+    """What training carries from batch to batch and epoch to epoch.
+
+    ``theta`` is the parameter vector, which Adam updates in place.
+    ``bad_run`` counts the non-finite batches in a row, across epoch
+    boundaries; more than 3 abort the run.
+    """
+
+    theta: Array
+    adam: _Adam
+    nan_batches: int = 0
+    bad_run: int = 0
+
+    @property
+    def aborted(self) -> bool:
+        return self.bad_run > 3
+
+
+def _epoch(nd: TrainableNormalDictionary, run: _Run, batches, lr: float,
+           ridge_scale: float) -> float:
+    """Run one epoch's minibatch steps; return the mean loss of its finite batches.
+
+    A batch whose loss or gradient is not finite is skipped and counted;
+    the epoch stops at the batch that aborts the run.  The mean is NaN
+    when no batch was finite.
+    """
+    losses = []
+    for batch in batches:
+        try:
+            nd.set_params(run.theta)
+            value, grad = loss_gradient(nd, batch, ridge_scale=ridge_scale)
+        except (NonFiniteLoss, NonFiniteGradient):
+            run.nan_batches += 1
+            run.bad_run += 1
+            if run.aborted:
+                break
+            continue
+        run.bad_run = 0
+        losses.append(value)
+        _adam_update(run.adam, run.theta, grad, lr)
+    return float(np.mean(losses)) if losses else float("nan")
+
+
 def train(config: TrainConfig, data: AugmentedSnapshots):
     """Optimize a dictionary on augmented snapshots.
 
-    Splits the snapshots in half (shuffled by the config seed), runs the
-    adaptive gradient method over mini-batches of the training half with
-    the linear learning-rate schedule, records per-epoch curves, and
-    returns ``(dictionary, report)`` where the dictionary carries the
-    best-by-validation parameters rebased to original coordinates.
+    Returns ``(dictionary, report)``; the dictionary carries the
+    best-by-validation parameters rebased to original coordinates.  The
+    stages: ``_split`` halves the snapshots (a permutation drawn from
+    ``[seed, 1]``); each epoch takes its learning rate off the linear
+    schedule, and ``_epoch`` runs shuffled mini-batches of the scaled
+    training half (orders drawn from ``[seed, 2]``) through
+    :func:`loss_gradient` and ``_adam_update``; ``_held_out_proximity``
+    then scores the held-out half and the best epoch is kept.  The
+    :class:`TrainReport` is built once, at the end.
 
-    A frozen (parameter-free) family skips the optimization loop and is
-    evaluated as-is.  More than 3 consecutive non-finite batches abort
-    training; the report then carries ``aborted=True`` and the best
-    parameters seen so far.
+    A frozen (parameter-free) family runs zero epochs and is evaluated as
+    built; its ``x_scale`` and ``u_scale`` are ignored.  More than 3
+    consecutive non-finite batches abort training; the report then
+    carries ``aborted=True`` and the best parameters seen so far.
     """
     t0 = time.perf_counter()
     N = data.n_snapshots
     if config.batch_size > N:
         raise ConfigError(f"batch_size {config.batch_size} exceeds N={N}")
     nd = _build_dictionary(config, data.state_dim, data.input_dim)
+    train_idx, val_idx = _split(config, N)
+    train_aug, val_aug = _columns(data, train_idx), _columns(data, val_idx)
 
-    rng = np.random.default_rng([config.seed, 1])
-    perm = rng.permutation(N)
-    n_train = int(round(config.split_fraction * N))
-    n_train = min(max(n_train, 1), N - 1)
-    train_idx = np.sort(perm[:n_train])
-    val_idx = np.sort(perm[n_train:])
-    train_aug = _columns(data, train_idx)
-    val_aug = _columns(data, val_idx)
-
-    trainable = isinstance(nd, TrainableNormalDictionary) and nd.n_params > 0
-    if not trainable:
-        train_r, train_consistency = _final_consistency(nd, train_aug)
-        report = TrainReport(
-            train_curve=[], val_curve=[], lr_schedule=[],
-            final_proximity_train=_sqrt_index(train_consistency),
-            final_proximity_test=_sqrt_index(_final_consistency(nd, val_aug)[1]),
-            wall_time=time.perf_counter() - t0,
-            nan_batches=0, aborted=False, best_epoch=0,
-            train_indices=train_idx, val_indices=val_idx,
-            train_consistency=train_consistency, train_r=train_r,
-        )
-        return nd, report
-
-    x_scale = np.ones(data.state_dim) if config.x_scale is None \
-        else json_array(config.x_scale, "x_scale", "TrainConfig", (data.state_dim,))
-    u_scale = np.ones(data.input_dim) if config.u_scale is None \
-        else json_array(config.u_scale, "u_scale", "TrainConfig", (data.input_dim,))
-    train_s = _scaled(train_aug, x_scale, u_scale)
-
-    theta = nd.get_params()
-    m = np.zeros_like(theta)
-    v = np.zeros_like(theta)
-    beta1, beta2, stab = 0.9, 0.999, 1e-8
-    t_step = 0
-
+    epochs, final_nd, theta = 0, nd, np.zeros(0)
+    if isinstance(nd, TrainableNormalDictionary) and nd.n_params > 0:
+        x_scale, u_scale = _scales(config, data)
+        train_s = _scaled(train_aug, x_scale, u_scale)
+        epochs, theta = config.epochs, nd.get_params()
+        final_nd = nd.with_input_scaling(x_scale, u_scale)  # shares nd's parameter arrays
+    run = _Run(theta, _Adam(np.zeros_like(theta), np.zeros_like(theta)))
     shuffler = np.random.default_rng([config.seed, 2])
     train_curve, val_curve, lr_schedule = [], [], []
-    nan_batches = 0
-    consecutive_bad = 0
-    aborted = False
-    best_metric = np.inf
-    best_theta = theta.copy()
-    best_epoch = 0
-    best_val_r = None
+    best_metric, best_epoch, best_theta, best_val_r = np.inf, 0, theta.copy(), None
 
-    for epoch in range(config.epochs):
-        if config.epochs == 1:
-            lr = config.lr_start
-        else:
-            frac = epoch / (config.epochs - 1)
-            lr = config.lr_start + (config.lr_end - config.lr_start) * frac
+    for epoch in range(epochs):
+        lr = config.lr_start + (config.lr_end - config.lr_start) * (epoch / max(epochs - 1, 1))
         lr_schedule.append(float(lr))
-
-        order = shuffler.permutation(n_train)
-        batch_losses = []
-        for start in range(0, n_train, config.batch_size):
-            cols = order[start:start + config.batch_size]
-            batch = _columns(train_s, cols)
-            try:
-                nd.set_params(theta)
-                value, grad = loss_gradient(nd, batch, ridge_scale=config.ridge_scale)
-            except (NonFiniteLoss, NonFiniteGradient):
-                nan_batches += 1
-                consecutive_bad += 1
-                if consecutive_bad > 3:
-                    aborted = True
-                    break
-                continue
-            consecutive_bad = 0
-            batch_losses.append(value)
-            t_step += 1
-            m = beta1 * m + (1 - beta1) * grad
-            v = beta2 * v + (1 - beta2) * grad * grad
-            m_hat = m / (1 - beta1**t_step)
-            v_hat = v / (1 - beta2**t_step)
-            theta = theta - lr * m_hat / (np.sqrt(v_hat) + stab)
-        if aborted:
-            break
-
-        train_curve.append(float(np.mean(batch_losses)) if batch_losses else float("nan"))
-        nd.set_params(theta)
-        try:
-            val_r, val_metric = _held_out_proximity(
-                nd.with_input_scaling(x_scale, u_scale), val_aug)
-        except (DegenerateData, np.linalg.LinAlgError):
-            nan_batches += 1
+        order = shuffler.permutation(len(train_idx))
+        batches = (_columns(train_s, order[i:i + config.batch_size])
+                   for i in range(0, len(order), config.batch_size))
+        train_curve.append(_epoch(nd, run, batches, lr, config.ridge_scale))
+        if run.aborted:
             val_curve.append(float("nan"))
-            continue
+            break
+        nd.set_params(run.theta)
+        try:
+            val_r, val_metric = _held_out_proximity(final_nd, val_aug)
+        except (DegenerateData, np.linalg.LinAlgError):
+            run.nan_batches += 1
+            val_r, val_metric = None, float("nan")
         val_curve.append(val_metric)
         if val_metric < best_metric:
-            best_metric = val_metric
-            best_theta = theta.copy()
-            best_epoch = epoch
-            best_val_r = val_r
+            best_metric, best_epoch, best_val_r = val_metric, epoch, val_r
+            best_theta = run.theta.copy()
 
-    nd.set_params(best_theta)
-    final_nd = nd.with_input_scaling(x_scale, u_scale)
+    if epochs:  # a frozen family has no parameters to restore
+        nd.set_params(best_theta)
     train_r, train_consistency = _final_consistency(final_nd, train_aug)
     report = TrainReport(
-        train_curve=train_curve,
-        val_curve=val_curve,
-        lr_schedule=lr_schedule,
+        train_curve=train_curve, val_curve=val_curve, lr_schedule=lr_schedule,
         final_proximity_train=_sqrt_index(train_consistency),
         final_proximity_test=_sqrt_index(_final_consistency(final_nd, val_aug, best_val_r)[1]),
-        wall_time=time.perf_counter() - t0,
-        nan_batches=nan_batches,
-        aborted=aborted,
-        best_epoch=best_epoch,
-        train_indices=train_idx,
-        val_indices=val_idx,
-        train_consistency=train_consistency,
-        train_r=train_r,
-    )
+        wall_time=time.perf_counter() - t0, nan_batches=run.nan_batches, aborted=run.aborted,
+        best_epoch=best_epoch, train_indices=train_idx, val_indices=val_idx,
+        train_consistency=train_consistency, train_r=train_r)
     return final_nd, report
 
 

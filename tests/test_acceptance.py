@@ -399,6 +399,7 @@ def test_criterion_6_gradient_correctness(cache):
           "families): PASS")
 
 
+@pytest.mark.slow
 def test_criterion_7_motor_reproduction(cache):
     m = _metrics(cache, "c7")
     for name in ("dc_motor_tanh", "dc_motor_tanhcos"):
@@ -408,6 +409,7 @@ def test_criterion_7_motor_reproduction(cache):
           "PASS")
 
 
+@pytest.mark.slow
 def test_criterion_8_determinism(cache, tmp_path):
     for key in sorted(_COMPUTES):
         first = _serialize(_metrics(cache, key))

@@ -494,6 +494,52 @@ class TestTrain:
         payload = json.dumps(report_to_json(report))
         assert json.loads(payload)["final_proximity_train"] is None
 
+    def test_aborted_epoch_has_an_entry_in_every_curve(self, zero_sine_augmented,
+                                                       monkeypatch):
+        # Ten batches an epoch; every step after the twelfth is non-finite,
+        # so the second epoch aborts after two finite batches.
+        values, held_out = [], []
+        held_out_proximity = kl.learning._held_out_proximity
+
+        def failing(nd, batch, ridge_scale):
+            if len(values) == 12:
+                raise NonFiniteLoss("forced")
+            value, grad = loss_gradient(nd, batch, ridge_scale=ridge_scale)
+            values.append(value)
+            return value, grad
+
+        def counting(nd, batch):
+            held_out.append(batch.n_snapshots)
+            return held_out_proximity(nd, batch)
+
+        monkeypatch.setattr(kl.learning, "loss_gradient", failing)
+        monkeypatch.setattr(kl.learning, "_held_out_proximity", counting)
+        config = TrainConfig(family={"kind": "polynomial", "total_degree": 2},
+                             s=7, l=4, epochs=3, batch_size=25, seed=1)
+        _, report = train(config, zero_sine_augmented)
+        assert report.aborted and report.nan_batches == 4
+        assert len(report.lr_schedule) == len(report.train_curve) == len(report.val_curve) == 2
+        assert report.train_curve[1] == float(np.mean(values[10:]))
+        assert np.isnan(report.val_curve[1]) and len(held_out) == 1
+
+    def test_aborted_run_writes_its_last_epoch(self, tmp_path):
+        # The data of test_persistent_non_finite_aborts: no batch is finite.
+        rng = np.random.default_rng(3)
+        Z = rng.normal(size=(3, 50))
+        Zplus = rng.normal(size=(3, 50))
+        Z[0, :] = np.inf
+        aug = AugmentedSnapshots(Z=Z, Zplus=Zplus, state_dim=2, input_dim=1)
+        config = TrainConfig(family={"kind": "polynomial", "total_degree": 2},
+                             s=7, l=4, epochs=1, batch_size=5, seed=0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            _, report = train(config, aug)
+        assert report.aborted and report.lr_schedule == [config.lr_start]
+        assert len(report.train_curve) == len(report.val_curve) == 1
+        assert np.isnan(report.train_curve).all() and np.isnan(report.val_curve).all()
+        lines = report_to_csv(report, tmp_path / "curve.csv").read_text().strip().split("\n")
+        assert lines[1:] == [f"0,{config.lr_start!r},nan,nan"]
+
     def test_batch_size_exceeding_data_rejected(self, zero_sine_augmented):
         config = TrainConfig(family={"kind": "polynomial", "total_degree": 2},
                              s=7, l=4, batch_size=10**6)
