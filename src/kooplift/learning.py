@@ -109,9 +109,14 @@ from .models import (
 )
 from .observables import (
     EXAMPLE_POLY_BASIS,
+    FAMILIES,
     NormalDictionary,
     TrainableNormalDictionary,
-    check_family,
+    _any,
+    _integer,
+    _number,
+    _one_of,
+    check_json,
     example_poly_normal_basis,
     json_array,
     json_number,
@@ -136,8 +141,10 @@ class TrainConfig:
     when the config is made, so before any data are read.  ``seed`` is a
     non-negative integer.  ``s`` and ``l`` are the augmented and
     state dictionary dimensions (taken from the basis for the frozen
-    kind).  The learning rate decreases linearly from ``lr_start`` to
-    ``lr_end`` over the epochs.  Optimization minimizes the trace loss;
+    kind), with ``s >= l >= 1`` when both are set.  The learning rate
+    decreases linearly from ``lr_start`` to ``lr_end`` over the epochs,
+    with ``0 < lr_end <= lr_start < inf``; the ridge scale is a finite
+    number >= 0.  Optimization minimizes the trace loss;
     the held-out metric is the exact index, so there is no metric to
     choose (the former ``loss_mode`` key is accepted by
     :func:`config_from_json` for old files and ignored).  ``x_scale`` and
@@ -160,20 +167,23 @@ class TrainConfig:
     split_fraction: float = 0.5
 
     def __post_init__(self):
-        if self.epochs < 1:
-            raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
-        if self.batch_size < 1:
-            raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
-        if not (0.0 < self.lr_end <= self.lr_start):
-            raise ConfigError(
-                f"need 0 < lr_end <= lr_start, got {self.lr_start} -> {self.lr_end}")
+        what = "TrainConfig"
+        _integer(1)(self.epochs, "epochs", what)
+        _integer(1)(self.batch_size, "batch_size", what)
+        if not (0.0 < self.lr_end <= self.lr_start < np.inf):
+            raise ConfigError(f"{what}: need 0 < lr_end <= lr_start < inf, "
+                              f"got {self.lr_start} -> {self.lr_end}")
+        _number(0.0)(self.ridge_scale, "ridge_scale", what)
         if not (0.0 < self.split_fraction < 1.0):
             raise ConfigError("split_fraction must be in (0, 1)")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        if self.s is not None and self.l is not None and not self.s >= self.l >= 1:
+            raise ConfigError(f"{what}: need s >= l >= 1, got s={self.s}, l={self.l}")
         if not isinstance(self.family, dict):
-            raise ConfigError(f"TrainConfig: 'family' must be a JSON object, got {self.family!r}")
-        check_family(self.family, "TrainConfig", "family.{}".format)
+            raise ConfigError(f"{what}: 'family' must be a JSON object, got {self.family!r}")
+        kind = _one_of(FAMILIES, "family kind")(self.family.get("kind"), "family.kind", what)
+        check_json({"kind": (_any, ...), **FAMILIES[kind]}, self.family, what, "family")
 
 
 @dataclasses.dataclass
@@ -383,13 +393,6 @@ def _split(config: TrainConfig, N: int):
     return np.sort(perm[:n_train]), np.sort(perm[n_train:])
 
 
-def _scales(config: TrainConfig, data: AugmentedSnapshots):
-    """``(x_scale, u_scale)`` checked against the data; ones where unset."""
-    return tuple(np.ones(dim) if value is None else json_array(value, key, "TrainConfig", (dim,))
-                 for key, value, dim in (("x_scale", config.x_scale, data.state_dim),
-                                         ("u_scale", config.u_scale, data.input_dim)))
-
-
 @dataclasses.dataclass
 class _Adam:
     """Adam's state: the moment estimates ``m`` and ``v`` and the step count ``t``."""
@@ -491,10 +494,10 @@ def train(config: TrainConfig, data: AugmentedSnapshots):
 
     epochs, final_nd, theta = 0, nd, np.zeros(0)
     if isinstance(nd, TrainableNormalDictionary) and nd.n_params > 0:
-        x_scale, u_scale = _scales(config, data)
-        train_s = _scaled(train_aug, x_scale, u_scale)
+        # ``final_nd`` shares nd's parameter arrays; its scales are checked against the data.
+        final_nd = nd.with_input_scaling(config.x_scale, config.u_scale)
+        train_s = _scaled(train_aug, final_nd.x_scale, final_nd.u_scale)
         epochs, theta = config.epochs, nd.get_params()
-        final_nd = nd.with_input_scaling(x_scale, u_scale)  # shares nd's parameter arrays
     run = _Run(theta, _Adam(np.zeros_like(theta), np.zeros_like(theta)))
     shuffler = np.random.default_rng([config.seed, 2])
     train_curve, val_curve, lr_schedule = [], [], []
@@ -640,46 +643,39 @@ def config_to_json(config: TrainConfig) -> dict:
     return out
 
 
-# The JSON type of each TrainConfig field besides ``family``.  A field
-# whose default is None may also be null.
-_CONFIG_TYPES = {"s": int, "l": int, "epochs": int, "batch_size": int, "seed": int,
-                 "lr_start": float, "lr_end": float, "ridge_scale": float,
-                 "split_fraction": float, "x_scale": list, "u_scale": list}
+def _scale(value, path: str, what: str) -> list:
+    """A list of numbers; its length is checked against the data in :func:`train`."""
+    return json_array(value, path, what, (None,)).tolist()
+
+
+# The JSON form of a TrainConfig: each key's check and its default, the
+# dataclass's.  The table checks JSON types; TrainConfig checks the family
+# and the ranges, so that a config made in Python is checked alike.
+# ``loss_mode`` is read from files written before the held-out metric
+# became the exact index, and dropped: it is no longer a choice.
+_CONFIG = {
+    "family": (_any, ...),
+    "s": (_integer(), None), "l": (_integer(), None),
+    "epochs": (_integer(), 100), "batch_size": (_integer(), 200),
+    "lr_start": (json_number, 5e-4), "lr_end": (json_number, 1e-6),
+    "seed": (_integer(), 0),
+    "x_scale": (_scale, None), "u_scale": (_scale, None),
+    "ridge_scale": (json_number, 1e-10), "split_fraction": (json_number, 0.5),
+    "loss_mode": (_one_of(("trace", "max_eig"), "loss_mode"), None),
+}
 
 
 def config_from_json(obj: dict) -> TrainConfig:
-    """TrainConfig from its JSON form, rejecting unknown and missing keys.
+    """TrainConfig from its JSON form, checked by :func:`check_json`.
 
-    A value of the wrong JSON type raises :class:`ConfigError` naming its
-    key, and :class:`TrainConfig` checks the family; the lengths of
-    ``x_scale`` and ``u_scale`` are checked against the data in
-    :func:`train`.
-
-    Files written before the held-out metric became the exact index carry
-    ``loss_mode``: ``"trace"`` and ``"max_eig"`` are dropped, since the
-    metric is no longer a choice; any other value is an error.
+    An unknown or missing key, or a value of the wrong JSON type, raises
+    :class:`ConfigError` naming its path; :class:`TrainConfig` then checks
+    the family and the ranges.  ``loss_mode``, from older files, must be
+    ``"trace"`` or ``"max_eig"`` and is dropped.
     """
-    obj = dict(obj)
-    legacy = obj.pop("loss_mode", "trace")
-    if legacy not in ("trace", "max_eig"):
-        raise ConfigError(f"loss_mode must be 'trace' or 'max_eig', got {legacy!r}")
-    fields = dataclasses.fields(TrainConfig)
-    unknown = set(obj) - {f.name for f in fields}
-    if unknown:
-        raise ConfigError(f"unknown TrainConfig keys: {sorted(unknown)}")
-    missing = [f.name for f in fields if f.name not in obj
-               and f.default is f.default_factory is dataclasses.MISSING]
-    if missing:
-        raise ConfigError(f"missing TrainConfig keys: {missing}")
-    defaults = {f.name: f.default for f in fields}
-    for key, kind in _CONFIG_TYPES.items():
-        if key not in obj or (obj[key] is None and defaults[key] is None):
-            continue
-        if kind is list:
-            json_array(obj[key], key, "TrainConfig", (None,))
-        else:
-            json_number(obj[key], key, "TrainConfig", integer=kind is int)
-    return TrainConfig(**obj)
+    config = check_json(_CONFIG, obj, "TrainConfig")
+    del config["loss_mode"]
+    return TrainConfig(**config)
 
 
 def _json_float(v):

@@ -49,12 +49,17 @@ from .observables import (
     InputMatrixFunction,
     NormalDictionary,
     StateDictionary,
+    _FILE_KEYS,
+    _any,
+    _boolean,
+    _equal,
+    _number,
+    _numeric,
+    _one_of,
+    check_json,
     dictionary_from_json,
     dictionary_to_json,
     eval_matrix,
-    json_array,
-    json_number,
-    require_keys,
 )
 
 Array = np.ndarray
@@ -95,14 +100,14 @@ class _LiftedModel:
 
     A serializable class names its JSON ``kind`` and the key under which
     :func:`model_to_json` stores the descriptor of its basis's source
-    dictionary; ``_json_fields`` gives its matrices and ``_from_json``
-    rebuilds it from them; ``json_keys`` names the keys it cannot do
-    without.  A class whose ``kind`` is None does not serialize.
+    dictionary, and ``_from_json`` rebuilds the model from the values of
+    the keys of its kind's table (``_model_table``), which
+    :func:`model_to_json` writes from the attributes of the same names.  A
+    class whose ``kind`` is None does not serialize.
     """
 
     kind = None
     source_key = "head_of"
-    json_keys = ()
 
     @property
     def basis(self) -> StateDictionary:
@@ -200,26 +205,10 @@ class SeparableModel(_LiftedModel):
     def step_lifted(self, z: Array, u) -> Array:
         return self.A_of(u) @ z
 
-    def _json_fields(self) -> dict:
-        return {"l": self.l, "s": self.s, "A11": _matrix(self.A11), "A12": _matrix(self.A12),
-                "A21": _matrix(self.A21), "A22": _matrix(self.A22),
-                "source_index": self.source_index}
-
-    json_keys = ("A11", "A12")
-
     @classmethod
-    def _from_json(cls, obj: dict, basis: StateDictionary, decoder) -> "SeparableModel":
-        # With no input rows (s = l) the three off-diagonal blocks are null.
-        l, r = basis.dim, basis.source.s - basis.dim
-        source_index = obj.get("source_index")
-        if source_index is not None:
-            json_number(source_index, "source_index", _MODEL_JSON)
-        return cls(H=basis, A11=_array(obj, "A11", (l, l)),
-                   A12=_array(obj, "A12", (l, r)) if r else None,
-                   Gtilde=basis.source.Gtilde, source_index=source_index,
-                   A21=_array(obj, "A21", (r, l), optional=True) if r else None,
-                   A22=_array(obj, "A22", (r, r), optional=True) if r else None,
-                   decoder=decoder)
+    def _from_json(cls, f: dict, basis: StateDictionary, decoder) -> "SeparableModel":
+        return cls(H=basis, A11=f["A11"], A12=f["A12"], Gtilde=basis.source.Gtilde,
+                   source_index=f["source_index"], A21=f["A21"], A22=f["A22"], decoder=decoder)
 
 
 @dataclasses.dataclass
@@ -245,16 +234,9 @@ class LinearLiftedModel(_LiftedModel):
         u = np.asarray(u, dtype=float).reshape(-1)
         return self.A @ z + self.B @ u
 
-    def _json_fields(self) -> dict:
-        return {"A": _matrix(self.A), "B": _matrix(self.B)}
-
-    json_keys = ("A", "B")
-
     @classmethod
-    def _from_json(cls, obj: dict, basis: StateDictionary, decoder) -> "LinearLiftedModel":
-        l, m = basis.dim, basis.source.input_dim
-        return cls(psi=basis, A=_array(obj, "A", (l, l)), B=_array(obj, "B", (l, m)),
-                   decoder=decoder)
+    def _from_json(cls, f: dict, basis: StateDictionary, decoder) -> "LinearLiftedModel":
+        return cls(psi=basis, A=f["A"], B=f["B"], decoder=decoder)
 
 
 @dataclasses.dataclass
@@ -289,18 +271,10 @@ class BilinearLiftedModel(_LiftedModel):
             out = out + self.C @ u
         return out
 
-    def _json_fields(self) -> dict:
-        return {"A": _matrix(self.A), "Bs": [_matrix(Bi) for Bi in self.Bs],
-                "C": _matrix(self.C), "advisory": self.advisory}
-
-    json_keys = ("A", "Bs")
-
     @classmethod
-    def _from_json(cls, obj: dict, basis: StateDictionary, decoder) -> "BilinearLiftedModel":
-        l, m = basis.dim, basis.source.input_dim
-        return cls(psi=basis, A=_array(obj, "A", (l, l)), Bs=tuple(_array(obj, "Bs", (m, l, l))),
-                   C=_array(obj, "C", (l, m), optional=True), decoder=decoder,
-                   advisory=bool(obj.get("advisory", False)))
+    def _from_json(cls, f: dict, basis: StateDictionary, decoder) -> "BilinearLiftedModel":
+        return cls(psi=basis, A=f["A"], Bs=tuple(f["Bs"]), C=f["C"], decoder=decoder,
+                   advisory=f["advisory"])
 
 
 @dataclasses.dataclass
@@ -689,35 +663,42 @@ def evaluate_rollouts(system: ControlSystem, models: dict, x0s, n_steps: int,
 MODEL_FORMAT = "kooplift-model-v1"
 
 
-def _matrix(M):
-    return None if M is None else [[float(v) for v in row] for row in np.atleast_2d(M)]
-
-
-_MODEL_JSON = "kooplift model JSON object"
-
-
-def _array(obj: dict, key: str, shape: tuple, optional: bool = False) -> Array | None:
-    """``obj[key]`` as a float array of ``shape``; None when ``optional`` and absent or null.
-
-    Any other value raises :class:`ConfigError` naming ``key``.
-    """
-    if optional and obj.get(key) is None:
-        return None
-    return json_array(obj[key], key, _MODEL_JSON, shape)
+def _json_value(value):
+    """``value`` as written: an array, or a tuple of arrays, as nested lists of floats."""
+    return np.asarray(value, float).tolist() if isinstance(value, (np.ndarray, tuple)) else value
 
 
 _MODEL_CLASSES = {cls.kind: cls for cls in (SeparableModel, LinearLiftedModel,
                                             BilinearLiftedModel)}
 
 
+def _model_table(kind: str, source: NormalDictionary) -> dict:
+    """The keys of a ``kind`` model file besides those every kind shares.
+
+    The model's basis is the head of ``source``, and each matrix's shape
+    follows from it: l rows of H, r = s - l input rows and m inputs.  A
+    separable model with no input rows has null off-diagonal blocks.
+    """
+    l, r, m = source.l, source.s - source.l, source.input_dim
+    block = _numeric if r else lambda *shape: _equal(None)
+    return {"separable": {"l": (_equal(l), None), "s": (_equal(l + r), None),
+                          "A11": (_numeric(l, l), ...), "A12": (block(l, r), ...),
+                          "A21": (block(r, l), None), "A22": (block(r, r), None),
+                          "source_index": (_number(0.0, 1.0), None)},
+            "linear": {"A": (_numeric(l, l), ...), "B": (_numeric(l, m), ...)},
+            "bilinear": {"A": (_numeric(l, l), ...), "Bs": (_numeric(m, l, l), ...),
+                         "C": (_numeric(l, m), None), "advisory": (_boolean, False)}}[kind]
+
+
 def model_to_json(model) -> dict:
     """JSON-ready description of a fitted model.
 
-    The parts every kind shares are written here: ``format``, ``kind``,
-    the descriptor of the dictionary the basis was taken from (under the
-    class's ``source_key``; the Gtilde function and the basis are rebuilt
-    from it) and the decoder.  The class adds its matrices.  Only a basis
-    from :func:`head_dictionary` of a serializable dictionary serializes.
+    The parts every kind shares: ``format``, ``kind``, the descriptor of
+    the dictionary the basis was taken from (under the class's
+    ``source_key``; the Gtilde function and the basis are rebuilt from it)
+    and the decoder.  Then each key of the kind's table, from the model's
+    attribute of that name.  Only a basis from :func:`head_dictionary` of
+    a serializable dictionary serializes.
     """
     if getattr(model, "kind", None) is None:
         raise ConfigError(f"cannot serialize model of type {type(model).__name__}")
@@ -725,35 +706,41 @@ def model_to_json(model) -> dict:
     if source is None:
         raise ConfigError(f"{model.kind} model's basis is not the head of a dictionary; "
                           "fit models on head_dictionary(nd) of a serializable nd")
-    decoder = None if model.decoder is None else {"D": _matrix(model.decoder[0]),
+    decoder = None if model.decoder is None else {"D": _json_value(model.decoder[0]),
                                                   "residual": model.decoder[1]}
     return {"format": MODEL_FORMAT, "kind": model.kind,
             model.source_key: dictionary_to_json(source), "decoder": decoder,
-            **model._json_fields()}
+            **{key: _json_value(getattr(model, key)) for key in _model_table(model.kind, source)}}
 
 
 def model_from_json(obj: dict):
     """Rebuild a model from :func:`model_to_json` output.
 
-    A missing key, or a value of the wrong type or shape (each matrix has
-    the shape its basis and input dimension fix), raises
+    ``kind`` picks the class, and the dictionary under its ``source_key``
+    is rebuilt first (:func:`~kooplift.observables.dictionary_from_json`),
+    since its basis fixes the shape of every matrix: l rows of H, s - l
+    input rows, m inputs and n states.  :func:`~kooplift.observables.
+    check_json` then checks the object against one table: the keys every
+    kind shares (``format``, ``kind``, ``meta``, the descriptor and ``decoder``,
+    whose ``D`` is n x l and whose ``residual`` is a finite number >= 0)
+    and the class's own.  A separable model's ``source_index`` is null or
+    a finite number in [0, 1], and its ``l`` and ``s`` must be the basis's;
+    a bilinear model's ``advisory`` is a JSON boolean.  An unknown or
+    missing key, or a value of the wrong type, range or shape, raises
     :class:`ConfigError` naming its path.
     """
-    if obj.get("format") != MODEL_FORMAT:
+    if not isinstance(obj, dict) or obj.get("format") != MODEL_FORMAT:
         raise ConfigError("not a kooplift model JSON object")
-    require_keys(obj, ("kind",), _MODEL_JSON)
-    cls = _MODEL_CLASSES.get(obj["kind"]) if isinstance(obj["kind"], str) else None
-    if cls is None:
-        raise ConfigError(f"unknown model kind {obj['kind']!r}")
-    require_keys(obj, (cls.source_key,) + cls.json_keys, _MODEL_JSON)
-    basis = head_dictionary(dictionary_from_json(obj[cls.source_key]))
-    decoder = obj.get("decoder")
-    if decoder is not None:
-        require_keys(decoder, ("D", "residual"), _MODEL_JSON, "decoder")
-        decoder = (json_array(decoder["D"], "decoder.D", _MODEL_JSON,
-                              (basis.source.state_dim, basis.dim)),
-                   float(json_number(decoder["residual"], "decoder.residual", _MODEL_JSON)))
-    return cls._from_json(obj, basis, decoder)
+    what = "kooplift model JSON object"
+    cls = _MODEL_CLASSES[_one_of(_MODEL_CLASSES, "model kind")(obj.get("kind"), "kind", what)]
+    if cls.source_key not in obj:
+        raise ConfigError(f"{what} has no {cls.source_key!r} key")
+    source = dictionary_from_json(obj[cls.source_key])
+    decoder = {"D": (_numeric(source.state_dim, source.l), ...), "residual": (_number(0.0), ...)}
+    f = check_json({**_FILE_KEYS, cls.source_key: (_any, ...), "decoder": (decoder, None),
+                    **_model_table(cls.kind, source)}, obj, what)
+    decoder = None if f["decoder"] is None else (f["decoder"]["D"], f["decoder"]["residual"])
+    return cls._from_json(f, head_dictionary(source), decoder)
 
 
 def save_model(model, path) -> Path:

@@ -774,7 +774,13 @@ class TrainableNormalDictionary(NormalDictionary):
         ``Phi_new(x, u) = D Phi_old(x_scale*x, u_scale*u)`` for the
         invertible block-diagonal ``D`` that resets the fixed head to the
         raw state — a basis change, so the consistency index is unchanged.
+        ``x_scale`` has one entry per state coordinate and ``u_scale`` one
+        per input, None standing for ones; a scale of another length raises
+        :class:`ConfigError` naming it.
         """
+        x_scale, u_scale = (np.ones(k) if v is None else json_array(v, key, "input scaling", (k,))
+                            for key, v, k in (("x_scale", x_scale, self._state_dim),
+                                              ("u_scale", u_scale, self._input_dim)))
         return TrainableNormalDictionary(
             kind=self.kind,
             state_dim=self._state_dim,
@@ -785,8 +791,8 @@ class TrainableNormalDictionary(NormalDictionary):
             h_net=self.h_net,
             g_net=self.g_net,
             spec=self.spec,
-            x_scale=np.asarray(x_scale, float) * self.x_scale,
-            u_scale=np.asarray(u_scale, float) * self.u_scale,
+            x_scale=x_scale * self.x_scale,
+            u_scale=u_scale * self.u_scale,
         )
 
     @property
@@ -806,7 +812,7 @@ class TrainableNormalDictionary(NormalDictionary):
 def _build_net(kind: str, in_dim: int, out_dim: int, spec: dict, rng: np.random.Generator):
     """The family's network as a layer list, or None when it has no output.
 
-    ``spec`` holds the family's parameters, checked by :func:`check_family`.
+    ``spec`` holds the family's parameters, checked against :data:`FAMILIES`.
     """
     if out_dim == 0:
         return None
@@ -840,8 +846,8 @@ def parametric_family(kind: str, *, state_dim: int, input_dim: int, s: int, l: i
                       **params) -> TrainableNormalDictionary:
     """Construct a trainable normal-form dictionary.
 
-    ``params`` are the family's parameters, checked against
-    :data:`FAMILIES` by :func:`check_family`: a key the kind does not take,
+    ``params`` are the family's parameters, checked against its table in
+    :data:`FAMILIES` by :func:`check_json`: a key the kind does not take,
     a missing required key, or a value of the wrong type or range raises
     :class:`ConfigError` naming the key.
 
@@ -871,7 +877,8 @@ def parametric_family(kind: str, *, state_dim: int, input_dim: int, s: int, l: i
     """
     if kind == EXAMPLE_POLY_BASIS:
         raise ConfigError(f"{kind!r} is a builtin dictionary, not a parametric family")
-    spec = check_family({"kind": kind, **params}, "parametric_family")
+    what = "parametric_family"
+    spec = check_json(FAMILIES[_one_of(FAMILIES, "family kind")(kind, "kind", what)], params, what)
     if s < l or l < 1:
         raise ConfigError(f"need s >= l >= 1, got s={s}, l={l}")
     head = spec.pop("fixed_head")
@@ -951,129 +958,13 @@ def example_poly_normal_basis(truncate: Sequence[str] = ()) -> NormalDictionary:
 
 
 # ----------------------------------------------------------------------
-# Dictionary families and their parameters
+# JSON tables: dictionary families and the files kooplift reads
 #
-# Each check takes a value, its key path and the name of the object that
-# holds it, and returns the value as the family uses it or raises
-# ConfigError naming the path.
-
-
-def _integer(low: int):
-    """The check of an integer of at least ``low``."""
-
-    def check(value, path: str, what: str) -> int:
-        if json_number(value, path, what, integer=True) < low:
-            raise ConfigError(f"{what}: {path!r} must be >= {low}, got {value!r}")
-        return int(value)
-
-    return check
-
-
-def _list_of(item, of: str, least: int = 0):
-    """The check of a list of at least ``least`` entries, each passing ``item``.
-
-    ``of`` names the entries in the error.
-    """
-
-    def check(value, path: str, what: str) -> list:
-        if not isinstance(value, (list, tuple)) or len(value) < least:
-            raise ConfigError(f"{what}: {path!r} must be a list of {of}, got {value!r}")
-        return [item(v, f"{path}[{i}]", what) for i, v in enumerate(value)]
-
-    return check
-
-
-def _string(value, path: str, what: str) -> str:
-    if not isinstance(value, str):
-        raise ConfigError(f"{what}: {path!r} must be a string, got {value!r}")
-    return value
-
-
-def _activation(value, path: str, what: str) -> str:
-    if _string(value, path, what) not in _ACTIVATIONS:
-        raise ConfigError(f"{what}: {path!r} must be one of {sorted(_ACTIVATIONS)}, "
-                          f"got {value!r}")
-    return value
-
-
-def _fixed_head(value, path: str, what: str):
-    """``"state"``, None, or a list of indices; :func:`parametric_family` checks their range."""
-    if value is None or isinstance(value, str) and value == "state":
-        return value
-    return _list_of(_integer(0), "integers")(value, path, what)
-
-
-# The parameters every parametric family takes.
-_PARAMETRIC = {
-    "fixed_head": (_fixed_head, "state"),
-    "seed": (_integer(0), 0),
-    "activation": (_activation, "softplus"),
-}
-
-# kind -> {parameter: (check, default)}; a default of ``...`` marks a
-# required parameter.  The builtin basis takes only the bottom-block rows
-# to drop.
-FAMILIES = {
-    EXAMPLE_POLY_BASIS: {"truncate": (_list_of(_string, "strings"), ())},
-    "polynomial": {"total_degree": (_integer(1), ...), **_PARAMETRIC},
-    "mlp": {"widths": (_list_of(_integer(1), "one or more integers", least=1), ...),
-            **_PARAMETRIC},
-    "residual_mlp": {"blocks": (_integer(1), ...), "width": (_integer(1), ...), **_PARAMETRIC},
-}
-
-
-def check_family(family: dict, what: str, path: Callable[[str], str] = str) -> dict:
-    """The parameters of ``family`` checked against :data:`FAMILIES`, defaults filled in.
-
-    ``family`` holds ``kind`` and that kind's parameters.  A missing or
-    unknown kind, a key the kind does not take, a missing required key, or
-    a value of the wrong type or range raises :class:`ConfigError` naming
-    the key's path inside the object ``what``; ``path`` maps a key to its
-    path (``"family.{}".format`` for a ``learn`` config).  The result holds
-    every parameter of the kind and not ``kind``.
-    """
-    kind = _string(family.get("kind"), path("kind"), what)
-    if kind not in FAMILIES:
-        raise ConfigError(f"{what}: unknown family kind {kind!r}; known: {sorted(FAMILIES)}")
-    table = FAMILIES[kind]
-    for key in family:
-        if key != "kind" and key not in table:
-            raise ConfigError(f"{what}: family kind {kind!r} takes no {key!r} key "
-                              f"({path(key)!r}); it takes {list(table)}")
-    for key, (_, default) in table.items():
-        if default is ... and key not in family:
-            raise ConfigError(f"{what}: family kind {kind!r} needs {path(key)!r}")
-    return {key: check(family[key], path(key), what) if key in family else default
-            for key, (check, default) in table.items()}
-
-
-# ----------------------------------------------------------------------
-# Serialization
-
-
-DICTIONARY_FORMAT = "kooplift-dictionary-v1"
-
-
-def dictionary_to_json(nd: NormalDictionary) -> dict:
-    """JSON-ready description of a dictionary: its ``descriptor`` with format and dims."""
-    if nd.descriptor is None:
-        raise ConfigError("only parametric and builtin dictionaries are serializable")
-    dims = {"state_dim": nd.state_dim, "input_dim": nd.input_dim, "s": nd.s, "l": nd.l}
-    return {"format": DICTIONARY_FORMAT, "dims": dims, **nd.descriptor}
-
-
-def require_keys(obj, keys, what: str, path: str = "") -> None:
-    """Raise :class:`ConfigError` naming the first of ``keys`` missing from ``obj``.
-
-    ``what`` names the JSON object; ``path`` is the dotted path of ``obj``
-    inside it (``"dims"``), so a nested key is named as ``dims.s``.
-    """
-    if not isinstance(obj, dict):
-        raise ConfigError(f"{what}: {path!r} is not a JSON object")
-    prefix = f"{path}." if path else ""
-    for key in keys:
-        if key not in obj:
-            raise ConfigError(f"{what} has no {prefix + key!r} key")
+# A table maps each key of a JSON object to ``(check, default)``; a default
+# of ``...`` marks a required key.  A check takes a value, its key path and
+# the name of the object that holds it, and returns the value as the reader
+# uses it or raises ConfigError naming the path.  A table is itself the
+# check of a nested object.  :func:`check_json` applies a table.
 
 
 def json_number(value, path: str, what: str, integer: bool = False):
@@ -1106,38 +997,207 @@ def json_array(value, path: str, what: str, shape: tuple) -> Array:
     return a.astype(float)
 
 
+def _number(low=-np.inf, high=np.inf, integer: bool = False):
+    """The check of a finite number in ``[low, high]``, of an integer with ``integer``."""
+
+    def check(value, path: str, what: str):
+        if not (low <= json_number(value, path, what, integer) <= high
+                and (integer or np.isfinite(value))):
+            bounds = f">= {low}" + (f" and <= {high}" if high < np.inf else "")
+            raise ConfigError(f"{what}: {path!r} must be {'' if integer else 'finite and '}"
+                              f"{bounds}, got {value!r}")
+        return int(value) if integer else float(value)
+
+    return check
+
+
+def _integer(low=-np.inf):
+    """The check of an integer of at least ``low``."""
+    return _number(low, integer=True)
+
+
+def _numeric(*shape):
+    """The check of a numeric array of ``shape``, by :func:`json_array`."""
+    return lambda value, path, what: json_array(value, path, what, shape)
+
+
+def _list_of(item, of: str, least: int = 0):
+    """The check of a list of at least ``least`` entries, each passing ``item``.
+
+    ``of`` names the entries in the error.
+    """
+
+    def check(value, path: str, what: str) -> list:
+        if not isinstance(value, (list, tuple)) or len(value) < least:
+            raise ConfigError(f"{what}: {path!r} must be a list of {of}, got {value!r}")
+        return [item(v, f"{path}[{i}]", what) for i, v in enumerate(value)]
+
+    return check
+
+
+def _instance(kind: type, noun: str):
+    """The check of a value of type ``kind``; ``noun`` names it in the error."""
+
+    def check(value, path: str, what: str):
+        if not isinstance(value, kind):
+            raise ConfigError(f"{what}: {path!r} must be {noun}, got {value!r}")
+        return value
+
+    return check
+
+
+_string, _boolean = _instance(str, "a string"), _instance(bool, "true or false")
+
+
+def _one_of(choices, noun: str):
+    """The check of a string among ``choices``; ``noun`` names it in the error."""
+
+    def check(value, path: str, what: str) -> str:
+        if not isinstance(value, str) or value not in choices:
+            need = f"one of {sorted(choices)}" if isinstance(value, str) else "a string"
+            raise ConfigError(f"{what}: unknown {noun} {value!r}; {path!r} must be {need}")
+        return value
+
+    return check
+
+
+def _any(value, path: str, what: str):
+    """Any value: the check of a key its reader checks outside the table."""
+    return value
+
+
+def _equal(want):
+    """The check of a key that is written from ``want`` and never read."""
+
+    def check(value, path: str, what: str):
+        if type(value) is not type(want) or value != want:
+            raise ConfigError(f"{what}: {path!r} must be {want!r} to agree, got {value!r}")
+        return value
+
+    return check
+
+
+def _fixed_head(value, path: str, what: str):
+    """``"state"``, None, or a list of indices; :func:`parametric_family` checks their range."""
+    if value is None or isinstance(value, str) and value == "state":
+        return value
+    return _list_of(_integer(0), "integers")(value, path, what)
+
+
+# The parameters every parametric family takes.
+_PARAMETRIC = {
+    "fixed_head": (_fixed_head, "state"),
+    "seed": (_integer(0), 0),
+    "activation": (_one_of(_ACTIVATIONS, "activation"), "softplus"),
+}
+
+# kind -> the table of its parameters.  The builtin basis takes only the
+# bottom-block rows to drop.
+FAMILIES = {
+    EXAMPLE_POLY_BASIS: {"truncate": (_list_of(_string, "strings"), ())},
+    "polynomial": {"total_degree": (_integer(1), ...), **_PARAMETRIC},
+    "mlp": {"widths": (_list_of(_integer(1), "one or more integers", least=1), ...),
+            **_PARAMETRIC},
+    "residual_mlp": {"blocks": (_integer(1), ...), "width": (_integer(1), ...), **_PARAMETRIC},
+}
+
+
+def check_json(table: dict, obj, what: str, path: str = "") -> dict:
+    """``obj`` checked against ``table``, defaults filled in.
+
+    The one check of every JSON object kooplift reads, and of a family's
+    parameters (:data:`FAMILIES`).  ``obj`` must be a JSON object that
+    holds every required key and no key ``table`` lacks, and each value
+    must pass its check; nested tables are checked alike.  Unknown keys
+    are refused first, then missing ones, then the values in table order.
+    The first failure raises :class:`ConfigError` naming the key's path
+    inside the object ``what``: ``path`` is the path of ``obj`` itself
+    (``"dims"``), so a nested key is named as ``dims.s``.  The result holds
+    every key of ``table``: the value as its check returns it, or the
+    default for a key left out or, where the default is None, null.
+    """
+    where, prefix = (repr(path), f"{path}.") if path else ("the top level", "")
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{what}: {where} is not a JSON object")
+    for key in obj:
+        if key not in table:
+            raise ConfigError(f"{what}: unknown key; {where} takes no {key!r} key "
+                              f"({prefix + key!r}), only {list(table)}")
+    for key, (_, default) in table.items():
+        if default is ... and key not in obj:
+            raise ConfigError(f"{what} has no {prefix + key!r} key")
+    return {key: default if obj.get(key) is None and (key not in obj or default is None)
+            else check_json(check, obj[key], what, prefix + key) if isinstance(check, dict)
+            else check(obj[key], prefix + key, what) for key, (check, default) in table.items()}
+
+
+# ----------------------------------------------------------------------
+# Serialization
+
+
+DICTIONARY_FORMAT = "kooplift-dictionary-v1"
+
+# The keys every dictionary and model file has besides its kind's: ``format``
+# and ``kind``, which the readers check first, and ``meta``, the provenance
+# stamp the command line adds to the files it writes, which is not read.
+_FILE_KEYS = {"format": (_any, ...), "kind": (_any, ...), "meta": (_any, None)}
+_DIMS = {key: (_integer(1), ...) for key in ("state_dim", "input_dim", "s", "l")}
+
+
+def dictionary_to_json(nd: NormalDictionary) -> dict:
+    """JSON-ready description of a dictionary: its ``descriptor`` with format and dims."""
+    if nd.descriptor is None:
+        raise ConfigError("only parametric and builtin dictionaries are serializable")
+    dims = {"state_dim": nd.state_dim, "input_dim": nd.input_dim, "s": nd.s, "l": nd.l}
+    return {"format": DICTIONARY_FORMAT, "dims": dims, **nd.descriptor}
+
+
+def _dictionary_table(kind: str) -> dict:
+    """The keys of a dictionary file whose family is ``kind``.
+
+    The builtin basis is built from ``truncate`` alone.  A parametric family
+    is built from ``dims``, ``fixed_head`` and its other parameters, which
+    sit in ``spec``; the lengths of ``parameters``, ``x_scale`` and
+    ``u_scale`` follow from the dictionary built.
+    """
+    if kind == EXAMPLE_POLY_BASIS:
+        return {**_FILE_KEYS, "dims": (_DIMS, None), **FAMILIES[kind]}
+    spec = {key: entry for key, entry in FAMILIES[kind].items() if key != "fixed_head"}
+    return {**_FILE_KEYS, "dims": (_DIMS, ...), "spec": (spec, ...),
+            "fixed_head": (_fixed_head, ...), "parameters": (_numeric(None), ...),
+            "fixed_head_tags": (_list_of(_string, "strings"), None),
+            "x_scale": (_numeric(None), None), "u_scale": (_numeric(None), None)}
+
+
 def dictionary_from_json(obj: dict) -> NormalDictionary:
     """Rebuild a dictionary from :func:`dictionary_to_json` output.
 
-    The family is checked by :func:`check_family`: ``kind`` and
-    ``fixed_head`` sit at the top level, the other parameters in ``spec``.
-    A missing key, or a value of the wrong type, range or shape, raises
-    :class:`ConfigError` naming its path.
+    ``kind`` picks the table, and :func:`check_json` checks the object
+    against it: ``format``, ``kind``, then ``truncate`` for the builtin
+    basis, or ``dims``, ``spec`` (the family's parameters but
+    ``fixed_head``), ``fixed_head``, ``fixed_head_tags``, ``x_scale``,
+    ``u_scale`` and ``parameters`` for a parametric family.  ``dims`` and
+    ``fixed_head_tags``, written from the dictionary, must agree with the
+    dictionary built; a builtin descriptor may leave ``dims`` out.  An
+    unknown or missing key, or a value of the wrong type, range or shape,
+    raises :class:`ConfigError` naming its path.
     """
-    if obj.get("format") != DICTIONARY_FORMAT:
+    if not isinstance(obj, dict) or obj.get("format") != DICTIONARY_FORMAT:
         raise ConfigError("not a kooplift dictionary JSON object")
     what = "kooplift dictionary JSON object"
-    require_keys(obj, ("kind",), what)
-    if obj["kind"] == EXAMPLE_POLY_BASIS:
-        family = {key: obj[key] for key in ("kind", "truncate") if key in obj}
-        return example_poly_normal_basis(**check_family(family, what))
-    require_keys(obj, ("dims", "spec", "fixed_head", "parameters"), what)
-    dims, spec = obj["dims"], obj["spec"]
-    require_keys(dims, ("state_dim", "input_dim", "s", "l"), what, "dims")
-    require_keys(spec, (), what, "spec")
-    for key, value in dims.items():
-        json_number(value, f"dims.{key}", what, integer=True)
-    top = {"kind": obj["kind"], "fixed_head": obj["fixed_head"]}
-    if top.keys() & spec.keys():
-        raise ConfigError(f"{what}: 'spec' holds {sorted(top.keys() & spec.keys())}, "
-                          "which belong at the top level")
-    check_family({**spec, **top}, what, lambda key: key if key in top else f"spec.{key}")
-    nd = parametric_family(**top, state_dim=dims["state_dim"], input_dim=dims["input_dim"],
-                           s=dims["s"], l=dims["l"], **spec)
-    nd.set_params(json_array(obj["parameters"], "parameters", what, (nd.n_params,)))
-    n, m = dims["state_dim"], dims["input_dim"]
-    return nd.with_input_scaling(json_array(obj.get("x_scale", np.ones(n)), "x_scale", what, (n,)),
-                                 json_array(obj.get("u_scale", np.ones(m)), "u_scale", what, (m,)))
+    kind = _one_of(FAMILIES, "dictionary kind")(obj.get("kind"), "kind", what)
+    d = check_json(_dictionary_table(kind), obj, what)
+    if kind == EXAMPLE_POLY_BASIS:
+        nd = example_poly_normal_basis(d["truncate"])
+    else:
+        nd = parametric_family(kind, **d["dims"], fixed_head=d["fixed_head"], **d["spec"])
+        nd.set_params(json_array(d["parameters"], "parameters", what, (nd.n_params,)))
+        nd = nd.with_input_scaling(d["x_scale"], d["u_scale"])
+    written = dictionary_to_json(nd)
+    for key in ("dims", "fixed_head_tags"):  # written from the dictionary, not read
+        if d.get(key) is not None:
+            _equal(written[key])(d[key], key, what)
+    return nd
 
 
 def save_dictionary(nd: NormalDictionary, path) -> Path:

@@ -628,6 +628,12 @@ def _dictionary_json(**edits):
     return {**kl.dictionary_to_json(nd), **edits}
 
 
+def _bilinear_model_json(**edits):
+    """The bilinear golden model file's JSON object, with top-level ``edits``."""
+    path = Path(__file__).parent / "fixtures" / "model_bilinear.json"
+    return {**json.loads(path.read_text()), **edits}
+
+
 def _config_json(**edits):
     """A short polynomial ``learn`` config, with ``edits``."""
     return {"family": {"kind": "polynomial", "total_degree": 2}, "s": 7, "l": 4,
@@ -709,6 +715,18 @@ class TestMalformedInputFiles:
         ("config", _config_json(family={"kind": "mlp", "widths": [4], "fixed_head": [0, 0]}),
          "fixed_head [0, 0] must be at most l = 4 distinct state coordinates"),
         ("config", _config_json(seed=-2), "seed must be >= 0"),
+        ("config", _config_json(ridge_scale=float("nan")), "'ridge_scale' must be finite"),
+        ("dictionary", _dictionary_json(bogus=1), "takes no 'bogus' key ('bogus')"),
+        ("dictionary", _dictionary_json(dims={"state_dim": 2, "input_dim": 1, "s": 7, "l": 4,
+                                              "foo": 1}), "takes no 'foo' key ('dims.foo')"),
+        ("dictionary", {"format": DICTIONARY_FORMAT, "kind": "example_poly_basis", "bogus": 1},
+         "takes no 'bogus' key ('bogus')"),
+        ("dictionary", {"format": DICTIONARY_FORMAT, "kind": "example_poly_basis",
+                        "dims": {"state_dim": 2, "input_dim": 1, "s": 99, "l": 4}},
+         "'dims' must be {'state_dim': 2, 'input_dim': 1, 's': 8, 'l': 4}"),
+        ("dictionary", _dictionary_json(fixed_head_tags=["x2", "x1"]),
+         "'fixed_head_tags' must be ['x1', 'x2']"),
+        ("model", _bilinear_model_json(advisory="no"), "'advisory' must be true or false"),
     ], ids=["config_empty", "config_no_family", "config_family_not_object", "model", "models",
             "dictionary", "dictionary_no_dims", "dictionary_dims_without_s",
             "dictionary_dims_not_object", "config_epochs_string", "config_s_string",
@@ -718,7 +736,10 @@ class TestMalformedInputFiles:
             "dictionary_x_scale_short", "dictionary_truncate_number",
             "dictionary_widths_on_polynomial", "dictionary_misspelled_key",
             "dictionary_activation_unknown", "config_family_seed_negative",
-            "config_activation_unknown", "config_fixed_head_repeated", "config_seed_negative"])
+            "config_activation_unknown", "config_fixed_head_repeated", "config_seed_negative",
+            "config_ridge_scale_nan", "dictionary_unknown_key", "dictionary_dims_unknown_key",
+            "dictionary_builtin_unknown_key", "dictionary_builtin_dims_disagree",
+            "dictionary_fixed_head_tags_disagree", "model_advisory_string"])
     def test_names_the_missing_key(self, poly_dataset, poly_model_file, tmp_path, capsys,
                                    option, obj, key):
         bad = tmp_path / "bad.json"
@@ -738,8 +759,22 @@ class TestMalformedInputFiles:
         (lambda obj: obj.update(kind=["separable"]), "unknown model kind"),
         (lambda obj: obj.update(decoder={"D": [[1.0]], "residual": 0.1}),
          "'decoder.D' must be a numeric array of shape 2 x 4"),
+        (lambda obj: obj.update(bogus=1), "takes no 'bogus' key ('bogus')"),
+        (lambda obj: obj.update(decoder={"D": [[0.0] * 4] * 2, "residual": 0.1, "extra": 1}),
+         "takes no 'extra' key ('decoder.extra')"),
+        (lambda obj: obj.update(decoder={"D": [[0.0] * 4] * 2, "residual": -1.0}),
+         "'decoder.residual' must be finite and >= 0.0"),
+        (lambda obj: obj.update(source_index=-3.0),
+         "'source_index' must be finite and >= 0.0 and <= 1.0"),
+        (lambda obj: obj.update(source_index=float("inf")),
+         "'source_index' must be finite and >= 0.0 and <= 1.0"),
+        (lambda obj: obj.update(l=5), "'l' must be 4"),
+        (lambda obj: obj.update(s=9), "'s' must be 8"),
+        (lambda obj: obj.update(gtilde_descriptor=5), "not a kooplift dictionary JSON object"),
     ], ids=["A11", "descriptor", "decoder_residual", "A11_1x1", "A11_string", "A11_ragged",
-            "kind_list", "decoder_D_1x1"])
+            "kind_list", "decoder_D_1x1", "unknown_key", "decoder_unknown_key",
+            "decoder_residual_negative", "source_index_negative", "source_index_infinite",
+            "l_disagrees", "s_disagrees", "descriptor_not_object"])
     @pytest.mark.parametrize("option", ["model", "models"])
     def test_model_without_a_key_names_it(self, poly_dataset, poly_model_file, tmp_path,
                                           capsys, option, edit, want):

@@ -399,6 +399,12 @@ class TestTrainConfig:
          "'family.fixed_head' must be a list of integers"),
         ({"family": {"kind": "example_poly_basis", "truncate": 5}},
          "'family.truncate' must be a list of strings"),
+        ({"ridge_scale": -1.0}, "'ridge_scale' must be finite and >= 0.0"),
+        ({"ridge_scale": float("nan")}, "'ridge_scale' must be finite and >= 0.0"),
+        ({"ridge_scale": 1e400}, "'ridge_scale' must be finite and >= 0.0"),
+        ({"lr_start": float("inf")}, "need 0 < lr_end <= lr_start < inf"),
+        ({"s": 3}, "need s >= l >= 1, got s=3, l=4"),
+        ({"s": 3, "l": 0}, "need s >= l >= 1, got s=3, l=0"),
     ])
     def test_value_of_the_wrong_type_names_its_key(self, edit, key):
         obj = {"family": {"kind": "polynomial", "total_degree": 2}, "s": 7, "l": 4, **edit}
