@@ -82,7 +82,6 @@ at the end.  A frozen family runs zero epochs through the same stages.
 from __future__ import annotations
 
 import dataclasses
-import json
 import time
 import warnings
 from pathlib import Path

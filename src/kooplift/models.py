@@ -4,7 +4,10 @@ A separable model advances a lifted state ``z = H(x)`` linearly with an
 input-dependent matrix: ``z+ = A_of(u) z`` where ``A_of(u) = A11 +
 A12 Gtilde(u)``.  Lifted linear, bilinear, and switched-linear models are
 special cases; this module fits all of them from snapshot data, converts
-between them where exact embeddings exist, and rolls out predictions.
+between them where exact embeddings exist, rolls out predictions, and
+saves and loads each of them.  A linear model is a bilinear one with no
+``B_i`` terms (:func:`LinearLiftedModel` builds it), so one class and one
+least-squares fitter serve both baselines.
 
 Every lifted model speaks one transition protocol, the universal form
 ``z_{k+1} = A_k z_k + b_k``: ``transitions(U)`` returns the per-step maps
@@ -53,6 +56,7 @@ from .observables import (
     _any,
     _boolean,
     _equal,
+    _list_of,
     _number,
     _numeric,
     _one_of,
@@ -98,15 +102,13 @@ def _lift(psi: StateDictionary, x) -> Array:
 class _LiftedModel:
     """What every lifted model shares: its state dictionary ``basis`` and its JSON form.
 
-    A serializable class names its JSON ``kind`` and the key under which
+    A model names its JSON ``kind`` and the key under which
     :func:`model_to_json` stores the descriptor of its basis's source
     dictionary, and ``_from_json`` rebuilds the model from the values of
     the keys of its kind's table (``_model_table``), which
-    :func:`model_to_json` writes from the attributes of the same names.  A
-    class whose ``kind`` is None does not serialize.
+    :func:`model_to_json` writes from the attributes of the same names.
     """
 
-    kind = None
     source_key = "head_of"
 
     @property
@@ -212,54 +214,39 @@ class SeparableModel(_LiftedModel):
 
 
 @dataclasses.dataclass
-class LinearLiftedModel(_LiftedModel):
-    """Lifted linear model ``psi(x+) ~ A psi(x) + B u``."""
-
-    kind = "linear"
-
-    psi: StateDictionary
-    A: Array
-    B: Array
-    decoder: tuple | None = None
-
-    @property
-    def input_dim(self) -> int:
-        return self.B.shape[1]
-
-    def transitions(self, U: Array) -> tuple[Array, Array]:
-        U = np.asarray(U, dtype=float)
-        return np.broadcast_to(self.A, (U.shape[1],) + self.A.shape), self.B @ U
-
-    def step_lifted(self, z: Array, u) -> Array:
-        u = np.asarray(u, dtype=float).reshape(-1)
-        return self.A @ z + self.B @ u
-
-    @classmethod
-    def _from_json(cls, f: dict, basis: StateDictionary, decoder) -> "LinearLiftedModel":
-        return cls(psi=basis, A=f["A"], B=f["B"], decoder=decoder)
-
-
-@dataclasses.dataclass
 class BilinearLiftedModel(_LiftedModel):
-    """Lifted bilinear model ``psi(x+) ~ A psi(x) + sum_i u_i B_i psi(x) [+ C u]``."""
+    """Lifted bilinear model ``psi(x+) ~ A psi(x) + sum_i u_i B_i psi(x) [+ C u]``.
 
-    kind = "bilinear"
+    A lifted linear model ``psi(x+) ~ A psi(x) + B u`` is one with no
+    ``B_i`` terms and ``C = B`` (:func:`LinearLiftedModel`); its JSON kind
+    is ``"linear"``, with keys ``A`` and ``B`` only, and ``B`` reads ``C``.
+    ``advisory`` flags a fit whose regressor was rank-deficient.
+    """
 
     psi: StateDictionary
     A: Array
-    Bs: tuple
+    Bs: tuple = ()
     C: Array | None = None
     decoder: tuple | None = None
     advisory: bool = False
 
     @property
+    def kind(self) -> str:
+        return "bilinear" if self.Bs else "linear"
+
+    @property
+    def B(self) -> Array | None:
+        return self.C
+
+    @property
     def input_dim(self) -> int:
-        return len(self.Bs)
+        return len(self.Bs) if self.Bs else self.C.shape[1]
 
     def transitions(self, U: Array) -> tuple[Array, Array | None]:
         """``A + sum_i u_i B_i`` at every column of ``U``, with ``b = C u``."""
         U = np.asarray(U, dtype=float)
-        A = self.A + np.tensordot(U.T, np.stack(self.Bs), axes=1)
+        A = (self.A + np.tensordot(U.T, np.stack(self.Bs), axes=1) if self.Bs
+             else np.broadcast_to(self.A, (U.shape[1],) + self.A.shape))
         return A, None if self.C is None else self.C @ U
 
     def step_lifted(self, z: Array, u) -> Array:
@@ -273,13 +260,30 @@ class BilinearLiftedModel(_LiftedModel):
 
     @classmethod
     def _from_json(cls, f: dict, basis: StateDictionary, decoder) -> "BilinearLiftedModel":
-        return cls(psi=basis, A=f["A"], Bs=tuple(f["Bs"]), C=f["C"], decoder=decoder,
-                   advisory=f["advisory"])
+        return cls(psi=basis, A=f["A"], Bs=tuple(f.get("Bs", ())), C=f.get("C", f.get("B")),
+                   decoder=decoder, advisory=f.get("advisory", False))
+
+
+def LinearLiftedModel(psi: StateDictionary, A: Array, B: Array, decoder=None):
+    """Lifted linear model ``psi(x+) ~ A psi(x) + B u``: a bilinear one with ``C = B``."""
+    return BilinearLiftedModel(psi=psi, A=A, C=B, decoder=decoder)
+
+
+def _input_key(u) -> tuple:
+    """A switched model's key of the input value ``u``: a tuple of floats."""
+    return tuple(np.asarray(u, dtype=float).reshape(-1).tolist())
 
 
 @dataclasses.dataclass
 class SwitchedLinearModel(_LiftedModel):
-    """One lifted transition matrix per input value in a finite set."""
+    """One lifted transition matrix per input value in a finite set.
+
+    ``matrices`` maps each input value, a tuple of m floats, to its l-by-l
+    matrix; its JSON kind is ``"switched"``, with a ``matrices`` list of
+    ``{"u", "A"}`` entries.
+    """
+
+    kind = "switched"
 
     psi: StateDictionary
     matrices: dict
@@ -290,14 +294,11 @@ class SwitchedLinearModel(_LiftedModel):
         return len(next(iter(self.matrices))) if self.matrices else None
 
     def matrix_at(self, u) -> Array:
-        key = tuple(float(v) for v in np.asarray(u, dtype=float).reshape(-1))
-        try:
-            return self.matrices[key]
-        except KeyError:
-            known = sorted(self.matrices)
-            raise UnknownInputValue(
-                f"no matrix fitted for input {key}; known values: {known}"
-            ) from None
+        key = _input_key(u)
+        if key not in self.matrices:
+            raise UnknownInputValue(f"no matrix fitted for input {key}; "
+                                    f"known values: {sorted(self.matrices)}")
+        return self.matrices[key]
 
     def transitions(self, U: Array) -> tuple[Array, None]:
         """``matrix_at(u_k)`` for every column; an unknown value raises as there."""
@@ -307,6 +308,10 @@ class SwitchedLinearModel(_LiftedModel):
 
     def step_lifted(self, z: Array, u) -> Array:
         return self.matrix_at(u) @ z
+
+    @classmethod
+    def _from_json(cls, f: dict, basis: StateDictionary, decoder) -> "SwitchedLinearModel":
+        return cls(psi=basis, matrices=f["matrices"], decoder=decoder)
 
 
 def extract_normal(fit: EdmdFit, nd: NormalDictionary, source_index=None) -> SeparableModel:
@@ -477,37 +482,40 @@ def predict_observable(model: SeparableModel, v_h, x, u) -> float:
     return float(v_h @ model.A_of(u) @ model.lift(x))
 
 
-def _linear_baseline(psi: StateDictionary, d: _DataR) -> LinearLiftedModel:
-    """:func:`fit_linear_baseline` read off the columns of a streamed R."""
-    R = d.cols("HX", "U")
+def _baseline(psi: StateDictionary, d: _DataR, blocks: tuple, regressor: str):
+    """The lifted fit of ``HXplus`` on the column ``blocks`` of a streamed R.
+
+    ``blocks`` is ``HX``, then ``HU`` for the ``B_i`` terms, then ``U`` for
+    the ``C u`` term; ``regressor`` names the regressor in the error and
+    the warning.
+    """
+    R = d.cols(*blocks)
     if not np.any(R):
-        raise DegenerateData("regressor [psi(X); U] is identically zero")
+        raise DegenerateData(f"{regressor} is identically zero")
     AB, sv = _lstsq(R.T, d.cols("HXplus").T)
-    if sv[-1] <= PINV_CUTOFF * sv[0]:
-        warnings.warn("regressor [psi(X); U] is rank-deficient; fit is not unique",
-                      RankWarning, stacklevel=3)
-    return LinearLiftedModel(psi=psi, A=AB[:, :d.l], B=AB[:, d.l:])
+    advisory = bool(sv[-1] <= PINV_CUTOFF * sv[0])
+    if advisory:
+        warnings.warn(f"{regressor} is rank-deficient; fit is not unique",
+                      RankWarning, stacklevel=4)
+    l, m = d.l, d.m if "HU" in blocks else 0  # m is the count of B_i terms
+    Bs = tuple(AB[:, (i + 1) * l:(i + 2) * l] for i in range(m))
+    C = AB[:, (m + 1) * l:] if "U" in blocks else None
+    return BilinearLiftedModel(psi=psi, A=AB[:, :l], Bs=Bs, C=C, advisory=advisory)
+
+
+def _linear_baseline(psi: StateDictionary, d: _DataR) -> BilinearLiftedModel:
+    """:func:`fit_linear_baseline` read off the columns of a streamed R."""
+    return _baseline(psi, d, ("HX", "U"), "regressor [psi(X); U]")
 
 
 def _bilinear_baseline(psi: StateDictionary, d: _DataR,
                        include_input_term: bool = False) -> BilinearLiftedModel:
     """:func:`fit_bilinear_baseline` read off the columns of a streamed R."""
-    R = d.cols("HX", "HU", "U") if include_input_term else d.cols("HX", "HU")
-    if not np.any(R):
-        raise DegenerateData("bilinear regressor is identically zero")
-    AB, sv = _lstsq(R.T, d.cols("HXplus").T)
-    advisory = bool(sv[-1] <= PINV_CUTOFF * sv[0])
-    if advisory:
-        warnings.warn("bilinear regressor is rank-deficient; fit is not unique",
-                      RankWarning, stacklevel=3)
-    k, m = d.l, d.m
-    A = AB[:, :k]
-    Bs = tuple(AB[:, (i + 1) * k:(i + 2) * k] for i in range(m))
-    C = AB[:, (m + 1) * k:] if include_input_term else None
-    return BilinearLiftedModel(psi=psi, A=A, Bs=Bs, C=C, advisory=advisory)
+    blocks = ("HX", "HU", "U") if include_input_term else ("HX", "HU")
+    return _baseline(psi, d, blocks, "bilinear regressor")
 
 
-def fit_linear_baseline(psi: StateDictionary, ss: SnapshotSet) -> LinearLiftedModel:
+def fit_linear_baseline(psi: StateDictionary, ss: SnapshotSet) -> BilinearLiftedModel:
     """Least-squares lifted linear fit ``[A, B] = psi(X+) pinv([psi(X); U])``.
 
     ``psi`` is evaluated in chunks into one R factor (:func:`kooplift.
@@ -541,12 +549,9 @@ def switched_from_constant_inputs(psi: StateDictionary, subsets) -> SwitchedLine
     exact on the fitted values and raises :class:`UnknownInputValue`
     elsewhere.
     """
-    matrices = {}
-    for u_value, ss in subsets:
-        key = tuple(float(v) for v in np.asarray(u_value, dtype=float).reshape(-1))
-        fit = fit_edmd(eval_matrix(psi, ss.X), eval_matrix(psi, ss.Xplus))
-        matrices[key] = fit.K
-    return SwitchedLinearModel(psi=psi, matrices=matrices)
+    return SwitchedLinearModel(psi=psi, matrices={
+        _input_key(u): fit_edmd(eval_matrix(psi, ss.X), eval_matrix(psi, ss.Xplus)).K
+        for u, ss in subsets})
 
 
 def bilinear_as_separable(model: BilinearLiftedModel) -> SeparableModel:
@@ -555,11 +560,11 @@ def bilinear_as_separable(model: BilinearLiftedModel) -> SeparableModel:
     Appends the constant observable to the dictionary and encodes
     ``A z + sum_i u_i B_i z + C u`` as ``(A11 + A12 Gtilde(u)) [z; 1]``
     with block-identity input rows, reproducing bilinear predictions
-    exactly.
+    exactly.  A linear model (no ``B_i``) embeds through its ``C u`` rows alone.
     """
     psi, A, Bs, C = model.psi, model.A, model.Bs, model.C
     k = A.shape[0]
-    m = len(Bs)
+    m, nb = model.input_dim, len(Bs)
     L = k + 1
 
     def h_fn(X):
@@ -571,20 +576,20 @@ def bilinear_as_separable(model: BilinearLiftedModel) -> SeparableModel:
     A11[:k, :k] = A
     A11[k, k] = 1.0
 
-    n_cols = m * L + (m if C is not None else 0)
+    n_cols = nb * L + (m if C is not None else 0)
     A12 = np.zeros((L, n_cols))
-    for i in range(m):
+    for i in range(nb):
         A12[:k, i * L:i * L + k] = Bs[i]
     if C is not None:
-        A12[:k, m * L:] = C
+        A12[:k, nb * L:] = C
 
     def gt_fn(U):
         G = np.zeros((n_cols, L, U.shape[1]))
         diag = np.arange(L)
-        for i in range(m):
+        for i in range(nb):
             G[i * L + diag, diag] = U[i]
-            if C is not None:
-                G[m * L + i, L - 1] = U[i]
+        if C is not None:
+            G[nb * L + np.arange(m), L - 1] = U
         return G
 
     gt = InputMatrixFunction(rows=n_cols, cols=L, fn=gt_fn, domain_dim=m)
@@ -664,12 +669,38 @@ MODEL_FORMAT = "kooplift-model-v1"
 
 
 def _json_value(value):
-    """``value`` as written: an array, or a tuple of arrays, as nested lists of floats."""
+    """``value`` as written: an array, or a tuple of arrays, as nested lists of floats.
+
+    A switched model's ``matrices`` are written as a list of ``{"u", "A"}`` entries.
+    """
+    if isinstance(value, dict):
+        return [{"u": _json_value(u), "A": _json_value(A)} for u, A in value.items()]
     return np.asarray(value, float).tolist() if isinstance(value, (np.ndarray, tuple)) else value
 
 
-_MODEL_CLASSES = {cls.kind: cls for cls in (SeparableModel, LinearLiftedModel,
-                                            BilinearLiftedModel)}
+_MODEL_CLASSES = {"separable": SeparableModel, "linear": BilinearLiftedModel,
+                  "bilinear": BilinearLiftedModel, "switched": SwitchedLinearModel}
+
+
+def _switched_matrices(m: int, l: int):
+    """The check of a switched model's ``matrices``: a dict from input value to matrix.
+
+    Each entry's ``u`` has length m and its ``A`` is l x l; a repeated
+    input value is refused, since the dict would keep only one matrix.
+    """
+    entry = {"u": (_numeric(m), ...), "A": (_numeric(l, l), ...)}
+    entries = _list_of(lambda value, path, what: check_json(entry, value, what, path),
+                       "one or more objects with keys 'u' and 'A'", least=1)
+
+    def check(value, path: str, what: str) -> dict:
+        matrices = {}
+        for i, f in enumerate(entries(value, path, what)):
+            if matrices.setdefault(_input_key(f["u"]), f["A"]) is not f["A"]:
+                raise ConfigError(f"{what}: '{path}[{i}].u' repeats the input value "
+                                  f"{f['u'].tolist()} of an earlier entry")
+        return matrices
+
+    return check
 
 
 def _model_table(kind: str, source: NormalDictionary) -> dict:
@@ -687,7 +718,8 @@ def _model_table(kind: str, source: NormalDictionary) -> dict:
                           "source_index": (_number(0.0, 1.0), None)},
             "linear": {"A": (_numeric(l, l), ...), "B": (_numeric(l, m), ...)},
             "bilinear": {"A": (_numeric(l, l), ...), "Bs": (_numeric(m, l, l), ...),
-                         "C": (_numeric(l, m), None), "advisory": (_boolean, False)}}[kind]
+                         "C": (_numeric(l, m), None), "advisory": (_boolean, False)},
+            "switched": {"matrices": (_switched_matrices(m, l), ...)}}[kind]
 
 
 def model_to_json(model) -> dict:
@@ -700,8 +732,6 @@ def model_to_json(model) -> dict:
     attribute of that name.  Only a basis from :func:`head_dictionary` of
     a serializable dictionary serializes.
     """
-    if getattr(model, "kind", None) is None:
-        raise ConfigError(f"cannot serialize model of type {type(model).__name__}")
     source = model.basis.source
     if source is None:
         raise ConfigError(f"{model.kind} model's basis is not the head of a dictionary; "
@@ -725,9 +755,11 @@ def model_from_json(obj: dict):
     whose ``D`` is n x l and whose ``residual`` is a finite number >= 0)
     and the class's own.  A separable model's ``source_index`` is null or
     a finite number in [0, 1], and its ``l`` and ``s`` must be the basis's;
-    a bilinear model's ``advisory`` is a JSON boolean.  An unknown or
-    missing key, or a value of the wrong type, range or shape, raises
-    :class:`ConfigError` naming its path.
+    a bilinear model's ``advisory`` is a JSON boolean; a switched model's
+    ``matrices`` is a non-empty list of ``{"u", "A"}`` entries whose ``u``
+    values differ.  An unknown or missing key, or a value of the wrong
+    type, range or shape, raises :class:`ConfigError` naming its path,
+    inside the dictionary too (``gtilde_descriptor.dims.s``).
     """
     if not isinstance(obj, dict) or obj.get("format") != MODEL_FORMAT:
         raise ConfigError("not a kooplift model JSON object")
@@ -735,10 +767,10 @@ def model_from_json(obj: dict):
     cls = _MODEL_CLASSES[_one_of(_MODEL_CLASSES, "model kind")(obj.get("kind"), "kind", what)]
     if cls.source_key not in obj:
         raise ConfigError(f"{what} has no {cls.source_key!r} key")
-    source = dictionary_from_json(obj[cls.source_key])
+    source = dictionary_from_json(obj[cls.source_key], what, cls.source_key)
     decoder = {"D": (_numeric(source.state_dim, source.l), ...), "residual": (_number(0.0), ...)}
     f = check_json({**_FILE_KEYS, cls.source_key: (_any, ...), "decoder": (decoder, None),
-                    **_model_table(cls.kind, source)}, obj, what)
+                    **_model_table(obj["kind"], source)}, obj, what)
     decoder = None if f["decoder"] is None else (f["decoder"]["D"], f["decoder"]["residual"])
     return cls._from_json(f, head_dictionary(source), decoder)
 

@@ -1169,7 +1169,8 @@ def _dictionary_table(kind: str) -> dict:
             "x_scale": (_numeric(None), None), "u_scale": (_numeric(None), None)}
 
 
-def dictionary_from_json(obj: dict) -> NormalDictionary:
+def dictionary_from_json(obj: dict, what: str = "kooplift dictionary JSON object",
+                         path: str = "") -> NormalDictionary:
     """Rebuild a dictionary from :func:`dictionary_to_json` output.
 
     ``kind`` picks the table, and :func:`check_json` checks the object
@@ -1180,23 +1181,26 @@ def dictionary_from_json(obj: dict) -> NormalDictionary:
     ``fixed_head_tags``, written from the dictionary, must agree with the
     dictionary built; a builtin descriptor may leave ``dims`` out.  An
     unknown or missing key, or a value of the wrong type, range or shape,
-    raises :class:`ConfigError` naming its path.
+    raises :class:`ConfigError` naming its path.  A dictionary nested in
+    another file (a model's descriptor) passes that file's ``what`` and its
+    own ``path`` there, so errors name the key path in that file.
     """
     if not isinstance(obj, dict) or obj.get("format") != DICTIONARY_FORMAT:
-        raise ConfigError("not a kooplift dictionary JSON object")
-    what = "kooplift dictionary JSON object"
-    kind = _one_of(FAMILIES, "dictionary kind")(obj.get("kind"), "kind", what)
-    d = check_json(_dictionary_table(kind), obj, what)
+        raise ConfigError(f"{what}: {path!r} is not a kooplift dictionary JSON object"
+                          if path else "not a kooplift dictionary JSON object")
+    prefix = f"{path}." if path else ""
+    kind = _one_of(FAMILIES, "dictionary kind")(obj.get("kind"), prefix + "kind", what)
+    d = check_json(_dictionary_table(kind), obj, what, path)
     if kind == EXAMPLE_POLY_BASIS:
         nd = example_poly_normal_basis(d["truncate"])
     else:
         nd = parametric_family(kind, **d["dims"], fixed_head=d["fixed_head"], **d["spec"])
-        nd.set_params(json_array(d["parameters"], "parameters", what, (nd.n_params,)))
+        nd.set_params(json_array(d["parameters"], prefix + "parameters", what, (nd.n_params,)))
         nd = nd.with_input_scaling(d["x_scale"], d["u_scale"])
     written = dictionary_to_json(nd)
     for key in ("dims", "fixed_head_tags"):  # written from the dictionary, not read
         if d.get(key) is not None:
-            _equal(written[key])(d[key], key, what)
+            _equal(written[key])(d[key], prefix + key, what)
     return nd
 
 

@@ -397,6 +397,36 @@ class TestCompare:
         assert len(traj) == 2 + 51
 
 
+class TestSwitchedModelFile:
+    """A saved switched model runs through ``predict``, but not ``compare``."""
+
+    PATH = Path(__file__).parent / "fixtures" / "model_switched.json"
+    VALUES = (-1.0, 0.0, 0.5)  # the model's fitted inputs
+
+    def test_predict_matches_library_rollout(self, tmp_path):
+        model = load_model(self.PATH)
+        assert sorted(model.matrices) == [(v,) for v in self.VALUES]
+        U = np.random.default_rng(20).choice(self.VALUES, size=(1, 20))
+        inputs = tmp_path / "inputs.csv"
+        inputs.write_text("u1\n" + "\n".join(repr(float(v)) for v in U[0]) + "\n")
+        assert _run(["predict", "--model", str(self.PATH), "--x0", "0.3,-0.4",
+                     "--inputs", str(inputs), "--out", str(tmp_path)]) == 0
+        pred = _read_csv_matrix(tmp_path / "prediction.csv")
+        want = states_from_lifted(model, rollout(model, [0.3, -0.4], U))
+        np.testing.assert_array_equal(pred[:, 1:], want.T)
+
+    def test_compare_names_the_first_unknown_input(self, poly_model_file, tmp_path, capsys):
+        # compare draws its test input from the continuous input box.
+        rc = _run(["compare", "--system", "example_poly", "--models", str(poly_model_file),
+                   str(self.PATH), "--steps", "10", "--seed", "5",
+                   "--out", str(tmp_path / "out")])
+        assert rc == 2
+        lo, hi = kl.example_poly().input_box
+        first = float(np.random.default_rng(5).uniform(lo, hi, size=(10, 1))[0, 0])
+        assert f"no matrix fitted for input ({first!r},)" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+
 class TestLearn:
     def test_frozen_family_quick_run(self, poly_dataset, tmp_path, capsys):
         config = tmp_path / "config.json"
@@ -640,6 +670,20 @@ def _config_json(**edits):
             "epochs": 2, "batch_size": 50, **edits}
 
 
+_EYE4 = np.eye(4).tolist()
+
+
+def _as_switched(matrices):
+    """An edit that makes a model file on the polynomial basis a switched one with ``matrices``."""
+
+    def edit(obj):
+        head = obj.pop("gtilde_descriptor")
+        obj.clear()
+        obj.update(format=MODEL_FORMAT, kind="switched", head_of=head, matrices=matrices)
+
+    return edit
+
+
 class TestMalformedInputFiles:
     """Config, model and dictionary files that are not what they claim exit 2."""
 
@@ -771,10 +815,25 @@ class TestMalformedInputFiles:
         (lambda obj: obj.update(l=5), "'l' must be 4"),
         (lambda obj: obj.update(s=9), "'s' must be 8"),
         (lambda obj: obj.update(gtilde_descriptor=5), "not a kooplift dictionary JSON object"),
+        (lambda obj: obj["gtilde_descriptor"]["dims"].pop("s"),
+         "has no 'gtilde_descriptor.dims.s' key"),
+        (lambda obj: obj["gtilde_descriptor"].update(bogus=1),
+         "takes no 'bogus' key ('gtilde_descriptor.bogus')"),
+        (_as_switched([]), "'matrices' must be a list of one or more objects"),
+        (_as_switched([{"u": [0.0, 1.0], "A": _EYE4}]),
+         "'matrices[0].u' must be a numeric array of shape 1"),
+        (_as_switched([{"u": [0.0], "A": _EYE4}, {"u": [1.0], "A": [[1.0]]}]),
+         "'matrices[1].A' must be a numeric array of shape 4 x 4"),
+        (_as_switched([{"u": [0.0], "A": _EYE4}, {"u": [1.0], "A": [["x"] * 4] * 4}]),
+         "'matrices[1].A' must be a numeric array"),
+        (_as_switched([{"u": [0.5], "A": _EYE4}, {"u": [0.5], "A": _EYE4}]),
+         "'matrices[1].u' repeats the input value [0.5]"),
     ], ids=["A11", "descriptor", "decoder_residual", "A11_1x1", "A11_string", "A11_ragged",
             "kind_list", "decoder_D_1x1", "unknown_key", "decoder_unknown_key",
             "decoder_residual_negative", "source_index_negative", "source_index_infinite",
-            "l_disagrees", "s_disagrees", "descriptor_not_object"])
+            "l_disagrees", "s_disagrees", "descriptor_not_object", "descriptor_dims_without_s",
+            "descriptor_unknown_key", "switched_empty", "switched_u_length",
+            "switched_A_shape", "switched_A_string", "switched_repeated_u"])
     @pytest.mark.parametrize("option", ["model", "models"])
     def test_model_without_a_key_names_it(self, poly_dataset, poly_model_file, tmp_path,
                                           capsys, option, edit, want):

@@ -36,7 +36,7 @@ from kooplift.errors import RankWarning
 from kooplift.learning import TrainConfig, loss_gradient, train
 from kooplift.models import (extract_normal, fit_bilinear_baseline, fit_linear_baseline,
                              head_dictionary, load_model, save_model, states_from_lifted,
-                             with_decoder)
+                             switched_from_constant_inputs, with_decoder)
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -64,6 +64,21 @@ def _separable(nd, ss):
     return extract_normal(report.fit, nd, report)
 
 
+# The constant input values of the switched model.
+SWITCHED_INPUTS = (-1.0, 0.0, 0.5)
+
+
+def _switched():
+    """One EDMD fit per constant input on 50 random states each, as ``TestSwitchedModel``."""
+    system, rng = kl.example_poly(), np.random.default_rng(8)
+    subsets = []
+    for u in SWITCHED_INPUTS:
+        X = np.vstack([rng.uniform(-2, 2, size=50), rng.uniform(-8, 8, size=50)])
+        Xplus = np.column_stack([system.step_map(X[:, j], np.array([u])) for j in range(50)])
+        subsets.append(([u], kl.SnapshotSet(X=X, Xplus=Xplus, U=np.full((1, 50), u))))
+    return switched_from_constant_inputs(head_dictionary(_dictionary("dict_example")), subsets)
+
+
 MODELS = {
     "model_separable_decoder":
         lambda ss: with_decoder(_separable(_dictionary("dict_headless"), ss), ss.X),
@@ -73,6 +88,7 @@ MODELS = {
     "model_bilinear":
         lambda ss: fit_bilinear_baseline(head_dictionary(_dictionary("dict_polynomial_scaled")),
                                          ss, include_input_term=True),
+    "model_switched": lambda ss: _switched(),
 }
 
 
@@ -220,6 +236,8 @@ def test_model_file_round_trips(name, snapshots, tmp_path):
     fresh = _build_model(name, snapshots)
     rng = np.random.default_rng(22)
     U = rng.uniform(-1, 1, size=(1, 6))
+    if name == "model_switched":  # a switched model has matrices only at its fitted inputs
+        U = rng.choice(SWITCHED_INPUTS, size=(1, 6))
     X = rng.uniform(-2, 2, size=(2, 4))
     (A, b), (A0, b0) = model.transitions(U), fresh.transitions(U)
     np.testing.assert_allclose(A, A0, atol=1e-14)

@@ -460,6 +460,19 @@ class TestBilinearAsSeparable:
             np.testing.assert_allclose(got[:2], want, atol=1e-12)
             assert got[2] == pytest.approx(1.0, abs=1e-12)
 
+    def test_linear_model_embeds_through_its_input_rows(self):
+        rng = np.random.default_rng(11)
+        psi = _identity_basis()
+        model = kl.models.LinearLiftedModel(psi=psi, A=rng.normal(size=(2, 2)),
+                                            B=rng.normal(size=(2, 2)))
+        sep = bilinear_as_separable(model)
+        assert sep.A12.shape == (3, 2)
+        for _ in range(20):
+            x, u = rng.uniform(-2, 2, size=2), rng.uniform(-1, 1, size=2)
+            got = sep.A_of(u) @ sep.lift(x)
+            np.testing.assert_allclose(got, np.append(model.step_lifted(psi(x), u), 1.0),
+                                       atol=1e-12)
+
 
 class TestEvaluateRollouts:
     def test_exact_model_near_zero_rmse(self, poly_system, poly_model):
@@ -581,16 +594,18 @@ class TestModelSerialization:
         np.testing.assert_allclose(back.Bs[0], model.Bs[0], atol=1e-14)
         assert back.C is None and back.advisory == model.advisory
 
-    def test_switched_not_serializable(self, poly_system):
+    def test_switched_round_trip(self, poly_system, tmp_path):
         rng = np.random.default_rng(16)
         psi = head_dictionary(kl.example_poly_normal_basis())
-        X = rng.normal(size=(2, 30))
-        Xplus = np.column_stack(
-            [poly_system.step_map(X[:, j], np.array([0.0])) for j in range(30)])
-        switched = kl.models.switched_from_constant_inputs(
-            psi, [([0.0], SnapshotSet(X=X, Xplus=Xplus, U=np.zeros((1, 30))))])
-        with pytest.raises(ConfigError):
-            model_to_json(switched)
+        subsets = TestSwitchedModel()._constant_input_subsets(poly_system, (-1.0, 0.0, 0.5), rng)
+        switched = kl.models.switched_from_constant_inputs(psi, subsets)
+        back = load_model(save_model(switched, tmp_path / "switched.json"))
+        assert list(back.matrices) == list(switched.matrices)
+        for u, A in switched.matrices.items():
+            np.testing.assert_array_equal(back.matrices[u], A)
+        U = np.array([[0.5, -1.0, 0.0, 0.5]])
+        np.testing.assert_array_equal(back.transitions(U)[0], switched.transitions(U)[0])
+        assert back.transitions(U)[1] is None
 
     def test_head_dictionary_leaves_the_dictionary_unchanged(self, poly_snapshots):
         nd = kl.example_poly_normal_basis()
@@ -615,7 +630,7 @@ class TestModelSerialization:
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ConfigError, match="unknown model kind"):
-            model_from_json({"format": "kooplift-model-v1", "kind": "switched"})
+            model_from_json({"format": "kooplift-model-v1", "kind": "affine"})
 
     def test_hand_built_model_without_descriptor_rejected(self):
         psi = _identity_basis()
