@@ -94,10 +94,10 @@ from .models import (
     with_decoder,
 )
 from .observables import (
-    DICTIONARY_FORMAT,
     EXAMPLE_POLY_BASIS,
     dictionary_from_json,
     dictionary_to_json,
+    example_poly_normal_basis,
 )
 
 _USAGE_ERRORS = (ConfigError, DimensionMismatch, UnknownInputValue)
@@ -195,8 +195,15 @@ def _require_file(path, what: str) -> Path:
     return path
 
 
-def _read_json(path, what: str) -> dict:
-    """The JSON object in a ``what`` file; :class:`ConfigError` naming the file otherwise."""
+def _read_json(path, what: str, build):
+    """``build`` of the JSON object in a ``what`` file.
+
+    The one reader of the JSON files the commands take.  A file that is
+    missing, not valid JSON or not a JSON object raises
+    :class:`ConfigError`, and ``build`` raising :class:`ConfigError` or
+    :class:`DimensionMismatch` raises the same kind of error; each message
+    starts with the file's path.
+    """
     path = _require_file(path, what)
     try:
         obj = json.loads(path.read_text())
@@ -204,7 +211,10 @@ def _read_json(path, what: str) -> dict:
         raise ConfigError(f"{path}: {what} file is not valid JSON ({exc})") from None
     if not isinstance(obj, dict):
         raise ConfigError(f"{path}: {what} file is not a JSON object")
-    return obj
+    try:
+        return build(obj)
+    except (ConfigError, DimensionMismatch) as err:
+        raise type(err)(f"{path}: {err}") from None
 
 
 def _parse_floats(text: str, what: str) -> np.ndarray:
@@ -235,16 +245,16 @@ def _dictionary_inputs(args, out: _Outputs):
     data, ss, aug = _load_augmented(args.data)
     spec = args.dictionary
     if Path(spec).is_file():
-        digest, obj = _file_digest(spec), _read_json(spec, "dictionary")
+        digest, nd = _file_digest(spec), _read_json(spec, "dictionary", dictionary_from_json)
     elif spec == EXAMPLE_POLY_BASIS:
-        digest, obj = spec, {"format": DICTIONARY_FORMAT, "kind": spec}
+        digest, nd = spec, example_poly_normal_basis()
     else:
         raise ConfigError(
             f"dictionary {spec!r} is neither a file nor a builtin name "
             f"(builtin: {EXAMPLE_POLY_BASIS})")
     out.stamp(args.seed, {"data": data, "dictionary": digest, "tol": args.tol})
     cutoff = args.tol if args.tol is not None else edmd_mod.PINV_CUTOFF
-    return ss, aug, dictionary_from_json(obj), cutoff
+    return ss, aug, nd, cutoff
 
 
 def _read_inputs(path: Path) -> np.ndarray:
@@ -326,10 +336,8 @@ def cmd_consistency(args, out: _Outputs) -> int:
 
 
 def cmd_learn(args, out: _Outputs) -> int:
-    cfg_obj = _read_json(args.config, "config")
-    if args.seed is not None:
-        cfg_obj["seed"] = args.seed
-    config = learning_mod.config_from_json(cfg_obj)
+    config = _read_json(args.config, "config", lambda obj: learning_mod.config_from_json(
+        obj if args.seed is None else {**obj, "seed": args.seed}))
     data, _, aug = _load_augmented(args.data)
     out.stamp(config.seed, {"data": data, "config": learning_mod.config_to_json(config)})
     nd, report = learning_mod.train(config, aug)
@@ -372,7 +380,7 @@ def cmd_predict(args, out: _Outputs) -> int:
         "x0": args.x0,
         "inputs": _file_digest(inputs_path),
     })
-    model = model_from_json(_read_json(model_path, "model"))
+    model = _read_json(model_path, "model", model_from_json)
     x0 = _parse_floats(args.x0, "--x0")
     U = _read_inputs(inputs_path)
     try:
@@ -417,7 +425,7 @@ def cmd_compare(args, out: _Outputs) -> int:
     })
     system = get_system(args.system, dt=args.dt)
     names = _unique_names(args.models)
-    models = {name: model_from_json(_read_json(path, "model"))
+    models = {name: _read_json(path, "model", model_from_json)
               for name, path in zip(names, paths)}
     if args.x0 is not None:
         x0 = _parse_floats(args.x0, "--x0")

@@ -77,6 +77,13 @@ decreasing learning rate), and applies the abort rule;
 ``_held_out_proximity`` then scores the epoch, and the parameters with
 the best held-out proximity are kept.  The report is built in one place,
 at the end.  A frozen family runs zero epochs through the same stages.
+
+The dictionary owns the one parameter vector, ``theta``
+(:class:`~kooplift.observables.TrainableNormalDictionary`): its
+networks' weights are views of it, and so are those of the rebased copy
+that scores the held-out half.  ``_adam_update`` updates it in place, so
+no step copies parameters into the networks; the only other write is the
+best epoch's parameters, put back once after the last epoch.
 """
 
 from __future__ import annotations
@@ -277,8 +284,7 @@ def _trace_loss(nd, P: Array, Q: Array, ridge_scale: float, grad: bool):
     return value, dP, dQ
 
 
-def loss(nd: NormalDictionary, batch: AugmentedSnapshots,
-         ridge_scale: float = 1e-10, params=None) -> float:
+def loss(nd: NormalDictionary, batch: AugmentedSnapshots, ridge_scale: float = 1e-10) -> float:
     """Ridge-regularized non-invariance loss of a dictionary on a batch.
 
     Returns ``Tr(M_C)``, the training surrogate, with pseudo-inverses
@@ -287,11 +293,8 @@ def loss(nd: NormalDictionary, batch: AugmentedSnapshots,
     rank-deficient batches it stays finite and smooth.  It lies between
     the consistency index and ``s`` times it (up to the ridge), and is
     computed from two QR factorizations, as the value half of
-    :func:`loss_gradient`: the two agree bit for bit.  ``params``
-    optionally sets the dictionary parameters first.
+    :func:`loss_gradient`: the two agree bit for bit.
     """
-    if params is not None:
-        nd.set_params(np.asarray(params, dtype=float))
     if isinstance(nd, NormalDictionary):
         P, Q = nd.eval_pair(batch)
     else:
@@ -300,14 +303,12 @@ def loss(nd: NormalDictionary, batch: AugmentedSnapshots,
 
 
 def _param_norm(nd) -> str:
-    get = getattr(nd, "get_params", None)
-    if get is None:
-        return "n/a"
-    return f"{float(np.linalg.norm(get())):.6g}"
+    theta = getattr(nd, "theta", None)
+    return "n/a" if theta is None else f"{float(np.linalg.norm(theta)):.6g}"
 
 
 def loss_gradient(nd: TrainableNormalDictionary, batch: AugmentedSnapshots,
-                  ridge_scale: float = 1e-10, params=None):
+                  ridge_scale: float = 1e-10):
     """The trace loss and its exact parameter gradient.
 
     Returns ``(value, gradient)`` with the gradient laid out like
@@ -322,8 +323,6 @@ def loss_gradient(nd: TrainableNormalDictionary, batch: AugmentedSnapshots,
     backward pass takes ``[dL/dP | dL/dQ]`` in one block.  A non-finite
     value raises :class:`NonFiniteLoss` before the backward pass runs.
     """
-    if params is not None:
-        nd.set_params(np.asarray(params, dtype=float))
     n, B = batch.state_dim, batch.n_snapshots
     U = batch.Z[n:]
     if not np.array_equal(U, batch.Zplus[n:]):
@@ -425,12 +424,10 @@ def _adam_update(adam: _Adam, theta: Array, grad: Array, lr: float) -> None:
 class _Run:
     """What training carries from batch to batch and epoch to epoch.
 
-    ``theta`` is the parameter vector, which Adam updates in place.
     ``bad_run`` counts the non-finite batches in a row, across epoch
     boundaries; more than 3 abort the run.
     """
 
-    theta: Array
     adam: _Adam
     nan_batches: int = 0
     bad_run: int = 0
@@ -444,14 +441,15 @@ def _epoch(nd: TrainableNormalDictionary, run: _Run, batches, lr: float,
            ridge_scale: float) -> float:
     """Run one epoch's minibatch steps; return the mean loss of its finite batches.
 
-    A batch whose loss or gradient is not finite is skipped and counted;
-    the epoch stops at the batch that aborts the run.  The mean is NaN
-    when no batch was finite.
+    Each step's Adam update writes into ``nd.theta``, the vector the
+    networks' weights are views of, so the next step sees it.  A batch
+    whose loss or gradient is not finite is skipped and counted; the
+    epoch stops at the batch that aborts the run.  The mean is NaN when
+    no batch was finite.
     """
     losses = []
     for batch in batches:
         try:
-            nd.set_params(run.theta)
             value, grad = loss_gradient(nd, batch, ridge_scale=ridge_scale)
         except (NonFiniteLoss, NonFiniteGradient):
             run.nan_batches += 1
@@ -461,7 +459,7 @@ def _epoch(nd: TrainableNormalDictionary, run: _Run, batches, lr: float,
             continue
         run.bad_run = 0
         losses.append(value)
-        _adam_update(run.adam, run.theta, grad, lr)
+        _adam_update(run.adam, nd.theta, grad, lr)
     return float(np.mean(losses)) if losses else float("nan")
 
 
@@ -493,11 +491,11 @@ def train(config: TrainConfig, data: AugmentedSnapshots):
 
     epochs, final_nd, theta = 0, nd, np.zeros(0)
     if isinstance(nd, TrainableNormalDictionary) and nd.n_params > 0:
-        # ``final_nd`` shares nd's parameter arrays; its scales are checked against the data.
+        # ``final_nd`` shares nd's parameter vector; its scales are checked against the data.
         final_nd = nd.with_input_scaling(config.x_scale, config.u_scale)
         train_s = _scaled(train_aug, final_nd.x_scale, final_nd.u_scale)
-        epochs, theta = config.epochs, nd.get_params()
-    run = _Run(theta, _Adam(np.zeros_like(theta), np.zeros_like(theta)))
+        epochs, theta = config.epochs, nd.theta
+    run = _Run(_Adam(np.zeros_like(theta), np.zeros_like(theta)))
     shuffler = np.random.default_rng([config.seed, 2])
     train_curve, val_curve, lr_schedule = [], [], []
     best_metric, best_epoch, best_theta, best_val_r = np.inf, 0, theta.copy(), None
@@ -512,7 +510,6 @@ def train(config: TrainConfig, data: AugmentedSnapshots):
         if run.aborted:
             val_curve.append(float("nan"))
             break
-        nd.set_params(run.theta)
         try:
             val_r, val_metric = _held_out_proximity(final_nd, val_aug)
         except (DegenerateData, np.linalg.LinAlgError):
@@ -521,10 +518,9 @@ def train(config: TrainConfig, data: AugmentedSnapshots):
         val_curve.append(val_metric)
         if val_metric < best_metric:
             best_metric, best_epoch, best_val_r = val_metric, epoch, val_r
-            best_theta = run.theta.copy()
+            best_theta = theta.copy()
 
-    if epochs:  # a frozen family has no parameters to restore
-        nd.set_params(best_theta)
+    theta[...] = best_theta  # the one write besides Adam's steps; a frozen family has none
     train_r, train_consistency = _final_consistency(final_nd, train_aug)
     report = TrainReport(
         train_curve=train_curve, val_curve=val_curve, lr_schedule=lr_schedule,

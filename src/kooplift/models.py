@@ -274,6 +274,21 @@ def _input_key(u) -> tuple:
     return tuple(np.asarray(u, dtype=float).reshape(-1).tolist())
 
 
+def _by_input(pairs, what: str, path: str, suffix: str) -> dict:
+    """``{_input_key(u): A}`` of ``(u, A)`` pairs, refusing a repeated input value.
+
+    The one check of a switched model's input values, whether read from a
+    file or fitted: the ``i``-th pair is named ``path[i]`` and ``suffix``
+    in the :class:`ConfigError` of ``what``.
+    """
+    matrices = {}
+    for i, (u, A) in enumerate(pairs):
+        if matrices.setdefault(_input_key(u), A) is not A:
+            raise ConfigError(f"{what}: '{path}[{i}]{suffix}' repeats the input value "
+                              f"{list(_input_key(u))} of an earlier entry")
+    return matrices
+
+
 @dataclasses.dataclass
 class SwitchedLinearModel(_LiftedModel):
     """One lifted transition matrix per input value in a finite set.
@@ -545,13 +560,15 @@ def switched_from_constant_inputs(psi: StateDictionary, subsets) -> SwitchedLine
     """One EDMD fit per constant input value.
 
     ``subsets`` is a sequence of ``(u_value, SnapshotSet)`` pairs, each
-    collected under that constant input.  Lookup at prediction time is
-    exact on the fitted values and raises :class:`UnknownInputValue`
-    elsewhere.
+    collected under that constant input; a value that repeats an earlier
+    one raises :class:`ConfigError` naming it, as the model-file reader
+    does.  Lookup at prediction time is exact on the fitted values and
+    raises :class:`UnknownInputValue` elsewhere.
     """
-    return SwitchedLinearModel(psi=psi, matrices={
-        _input_key(u): fit_edmd(eval_matrix(psi, ss.X), eval_matrix(psi, ss.Xplus)).K
-        for u, ss in subsets})
+    fits = ((u, fit_edmd(eval_matrix(psi, ss.X), eval_matrix(psi, ss.Xplus)).K)
+            for u, ss in subsets)
+    return SwitchedLinearModel(psi=psi, matrices=_by_input(
+        fits, "switched_from_constant_inputs", "subsets", ""))
 
 
 def bilinear_as_separable(model: BilinearLiftedModel) -> SeparableModel:
@@ -691,16 +708,8 @@ def _switched_matrices(m: int, l: int):
     entry = {"u": (_numeric(m), ...), "A": (_numeric(l, l), ...)}
     entries = _list_of(lambda value, path, what: check_json(entry, value, what, path),
                        "one or more objects with keys 'u' and 'A'", least=1)
-
-    def check(value, path: str, what: str) -> dict:
-        matrices = {}
-        for i, f in enumerate(entries(value, path, what)):
-            if matrices.setdefault(_input_key(f["u"]), f["A"]) is not f["A"]:
-                raise ConfigError(f"{what}: '{path}[{i}].u' repeats the input value "
-                                  f"{f['u'].tolist()} of an earlier entry")
-        return matrices
-
-    return check
+    return lambda value, path, what: _by_input(
+        ((f["u"], f["A"]) for f in entries(value, path, what)), what, path, ".u")
 
 
 def _model_table(kind: str, source: NormalDictionary) -> dict:

@@ -510,16 +510,30 @@ class _DenseNet:
     of the earlier layer ``skip``, added when ``skip`` is not None; ``b``
     may be None; ``act`` is an entry of ``_ACTIVATIONS`` or None for a
     linear layer.  An optional ``featurize`` maps the data to the first
-    layer's input.
+    layer's input.  The ``size`` weights are laid out as :meth:`views`
+    says; :func:`_one_vector` moves them into a vector that the layers
+    then view.
     """
 
     def __init__(self, layers, featurize: Callable[[Array], Array] | None = None):
         self.layers = layers
         self.featurize = featurize
+        self.size = sum(W.size + (0 if b is None else b.size) for W, b, _, _ in layers)
         self._skipped = {skip for *_, skip in layers if skip is not None}
 
-    def params_list(self):
-        return [p for W, b, _, _ in self.layers for p in (W, b) if p is not None]
+    def views(self, vec: Array) -> list:
+        """``(W, b)`` of each layer as reshaped views of the head of ``vec``.
+
+        Each layer's ``W``, then its ``b``, layer after layer.
+        """
+        out, pos = [], 0
+        for W, b, _, _ in self.layers:
+            Wv = vec[pos:pos + W.size].reshape(W.shape)
+            pos += W.size
+            bv = None if b is None else vec[pos:pos + b.size]
+            pos += 0 if b is None else b.size
+            out.append((Wv, bv))
+        return out
 
     def forward(self, X: Array, grad: bool = False):
         """``(output, cache)``; the cache, for :meth:`backward`, only with ``grad``.
@@ -544,25 +558,44 @@ class _DenseNet:
             derivs.append(d)
         return h, ((inputs, derivs) if grad else None)
 
-    def backward(self, cache, Gout: Array):
-        """Gradients of ``sum(Gout * output)``, laid out like :meth:`params_list`."""
+    def backward(self, cache, Gout: Array, grad: Array) -> None:
+        """Write the gradient of ``sum(Gout * output)`` into ``grad``, laid out as :meth:`views`."""
         inputs, derivs = cache
-        grads, skip_grads = [], {}
+        skip_grads = {}
         g = Gout
-        for i in range(len(self.layers) - 1, -1, -1):
-            W, b, _, skip = self.layers[i]
+        for i, (dW, db) in reversed(list(enumerate(self.views(grad)))):
+            W, _, _, skip = self.layers[i]
             if derivs[i] is not None:
                 g = g * derivs[i]
-            if b is not None:
-                grads.append(g.sum(axis=1))
-            grads.append(g @ inputs[i].T)
+            if db is not None:
+                db[...] = g.sum(axis=1)
+            dW[...] = g @ inputs[i].T
             if skip is not None:
                 skip_grads[skip] = g
             if i in skip_grads:  # the input of layer i also feeds a later skip
                 g = skip_grads.pop(i) + W.T @ g
             elif i > 0:
                 g = W.T @ g
-        return grads[::-1]
+
+
+def _one_vector(*nets) -> Array:
+    """One new vector of the weights of ``nets``; their layers then hold views of it.
+
+    The vector holds each net's weights as :meth:`_DenseNet.views` lays
+    them out, net after net (None stands for no net), with the values the
+    layers held.  From then on the vector is the only store of the
+    weights: an edit of it in place is an edit of the networks.
+    """
+    nets = [net for net in nets if net is not None]
+    theta = np.concatenate([np.zeros(0)] + [p.ravel() for net in nets
+                                            for W, b, _, _ in net.layers
+                                            for p in (W, b) if p is not None])
+    pos = 0
+    for net in nets:
+        net.layers = [(*wb, act, skip) for wb, (_, _, act, skip)
+                      in zip(net.views(theta[pos:]), net.layers)]
+        pos += net.size
+    return theta
 
 
 def _monomial_exponents(n_vars: int, degree: int):
@@ -612,8 +645,15 @@ class TrainableNormalDictionary(NormalDictionary):
     * the top block of ``G(u)`` is the identity.
 
     The remaining rows of ``H`` come from ``h_net`` and the entries of
-    ``Gtilde(u)`` from ``g_net``, both exposed through one flat parameter
-    vector with exact reverse-accumulation gradients.
+    ``Gtilde(u)`` from ``g_net``, with exact reverse-accumulation
+    gradients.  Their weights live in one flat vector, ``theta``: the
+    ``h_net`` weights, then the ``g_net`` ones, each layer's ``W`` and
+    ``b`` a reshaped view of it (:func:`_one_vector`).  An edit of
+    ``theta`` in place, such as an Adam step, is therefore an edit of
+    every copy that shares it; :meth:`get_params` returns a copy and
+    :meth:`set_params` writes into it.  ``copy.deepcopy`` and pickle copy
+    each view on its own and so break the sharing: copy a dictionary
+    through :func:`dictionary_to_json` and :func:`dictionary_from_json`.
 
     Every evaluation goes through one private forward, which runs each
     network once and returns the H and Gtilde blocks with their caches,
@@ -632,7 +672,7 @@ class TrainableNormalDictionary(NormalDictionary):
     """
 
     def __init__(self, *, kind: str, state_dim: int, input_dim: int, s: int, l: int,
-                 fixed_head: Sequence[int], h_net, g_net, spec: dict,
+                 fixed_head: Sequence[int], h_net, g_net, theta: Array, spec: dict,
                  x_scale=None, u_scale=None):
         self.kind = kind
         self._state_dim = state_dim
@@ -642,6 +682,7 @@ class TrainableNormalDictionary(NormalDictionary):
         self.fixed_head = tuple(int(i) for i in fixed_head)
         self.h_net = h_net
         self.g_net = g_net
+        self.theta = theta
         self.spec = dict(spec)
         self.x_scale = np.ones(state_dim) if x_scale is None else np.asarray(x_scale, float)
         self.u_scale = np.ones(input_dim) if u_scale is None else np.asarray(u_scale, float)
@@ -657,32 +698,20 @@ class TrainableNormalDictionary(NormalDictionary):
 
     # -- parameter vector --------------------------------------------
 
-    def _param_arrays(self):
-        arrays = []
-        if self.h_net is not None:
-            arrays.extend(self.h_net.params_list())
-        if self.g_net is not None:
-            arrays.extend(self.g_net.params_list())
-        return arrays
-
     @property
     def n_params(self) -> int:
-        return sum(a.size for a in self._param_arrays())
+        return self.theta.size
 
     def get_params(self) -> Array:
-        arrays = self._param_arrays()
-        if not arrays:
-            return np.zeros(0)
-        return np.concatenate([a.ravel() for a in arrays])
+        """A copy of the parameter vector."""
+        return self.theta.copy()
 
     def set_params(self, vec) -> None:
+        """Overwrite the parameter vector, in place, with ``vec`` of ``n_params`` entries."""
         vec = np.asarray(vec, dtype=float).reshape(-1)
-        if vec.size != self.n_params:
-            raise DimensionMismatch(f"expected {self.n_params} parameters, got {vec.size}")
-        pos = 0
-        for a in self._param_arrays():
-            a[...] = vec[pos : pos + a.size].reshape(a.shape)
-            pos += a.size
+        if vec.size != self.theta.size:
+            raise DimensionMismatch(f"expected {self.theta.size} parameters, got {vec.size}")
+        self.theta[...] = vec
 
     # -- evaluation ---------------------------------------------------
 
@@ -723,13 +752,15 @@ class TrainableNormalDictionary(NormalDictionary):
         upstream signal splits into the top block (direct H gradient) and
         the bottom block, which distributes onto both ``H`` (through
         ``Gtilde(u)``) and ``Gtilde`` (through outer products with H,
-        summed over the column groups that share an input).
+        summed over the column groups that share an input).  Each network
+        writes its layers' gradients into its slice of one vector, laid
+        out like ``theta``.
         """
         Hm, Gt, (h_cache, g_cache) = fwd
         t = self._head_rescale()
         l = self._l
         dH = Wbar[:l]
-        grads = []
+        grad = np.zeros(self.theta.size)
         if Gt is not None:
             Nu = Gt.shape[2]
             c = Hm.shape[1] // max(Nu, 1)
@@ -738,12 +769,11 @@ class TrainableNormalDictionary(NormalDictionary):
             dGt = np.einsum("icN,jcN->ijN", W_bot, Hm.reshape(l, c, Nu))
         # Chain through the head rescale, then drop the frozen head rows.
         if self.h_net is not None:
-            grads.extend(self.h_net.backward(h_cache, (dH * t[:, None])[len(self.fixed_head):]))
+            self.h_net.backward(h_cache, (dH * t[:, None])[len(self.fixed_head):], grad)
         if Gt is not None:
-            grads.extend(self.g_net.backward(g_cache, (dGt / t[None, :, None]).reshape(-1, Nu)))
-        if not grads:
-            return np.zeros(0)
-        return np.concatenate([g.ravel() for g in grads])
+            self.g_net.backward(g_cache, (dGt / t[None, :, None]).reshape(-1, Nu),
+                                grad[grad.size - self.g_net.size:])
+        return grad
 
     def _eval_H(self, X: Array) -> Array:
         return self._forward(X, None)[0]
@@ -770,7 +800,7 @@ class TrainableNormalDictionary(NormalDictionary):
     def with_input_scaling(self, x_scale, u_scale) -> "TrainableNormalDictionary":
         """Rebase onto unscaled coordinates.
 
-        The returned dictionary shares the parameter arrays and satisfies
+        The returned dictionary shares the parameter vector and satisfies
         ``Phi_new(x, u) = D Phi_old(x_scale*x, u_scale*u)`` for the
         invertible block-diagonal ``D`` that resets the fixed head to the
         raw state — a basis change, so the consistency index is unchanged.
@@ -790,6 +820,7 @@ class TrainableNormalDictionary(NormalDictionary):
             fixed_head=self.fixed_head,
             h_net=self.h_net,
             g_net=self.g_net,
+            theta=self.theta,
             spec=self.spec,
             x_scale=x_scale * self.x_scale,
             u_scale=u_scale * self.u_scale,
@@ -899,6 +930,7 @@ def parametric_family(kind: str, *, state_dim: int, input_dim: int, s: int, l: i
         fixed_head=head,
         h_net=h_net,
         g_net=g_net,
+        theta=_one_vector(h_net, g_net),
         spec=spec,
     )
 

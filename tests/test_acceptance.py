@@ -251,7 +251,8 @@ def _compute_c6():
         for off in (h, -h, 2 * h, -2 * h):
             t = theta.copy()
             t[i] += off
-            vals.append(loss(nd, batch, params=t))
+            nd.set_params(t)
+            vals.append(loss(nd, batch))
         return (8 * (vals[0] - vals[1]) - (vals[2] - vals[3])) / (12 * h)
 
     rng = np.random.default_rng(500)
@@ -261,7 +262,8 @@ def _compute_c6():
         worst_rel = 0.0
         for _ in range(10):
             theta = theta0 + 0.3 * rng.normal(size=theta0.size)
-            _, grad = loss_gradient(nd, batch, params=theta.copy())
+            nd.set_params(theta)
+            _, grad = loss_gradient(nd, batch)
             for i in rng.choice(theta.size, size=3, replace=False):
                 fd = fd_deriv(nd, theta, i)
                 denom = max(abs(fd), abs(grad[i]), 1e-4)

@@ -843,7 +843,23 @@ class TestMalformedInputFiles:
         bad.write_text(json.dumps(obj))
         argv = self._argv(option, bad, poly_dataset, poly_model_file, tmp_path)
         assert _run(argv) == 2
-        assert want in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}: ") and want in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("option, obj, want", [
+        ("dictionary", _dictionary_json(parameters=[0.0]),
+         "'parameters' must be a numeric array of shape 48"),
+        ("config", _config_json(epochs="3"), "'epochs' must be an integer"),
+    ], ids=["dictionary_parameters_short", "config_epochs_string"])
+    def test_content_error_names_the_file(self, poly_dataset, poly_model_file, tmp_path, capsys,
+                                          option, obj, want):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(obj))
+        argv = self._argv(option, bad, poly_dataset, poly_model_file, tmp_path)
+        assert _run(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}: ") and want in err
         assert not (tmp_path / "out").exists()
 
 

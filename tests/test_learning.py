@@ -106,7 +106,7 @@ class TestLossGradient:
         nd = parametric_family("polynomial", state_dim=2, input_dim=1,
                                s=7, l=4, total_degree=2, seed=5)
         theta0 = nd.get_params()
-        _, grad = loss_gradient(nd, poly_augmented, params=theta0.copy())
+        _, grad = loss_gradient(nd, poly_augmented)
         assert grad.shape == (nd.n_params,)
         rng = np.random.default_rng(6)
         step = 1e-5
@@ -115,16 +115,18 @@ class TestLossGradient:
             plus[i] += step
             minus = theta0.copy()
             minus[i] -= step
-            fd = (loss(nd, poly_augmented, params=plus)
-                  - loss(nd, poly_augmented, params=minus)) / (2 * step)
+            nd.set_params(plus)
+            loss_plus = loss(nd, poly_augmented)
+            nd.set_params(minus)
+            fd = (loss_plus - loss(nd, poly_augmented)) / (2 * step)
             # abs floor covers entries below the central-difference noise
             assert fd == pytest.approx(grad[i], rel=1e-3, abs=1e-7)
 
     def test_vanishes_at_exact_solution(self, zero_sine_augmented):
         nd = parametric_family("polynomial", state_dim=2, input_dim=1,
                                s=7, l=4, total_degree=2, seed=0)
-        val, grad = loss_gradient(nd, zero_sine_augmented,
-                                  ridge_scale=1e-13, params=_exact_params())
+        nd.set_params(_exact_params())
+        val, grad = loss_gradient(nd, zero_sine_augmented, ridge_scale=1e-13)
         assert val <= 1e-8
         assert np.linalg.norm(grad) <= 1e-6
 

@@ -439,6 +439,13 @@ class TestSwitchedModel:
         with pytest.raises(UnknownInputValue, match=r"0\.0.*1\.0"):
             switched.matrix_at([0.25])
 
+    def test_repeated_input_value_refused(self, poly_system):
+        rng = np.random.default_rng(11)
+        psi = head_dictionary(kl.example_poly_normal_basis())
+        subsets = self._constant_input_subsets(poly_system, (0.0, 1.0, 0.0), rng)
+        with pytest.raises(ConfigError, match=r"'subsets\[2\]' repeats the input value \[0\.0\]"):
+            kl.models.switched_from_constant_inputs(psi, subsets)
+
 
 class TestBilinearAsSeparable:
     def test_exact_embedding(self):

@@ -536,6 +536,61 @@ class TestParametricFamily:
         np.testing.assert_array_equal(a.get_params(), b.get_params())
 
 
+class TestParameterVector:
+    """``theta`` is the one store of a trainable dictionary's weights."""
+
+    @staticmethod
+    def _family():
+        return kl.parametric_family("residual_mlp", state_dim=2, input_dim=1, s=9, l=4,
+                                    blocks=2, width=8, seed=4)
+
+    @staticmethod
+    def _batch(rng, N=40):
+        Z = _random_aug(rng, N=N)
+        Zplus = np.vstack([rng.uniform(-1, 1, (2, N)), Z[2:]])
+        return kl.AugmentedSnapshots(Z=Z, Zplus=Zplus, state_dim=2, input_dim=1)
+
+    def test_adam_step_in_place_equals_set_params(self):
+        """An Adam step on ``theta`` changes evaluation and gradient as ``set_params`` does."""
+        from kooplift.learning import _Adam, _adam_update, loss_gradient
+
+        batch = self._batch(np.random.default_rng(15))
+        edited, reference = self._family(), self._family()
+        _, grad = loss_gradient(edited, batch)
+        zeros = np.zeros(edited.n_params)
+        _adam_update(_Adam(zeros.copy(), zeros.copy()), edited.theta, grad, 1e-2)
+        theta = reference.get_params()
+        _adam_update(_Adam(zeros.copy(), zeros.copy()), theta, grad, 1e-2)
+        reference.set_params(theta)
+        assert not np.array_equal(edited.get_params(), self._family().get_params())
+        np.testing.assert_array_equal(edited.eval_aug(batch.Z), reference.eval_aug(batch.Z))
+        for a, b in zip(loss_gradient(edited, batch), loss_gradient(reference, batch)):
+            np.testing.assert_array_equal(a, b)
+
+    def test_scaled_copy_sees_the_edit(self):
+        Z = _random_aug(np.random.default_rng(16))
+        nd, reference = self._family(), self._family()
+        scaled = nd.with_input_scaling([2.0, 0.5], [1.5])
+        nd.theta *= 1.25
+        reference.set_params(reference.get_params() * 1.25)
+        np.testing.assert_array_equal(scaled.get_params(), reference.get_params())
+        np.testing.assert_array_equal(
+            scaled.eval_aug(Z), reference.with_input_scaling([2.0, 0.5], [1.5]).eval_aug(Z))
+
+    def test_get_params_is_a_copy(self):
+        Z = _random_aug(np.random.default_rng(17))
+        nd = self._family()
+        before, saved = nd.eval_aug(Z), nd.theta.copy()
+        nd.get_params()[:] += 1.0
+        np.testing.assert_array_equal(nd.theta, saved)
+        np.testing.assert_array_equal(nd.eval_aug(Z), before)
+
+    def test_set_params_checks_the_length(self):
+        nd = self._family()
+        with pytest.raises(DimensionMismatch, match=f"expected {nd.n_params} parameters, got 3"):
+            nd.set_params(np.zeros(3))
+
+
 class TestSerialization:
     def test_builtin_round_trip(self, poly_basis, tmp_path):
         obj = kl.dictionary_to_json(poly_basis)
