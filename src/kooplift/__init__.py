@@ -28,12 +28,14 @@ from .dynamics import (
 from .edmd import (
     ConsistencyReport,
     EdmdFit,
+    StreamedR,
     consistency_index,
     fit_edmd,
     invariance_proximity,
     predict_function,
     projection_residual,
     report_to_json,
+    stream,
 )
 from .errors import (
     ConfigError,

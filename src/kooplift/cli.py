@@ -225,14 +225,13 @@ def _parse_floats(text: str, what: str) -> np.ndarray:
 
 
 def _load_augmented(data_path: str):
-    """``(digest, snapshots, augmented data)`` of a snapshot CSV.
+    """``(digest, augmented data)`` of a snapshot CSV.
 
     The file is hashed once: the digest stamps the outputs and tells
     :func:`load_snapshots` whether the CSV's binary copy may be used.
     """
     sha256 = _sha256(_require_file(data_path, "data"))
-    ss = load_snapshots(data_path, sha256)
-    return sha256[:12], ss, to_augmented(ss)
+    return sha256[:12], to_augmented(load_snapshots(data_path, sha256))
 
 
 def _dictionary_inputs(args, out: _Outputs):
@@ -240,9 +239,9 @@ def _dictionary_inputs(args, out: _Outputs):
 
     Loads the data and the dictionary (a JSON file, else a builtin name),
     stamps ``out`` with both digests and ``--tol``, and returns
-    ``(snapshots, augmented data, dictionary, cutoff)``.
+    ``(augmented data, dictionary, cutoff)``.
     """
-    data, ss, aug = _load_augmented(args.data)
+    data, aug = _load_augmented(args.data)
     spec = args.dictionary
     if Path(spec).is_file():
         digest, nd = _file_digest(spec), _read_json(spec, "dictionary", dictionary_from_json)
@@ -254,7 +253,7 @@ def _dictionary_inputs(args, out: _Outputs):
             f"(builtin: {EXAMPLE_POLY_BASIS})")
     out.stamp(args.seed, {"data": data, "dictionary": digest, "tol": args.tol})
     cutoff = args.tol if args.tol is not None else edmd_mod.PINV_CUTOFF
-    return ss, aug, nd, cutoff
+    return aug, nd, cutoff
 
 
 def _read_inputs(path: Path) -> np.ndarray:
@@ -308,8 +307,8 @@ def cmd_simulate(args, out: _Outputs) -> int:
 
 
 def cmd_edmd(args, out: _Outputs) -> int:
-    _, aug, nd, cutoff = _dictionary_inputs(args, out)
-    d = edmd_mod._stream_r(nd, aug)
+    aug, nd, cutoff = _dictionary_inputs(args, out)
+    d = edmd_mod.stream(nd, aug)
     fit = edmd_mod.fit_edmd(d.cols("P").T, d.cols("Q").T, cutoff=cutoff)
     path = out.csv("K.csv", ",".join(f"k{j+1}" for j in range(fit.K.shape[1])),
                    (",".join(repr(float(v)) for v in row) for row in fit.K))
@@ -328,7 +327,7 @@ def cmd_edmd(args, out: _Outputs) -> int:
 
 
 def cmd_consistency(args, out: _Outputs) -> int:
-    _, aug, nd, cutoff = _dictionary_inputs(args, out)
+    aug, nd, cutoff = _dictionary_inputs(args, out)
     report = edmd_mod.invariance_proximity(nd, aug, cutoff=cutoff)
     out.json("consistency.json", edmd_mod.report_to_json(report))
     print(f"index {report.index:.6e} (proximity {report.sqrt_index:.6e})")
@@ -338,9 +337,12 @@ def cmd_consistency(args, out: _Outputs) -> int:
 def cmd_learn(args, out: _Outputs) -> int:
     config = _read_json(args.config, "config", lambda obj: learning_mod.config_from_json(
         obj if args.seed is None else {**obj, "seed": args.seed}))
-    data, _, aug = _load_augmented(args.data)
+    data, aug = _load_augmented(args.data)
     out.stamp(config.seed, {"data": data, "config": learning_mod.config_to_json(config)})
-    nd, report = learning_mod.train(config, aug)
+    try:
+        nd, report = learning_mod.train(config, aug)
+    except ConfigError as err:  # what only the data refute, such as a scale's length
+        raise ConfigError(f"{args.config}: {err}") from None
     out.json("dictionary.json", dictionary_to_json(nd))
     out.json("train_report.json", learning_mod.report_to_json(report))
     header, *rows = learning_mod._curve_lines(report)
@@ -355,11 +357,12 @@ def cmd_learn(args, out: _Outputs) -> int:
 
 
 def cmd_extract(args, out: _Outputs) -> int:
-    ss, aug, nd, cutoff = _dictionary_inputs(args, out)
-    report = edmd_mod.invariance_proximity(nd, aug, cutoff=cutoff)
+    aug, nd, cutoff = _dictionary_inputs(args, out)
+    d = edmd_mod.stream(nd, aug)
+    report = d.report(cutoff)
     model = extract_normal(report.fit, nd, source_index=report)
     if model.readout_rows() is None:
-        model = with_decoder(model, ss.X)
+        model = with_decoder(model, d)
     path = out.json("model.json", model_to_json(model))
     out.json("extract_report.json", {
         "source_index": float(model.source_index),

@@ -43,9 +43,8 @@ small blocks are factored further:
 * ``K_F = R12' pinv(R11')`` and ``K_B = R11' W[:s] S^-1 V'``.
 
 A dataset given as a dictionary and snapshots is never evaluated whole.
-:func:`invariance_proximity` and the pipeline stream it ``CHUNK`` columns
-at a time into the R factor of one data matrix (TSQR: Demmel, Grigori,
-Hoemmen and Langou, 2012),
+:func:`stream` evaluates it ``CHUNK`` columns at a time into the R factor
+of one data matrix (TSQR: Demmel, Grigori, Hoemmen and Langou, 2012),
 
     A = [P' Q' U' (H(X) u_1)' ... (H(X) u_m)' X'],   H(X) = P[:l],
 
@@ -56,10 +55,15 @@ not depend on the machine.  Since ``A = Q R`` with orthonormal ``Q``, any
 subset of R's columns is an isometric image of the matching data rows:
 Gram matrices, principal angles, singular values, least-squares
 solutions and residual norms are the same on ``R[:, cols]'`` as on the
-rows themselves.  So the existing kernels run on R's columns unchanged:
-the consistency index on ``(R[:, :s]', R[:, s:2s]')``, a k-row operand
-whose QR costs microseconds, and the baselines (:mod:`kooplift.models`)
-on their column blocks.
+rows themselves.  So the existing kernels run on R's columns unchanged,
+each on a k-row operand whose QR costs microseconds.  The
+:class:`StreamedR` that :func:`stream` returns is the one handle on that
+R, and its consumers ask it for blocks by name: the consistency index
+reads ``(P, Q)`` (:meth:`StreamedR.report`, which is
+:func:`invariance_proximity`), the baselines of :mod:`kooplift.models`
+fit ``HXplus`` on ``HX``, ``HU`` and ``U`` (:meth:`StreamedR.lstsq`), and
+the state decoder fits ``X`` on ``HX`` (:meth:`StreamedR.state_decoder`).
+One pass of the dictionary over the data serves them all.
 """
 
 from __future__ import annotations
@@ -112,17 +116,6 @@ def _solve(R11: Array, R12: Array, cutoff: float):
     rank = _rank(sv, cutoff)
     K = ((R12.T @ Ua[:, :rank]) / sv[:rank]) @ Vat[:rank]
     return K, Ua, sv, rank
-
-
-def _lstsq(X: Array, Y: Array, cutoff: float = PINV_CUTOFF):
-    """``(Y pinv(X), singular values of X)`` from one QR of ``[X' Y']``.
-
-    ``X`` is (a, N) and ``Y`` (b, N); the ``min(a, N)`` singular values
-    are sorted descending, for the caller's rank checks.
-    """
-    R11, R12, _ = _r_blocks(X, Y)
-    K, _, sv, _ = _solve(R11, R12, cutoff)
-    return K, sv[:min(X.shape)]
 
 
 @dataclasses.dataclass
@@ -337,42 +330,25 @@ def consistency_index(Psi_X: Array, Psi_Xplus: Array,
     )
 
 
-def _stream(N: int, rows) -> Array:
-    """R factor of the (N, k) matrix whose columns ``a:b`` are ``rows(a, b)'``.
-
-    ``rows`` is called on ``CHUNK`` columns at a time; each chunk is
-    factored and merged into the running R with one QR of ``[R; R_i]``,
-    so no operand has more than ``CHUNK`` rows (for ``k <= CHUNK / 2``).
-    R has ``min(N, k)`` rows.  A non-finite chunk raises
-    :class:`DegenerateData`.
-    """
-    R = None
-    for a in range(0, max(N, 1), CHUNK):
-        A = rows(a, min(a + CHUNK, N))
-        _check_finite("the data matrix", A, a)
-        Ri = np.linalg.qr(A.T, mode="r")
-        R = Ri if R is None else np.linalg.qr(np.vstack([R, Ri]), mode="r")
-    return R
-
-
-def _data_rows(P: Array, Q: Array, U: Array, X: Array, l: int) -> Array:
-    """One chunk of the streamed data matrix: ``[P; Q; U; H(X) u_1; ...; X]``, H(X) = P[:l]."""
-    return np.vstack([P, Q, U, *(P[:l] * u for u in U), X])
-
-
 @dataclasses.dataclass(frozen=True)
-class _DataR:
-    """The streamed R of one dataset, with the column layout of :func:`_data_rows`.
+class StreamedR:
+    """The streamed R of one dataset under one dictionary, as :func:`stream` builds it.
 
-    ``cols`` returns R's columns of named blocks side by side; each block
-    is an isometric image of those data rows (transposed), so any fit or
-    angle computed on them equals the one on the data.
+    Its columns hold the blocks ``P``, ``Q``, ``U``, ``HU`` (the rows
+    ``H(X) u_i``) and ``X`` of the data matrix; ``HX`` and ``HXplus`` are
+    the first ``l`` columns of ``P`` and ``Q``.  Consumers ask for blocks
+    by name, so only this module knows the layout.  :meth:`cols` gives
+    named blocks side by side, each an isometric image of those data rows
+    (transposed), so any fit, residual norm or angle computed on them
+    equals the one on the data.  ``n`` is the state dimension, the width
+    of ``X``.
     """
 
     R: Array
     s: int
     l: int
     m: int
+    n: int
 
     def cols(self, *names: str) -> Array:
         s, l, m = self.s, self.l, self.m
@@ -385,23 +361,52 @@ class _DataR:
         """The consistency report of the data, from the P and Q columns of R."""
         return consistency_index(self.cols("P").T, self.cols("Q").T, cutoff=cutoff)
 
+    def lstsq(self, regressor: tuple, target: tuple):
+        """``(K, singular values)``: ``K = Y pinv(X)`` from one QR of ``[X' Y']``.
 
-def _stream_r(nd: NormalDictionary, aug: AugmentedSnapshots) -> _DataR:
-    """Evaluate ``nd`` on ``aug`` chunk by chunk into one :class:`_DataR`.
+        ``X`` and ``Y`` are the columns of the ``regressor`` and ``target``
+        blocks (tuples of names), transposed.  The ``min(a, N)`` singular
+        values of the a-row ``X`` are sorted descending, for the caller's
+        rank checks.
+        """
+        X = self.cols(*regressor).T
+        R11, R12, _ = _r_blocks(X, self.cols(*target).T)
+        K, _, sv, _ = _solve(R11, R12, PINV_CUTOFF)
+        return K, sv[:min(X.shape)]
 
-    Raises :class:`DegenerateData` naming ``Psi(X)`` or ``Psi(Xplus)`` and
-    the first snapshot where the dictionary is not finite.
+    def state_decoder(self):
+        """``(D, residual)``: the least-squares map with ``X ~ D H(X)``.
+
+        Read off the ``HX`` and ``X`` blocks; the residual is relative
+        (Frobenius), so callers can judge whether ``H`` resolves the state.
+        """
+        RH, RX = self.cols("HX"), self.cols("X")
+        D, _ = self.lstsq(("HX",), ("X",))
+        return D, float(np.linalg.norm(RX - RH @ D.T) / max(np.linalg.norm(RX), 1e-300))
+
+
+def stream(nd: NormalDictionary, aug: AugmentedSnapshots) -> StreamedR:
+    """Evaluate ``nd`` on ``aug`` ``CHUNK`` columns at a time into one :class:`StreamedR`.
+
+    Each chunk of the data matrix is factored and merged into the running
+    R with one QR of ``[R; R_i]``, so no operand has more than ``CHUNK``
+    rows (for ``k <= CHUNK / 2``); R has ``min(N, k)`` rows.  Raises
+    :class:`DegenerateData` naming ``Psi(X)`` or ``Psi(Xplus)`` and the
+    first snapshot where the dictionary is not finite.
     """
-    n, Z, Zp = aug.state_dim, aug.Z, aug.Zplus
-
-    def rows(a: int, b: int) -> Array:
+    n, Z, Zp, R = aug.state_dim, aug.Z, aug.Zplus, None
+    for a in range(0, max(aug.n_snapshots, 1), CHUNK):
+        b = min(a + CHUNK, aug.n_snapshots)
         P, Q = nd.eval_pair(AugmentedSnapshots(Z=Z[:, a:b], Zplus=Zp[:, a:b],
                                                state_dim=n, input_dim=aug.input_dim))
         _check_finite("Psi(X)", P, a)
         _check_finite("Psi(Xplus)", Q, a)
-        return _data_rows(P, Q, Z[n:, a:b], Z[:n, a:b], nd.l)
-
-    return _DataR(_stream(aug.n_snapshots, rows), s=nd.s, l=nd.l, m=aug.input_dim)
+        A = np.vstack([P, Q, Z[n:, a:b], *(P[:nd.l] * u for u in Z[n:, a:b]), Z[:n, a:b]])
+        del P, Q  # A holds copies: free these before the next chunk is evaluated
+        _check_finite("the data matrix", A, a)
+        Ri = np.linalg.qr(A.T, mode="r")
+        R = Ri if R is None else np.linalg.qr(np.vstack([R, Ri]), mode="r")
+    return StreamedR(R, s=nd.s, l=nd.l, m=aug.input_dim, n=n)
 
 
 def invariance_proximity(nd: NormalDictionary, aug: AugmentedSnapshots,
@@ -414,7 +419,7 @@ def invariance_proximity(nd: NormalDictionary, aug: AugmentedSnapshots,
     streamed ``CHUNK`` columns at a time into one R factor (see the module
     docstring), so memory does not grow with the snapshot count.
     """
-    return _stream_r(nd, aug).report(cutoff)
+    return stream(nd, aug).report(cutoff)
 
 
 def predict_function(fit: EdmdFit, w, Psi_x):

@@ -102,15 +102,15 @@ from .dynamics import (
     run_experiments,
     to_augmented,
 )
-from .edmd import ConsistencyReport, _DataR, _stream_r
+from .edmd import ConsistencyReport, StreamedR, stream
 from .errors import ConfigError, DegenerateData, NonFiniteGradient, NonFiniteLoss, RankWarning
 from .models import (
     SeparableModel,
-    _bilinear_baseline,
-    _linear_baseline,
+    bilinear_baseline,
     evaluate_rollouts,
     extract_normal,
     head_dictionary,
+    linear_baseline,
     states_from_lifted,
 )
 from .observables import (
@@ -215,10 +215,10 @@ class TrainReport:
     JSON so that metric files are byte-reproducible.
     ``train_consistency`` is the consistency report behind
     ``final_proximity_train`` (None when it could not be computed), and
-    ``train_r`` the streamed R of the training half it was read off
-    (:func:`kooplift.edmd._stream_r`; None when the half could not be
-    evaluated), from which the pipeline also fits the baselines; like the
-    index arrays, neither is serialized.
+    ``train_r`` the :class:`~kooplift.edmd.StreamedR` of the training half
+    it was read off (None when the half could not be evaluated), from
+    which the pipeline also reads the EDMD fit and both baselines; like
+    the index arrays, neither is serialized.
     """
 
     train_curve: list
@@ -234,7 +234,7 @@ class TrainReport:
     train_indices: Array | None = dataclasses.field(default=None, repr=False)
     val_indices: Array | None = dataclasses.field(default=None, repr=False)
     train_consistency: ConsistencyReport | None = dataclasses.field(default=None, repr=False)
-    train_r: _DataR | None = dataclasses.field(default=None, repr=False)
+    train_r: StreamedR | None = dataclasses.field(default=None, repr=False)
 
 
 def _scaled(aug: AugmentedSnapshots, x_scale, u_scale) -> AugmentedSnapshots:
@@ -295,10 +295,7 @@ def loss(nd: NormalDictionary, batch: AugmentedSnapshots, ridge_scale: float = 1
     computed from two QR factorizations, as the value half of
     :func:`loss_gradient`: the two agree bit for bit.
     """
-    if isinstance(nd, NormalDictionary):
-        P, Q = nd.eval_pair(batch)
-    else:
-        P, Q = nd.eval_aug(batch.Z), nd.eval_aug(batch.Zplus)
+    P, Q = nd.eval_pair(batch)
     return _trace_loss(nd, P, Q, ridge_scale, grad=False)[0]
 
 
@@ -356,13 +353,13 @@ def _held_out_proximity(nd: NormalDictionary, batch: AugmentedSnapshots):
     evaluation; the rank warnings are left to the final reports, so the
     loop does not warn once per epoch.
     """
-    d = _stream_r(nd, batch)
+    d = stream(nd, batch)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RankWarning)
         return d, d.report().sqrt_index
 
 
-def _final_consistency(nd: NormalDictionary, aug: AugmentedSnapshots, d: _DataR | None = None):
+def _final_consistency(nd: NormalDictionary, aug: AugmentedSnapshots, d: StreamedR | None = None):
     """``(R, report)`` for the final metrics, streaming ``aug`` unless ``d`` is its R.
 
     Aborted runs can leave non-finite data or parameters behind; the
@@ -370,7 +367,7 @@ def _final_consistency(nd: NormalDictionary, aug: AugmentedSnapshots, d: _DataR 
     (a NaN proximity) instead of raising.
     """
     try:
-        d = _stream_r(nd, aug) if d is None else d
+        d = stream(nd, aug) if d is None else d
         return d, d.report()
     except (np.linalg.LinAlgError, DegenerateData, ValueError):
         return d, None
@@ -593,12 +590,12 @@ def pipeline(config: TrainConfig, system_or_dataset, plan=None, *,
     # run) is recomputed, to raise its error.
     d, consistency = report.train_r, report.train_consistency
     if consistency is None:
-        d = _stream_r(nd, train_aug)
+        d = stream(nd, train_aug)
         consistency = d.report()
     separable = extract_normal(consistency.fit, nd, consistency)
     psi = head_dictionary(nd)
-    linear = _linear_baseline(psi, d)
-    bilinear = _bilinear_baseline(psi, d)
+    linear = linear_baseline(psi, d)
+    bilinear = bilinear_baseline(psi, d)
 
     models = {"separable": separable, "linear": linear, "bilinear": bilinear}
     evaluation = None

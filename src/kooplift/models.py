@@ -23,8 +23,9 @@ through these maps, so a model's initial conditions roll out together;
 
 State estimates are read from lifted trajectories by the fixed-head
 convention (rows of H named ``x1..xn`` hold the state) whenever those
-rows exist; otherwise a least-squares decoder is fitted and carried with
-its training residual.
+rows exist; otherwise a least-squares decoder, read off the streamed R of
+the training data (:func:`with_decoder`), is carried with its training
+residual.
 """
 
 from __future__ import annotations
@@ -37,8 +38,7 @@ from pathlib import Path
 import numpy as np
 
 from .dynamics import ControlSystem, SnapshotSet, _simulate_many, to_augmented
-from .edmd import (ConsistencyReport, EdmdFit, PINV_CUTOFF, _DataR, _lstsq, _stream,
-                   _stream_r, fit_edmd)
+from .edmd import ConsistencyReport, EdmdFit, PINV_CUTOFF, StreamedR, fit_edmd, stream
 from .errors import (
     ConfigError,
     DegenerateData,
@@ -125,24 +125,6 @@ class _LiftedModel:
 
     def readout_rows(self):
         return _head_rows(self.basis.names, self.state_dim)
-
-
-def fit_state_decoder(psi: StateDictionary, X: Array):
-    """Least-squares map D with ``X ~ D psi(X)``; returns (D, residual).
-
-    The residual is relative (Frobenius), reported so callers can judge
-    whether the dictionary actually resolves the state.  ``psi`` is
-    evaluated in chunks into the R of ``[psi(X); X]'``
-    (:func:`kooplift.edmd._stream`), whose column blocks ``RH`` and ``RX``
-    are isometric images of ``psi(X)'`` and ``X'``: the fit and the
-    residual norms are read off them.
-    """
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    R = _stream(X.shape[1], lambda a, b: np.vstack([eval_matrix(psi, X[:, a:b]), X[:, a:b]]))
-    RH, RX = R[:, :psi.dim], R[:, psi.dim:]
-    D, _ = _lstsq(RH.T, RX.T)
-    resid = float(np.linalg.norm(RX - RH @ D.T) / max(np.linalg.norm(RX), 1e-300))
-    return D, resid
 
 
 @dataclasses.dataclass
@@ -474,14 +456,22 @@ def states_from_lifted(model, Z_lift: Array) -> Array:
     )
 
 
-def with_decoder(model, X: Array):
-    """Copy of the model carrying a least-squares state decoder.
+def with_decoder(model, d: StreamedR):
+    """Copy of the model carrying the least-squares state decoder read off ``d``.
 
-    The decoder maps lifted coordinates back to states; its relative
-    training residual rides along as ``model.decoder[1]``.
+    ``d`` is the streamed R of the model's training data under the
+    dictionary whose state block is the model's basis, as
+    :func:`kooplift.edmd.stream` gives it; the decoder
+    (:meth:`~kooplift.edmd.StreamedR.state_decoder`) maps lifted
+    coordinates back to states, and its relative training residual rides
+    along as ``model.decoder[1]``.  A ``d`` whose ``l`` or state dimension
+    differs from the model's (when its basis declares one) raises
+    :class:`DimensionMismatch`.
     """
-    D, resid = fit_state_decoder(model.basis, X)
-    return dataclasses.replace(model, decoder=(D, resid))
+    if d.l != model.basis.dim or model.state_dim not in (None, d.n):
+        raise DimensionMismatch(f"streamed R has l = {d.l}, n = {d.n}; the model has "
+                                f"l = {model.basis.dim}, n = {model.state_dim}")
+    return dataclasses.replace(model, decoder=d.state_decoder())
 
 
 def predict_observable(model: SeparableModel, v_h, x, u) -> float:
@@ -497,17 +487,16 @@ def predict_observable(model: SeparableModel, v_h, x, u) -> float:
     return float(v_h @ model.A_of(u) @ model.lift(x))
 
 
-def _baseline(psi: StateDictionary, d: _DataR, blocks: tuple, regressor: str):
+def _baseline(psi: StateDictionary, d: StreamedR, blocks: tuple, regressor: str):
     """The lifted fit of ``HXplus`` on the column ``blocks`` of a streamed R.
 
     ``blocks`` is ``HX``, then ``HU`` for the ``B_i`` terms, then ``U`` for
     the ``C u`` term; ``regressor`` names the regressor in the error and
     the warning.
     """
-    R = d.cols(*blocks)
-    if not np.any(R):
+    if not np.any(d.cols(*blocks)):
         raise DegenerateData(f"{regressor} is identically zero")
-    AB, sv = _lstsq(R.T, d.cols("HXplus").T)
+    AB, sv = d.lstsq(blocks, ("HXplus",))
     advisory = bool(sv[-1] <= PINV_CUTOFF * sv[0])
     if advisory:
         warnings.warn(f"{regressor} is rank-deficient; fit is not unique",
@@ -518,42 +507,44 @@ def _baseline(psi: StateDictionary, d: _DataR, blocks: tuple, regressor: str):
     return BilinearLiftedModel(psi=psi, A=AB[:, :l], Bs=Bs, C=C, advisory=advisory)
 
 
-def _linear_baseline(psi: StateDictionary, d: _DataR) -> BilinearLiftedModel:
-    """:func:`fit_linear_baseline` read off the columns of a streamed R."""
+def linear_baseline(psi: StateDictionary, d: StreamedR) -> BilinearLiftedModel:
+    """Least-squares lifted linear fit ``[A, B] = psi(X+) pinv([psi(X); U])``.
+
+    Read off the ``HX``, ``U`` and ``HXplus`` columns of the streamed R
+    ``d`` of a dictionary whose state block is ``psi``.
+    """
     return _baseline(psi, d, ("HX", "U"), "regressor [psi(X); U]")
 
 
-def _bilinear_baseline(psi: StateDictionary, d: _DataR,
-                       include_input_term: bool = False) -> BilinearLiftedModel:
-    """:func:`fit_bilinear_baseline` read off the columns of a streamed R."""
-    blocks = ("HX", "HU", "U") if include_input_term else ("HX", "HU")
-    return _baseline(psi, d, blocks, "bilinear regressor")
-
-
-def fit_linear_baseline(psi: StateDictionary, ss: SnapshotSet) -> BilinearLiftedModel:
-    """Least-squares lifted linear fit ``[A, B] = psi(X+) pinv([psi(X); U])``.
-
-    ``psi`` is evaluated in chunks into one R factor (:func:`kooplift.
-    edmd._stream_r` of its control-independent extension); the fit is read
-    off its columns.
-    """
-    d = _stream_r(NormalDictionary(psi, None, ss.X.shape[0], ss.U.shape[0]), to_augmented(ss))
-    return _linear_baseline(psi, d)
-
-
-def fit_bilinear_baseline(psi: StateDictionary, ss: SnapshotSet,
-                          include_input_term: bool = False) -> BilinearLiftedModel:
+def bilinear_baseline(psi: StateDictionary, d: StreamedR,
+                      include_input_term: bool = False) -> BilinearLiftedModel:
     """Least-squares lifted bilinear fit on rows ``[psi(X); psi(X)u_1; ...]``.
 
+    Read off the columns of the streamed R ``d``, as :func:`linear_baseline`.
     The direct ``C u`` term is omitted by default (the conventional
     comparison form); ``include_input_term=True`` appends the ``U`` block
     to the regressor.  A rank-deficient regressor (for example a single
     constant input channel, which makes A and B collinear) flags the
-    model advisory and warns.  Like :func:`fit_linear_baseline`, the fit
-    is read off the columns of one streamed R factor.
+    model advisory and warns.
     """
-    d = _stream_r(NormalDictionary(psi, None, ss.X.shape[0], ss.U.shape[0]), to_augmented(ss))
-    return _bilinear_baseline(psi, d, include_input_term)
+    blocks = ("HX", "HU", "U") if include_input_term else ("HX", "HU")
+    return _baseline(psi, d, blocks, "bilinear regressor")
+
+
+def _stream_of(psi: StateDictionary, ss: SnapshotSet) -> StreamedR:
+    """The streamed R of ``ss`` under the control-independent extension of ``psi``."""
+    return stream(NormalDictionary(psi, None, ss.X.shape[0], ss.U.shape[0]), to_augmented(ss))
+
+
+def fit_linear_baseline(psi: StateDictionary, ss: SnapshotSet) -> BilinearLiftedModel:
+    """:func:`linear_baseline` on one stream of ``ss``."""
+    return linear_baseline(psi, _stream_of(psi, ss))
+
+
+def fit_bilinear_baseline(psi: StateDictionary, ss: SnapshotSet,
+                          include_input_term: bool = False) -> BilinearLiftedModel:
+    """:func:`bilinear_baseline` on one stream of ``ss``."""
+    return bilinear_baseline(psi, _stream_of(psi, ss), include_input_term)
 
 
 def switched_from_constant_inputs(psi: StateDictionary, subsets) -> SwitchedLinearModel:

@@ -914,7 +914,7 @@ def parametric_family(kind: str, *, state_dim: int, input_dim: int, s: int, l: i
         raise ConfigError(f"need s >= l >= 1, got s={s}, l={l}")
     head = spec.pop("fixed_head")
     head = list(range(state_dim)) if head == "state" else head or []
-    if len(set(head)) < len(head) or len(head) > l or any(i >= state_dim for i in head):
+    if len(head) > l or any(i >= state_dim for i in head):
         raise ConfigError(f"fixed_head {head} must be at most l = {l} distinct state "
                           f"coordinates below {state_dim}")
 
@@ -1110,10 +1110,16 @@ def _equal(want):
 
 
 def _fixed_head(value, path: str, what: str):
-    """``"state"``, None, or a list of indices; :func:`parametric_family` checks their range."""
+    """``"state"``, None, or a list of distinct indices.
+
+    :func:`parametric_family` checks their range against its dimensions.
+    """
     if value is None or isinstance(value, str) and value == "state":
         return value
-    return _list_of(_integer(0), "integers")(value, path, what)
+    head = _list_of(_integer(0), "integers")(value, path, what)
+    if len(set(head)) < len(head):
+        raise ConfigError(f"{what}: {path!r} must be distinct state coordinates, got {head}")
+    return head
 
 
 # The parameters every parametric family takes.

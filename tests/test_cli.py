@@ -15,7 +15,7 @@ from kooplift import cli
 from kooplift.edmd import CHUNK
 from kooplift.models import (MODEL_FORMAT, extract_normal, load_model, rollout,
                              states_from_lifted, with_decoder)
-from kooplift.observables import DICTIONARY_FORMAT
+from kooplift.observables import DICTIONARY_FORMAT, TrainableNormalDictionary
 
 
 def _run(argv):
@@ -208,9 +208,25 @@ class TestExtractPredict:
         rep = kl.invariance_proximity(nd, aug)
         model = extract_normal(rep.fit, nd, source_index=rep)
         assert model.readout_rows() is None
-        model = with_decoder(model, ss.X)
+        model = with_decoder(model, kl.stream(nd, aug))
         Z = rollout(model, [0.3, -0.4], U[None, :], input_dim=1)
         np.testing.assert_array_equal(pred[:, 1:], states_from_lifted(model, Z).T)
+
+    def test_headless_extract_evaluates_h_once(self, poly_dataset, tmp_path, monkeypatch):
+        """The decoder is read off the R that certifies the dictionary: one pass of H."""
+        nd = kl.parametric_family("polynomial", state_dim=2, input_dim=1, s=8,
+                                  l=5, fixed_head=None, total_degree=2, seed=2)
+        dict_path = tmp_path / "dictionary.json"
+        kl.save_dictionary(nd, dict_path)
+        columns = []
+        eval_H = TrainableNormalDictionary._eval_H
+        monkeypatch.setattr(TrainableNormalDictionary, "_eval_H",
+                            lambda self, X: columns.append(X.shape[1]) or eval_H(self, X))
+        assert _run(["extract", "--data", str(poly_dataset), "--dictionary", str(dict_path),
+                     "--out", str(tmp_path / "out")]) == 0
+        assert "decoder" in json.loads((tmp_path / "out" / "model.json").read_text())
+        # H runs on X and on X+ once each, and never again for the decoder.
+        assert sum(columns) == 2 * kl.load_snapshots(poly_dataset).n_snapshots
 
     def test_headless_learned_chain_matches_library(self, poly_dataset, tmp_path):
         """simulate -> learn -> extract -> predict on a learned family with no state head."""
@@ -245,7 +261,7 @@ class TestExtractPredict:
         rep = kl.invariance_proximity(nd, aug)
         model = extract_normal(rep.fit, nd, source_index=rep)
         assert model.readout_rows() is None
-        model = with_decoder(model, ss.X)
+        model = with_decoder(model, kl.stream(nd, aug))
         saved = load_model(tmp_path / "extract" / "model.json")
         np.testing.assert_array_equal(saved.A11, model.A11)
         np.testing.assert_array_equal(saved.decoder[0], model.decoder[0])
@@ -757,7 +773,7 @@ class TestMalformedInputFiles:
                                         "activation": "bogus"}),
          "'family.activation' must be one of"),
         ("config", _config_json(family={"kind": "mlp", "widths": [4], "fixed_head": [0, 0]}),
-         "fixed_head [0, 0] must be at most l = 4 distinct state coordinates"),
+         "'family.fixed_head' must be distinct state coordinates, got [0, 0]"),
         ("config", _config_json(seed=-2), "seed must be >= 0"),
         ("config", _config_json(ridge_scale=float("nan")), "'ridge_scale' must be finite"),
         ("dictionary", _dictionary_json(bogus=1), "takes no 'bogus' key ('bogus')"),
@@ -790,7 +806,8 @@ class TestMalformedInputFiles:
         bad.write_text(json.dumps(obj))
         argv = self._argv(option, bad, poly_dataset, poly_model_file, tmp_path)
         assert _run(argv) == 2
-        assert key in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}: ") and key in err
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("edit, want", [

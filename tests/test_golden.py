@@ -60,8 +60,15 @@ def _dictionary(name):
 
 
 def _separable(nd, ss):
-    report = kl.invariance_proximity(nd, kl.to_augmented(ss))
-    return extract_normal(report.fit, nd, report)
+    """The separable model of ``nd`` on ``ss``, as ``kooplift extract`` builds it.
+
+    A dictionary with no state head gets the decoder read off the same
+    streamed R as the fit.
+    """
+    d = kl.stream(nd, kl.to_augmented(ss))
+    report = d.report()
+    model = extract_normal(report.fit, nd, report)
+    return model if model.readout_rows() is not None else with_decoder(model, d)
 
 
 # The constant input values of the switched model.
@@ -80,8 +87,7 @@ def _switched():
 
 
 MODELS = {
-    "model_separable_decoder":
-        lambda ss: with_decoder(_separable(_dictionary("dict_headless"), ss), ss.X),
+    "model_separable_decoder": lambda ss: _separable(_dictionary("dict_headless"), ss),
     "model_separable": lambda ss: _separable(_dictionary("dict_example"), ss),
     "model_linear":
         lambda ss: fit_linear_baseline(head_dictionary(_dictionary("dict_example")), ss),

@@ -80,13 +80,7 @@ class TestLoss:
     def test_recombination_invariance(self, poly_augmented):
         nd = kl.example_poly_normal_basis(truncate=("u^2",))
         rng = np.random.default_rng(0)
-
-        class Recombined:
-            def __init__(self, base, M):
-                self.base, self.M = base, M
-
-            def eval_aug(self, Z):
-                return self.M @ self.base.eval_aug(Z)
+        P, Q = nd.eval_pair(poly_augmented)
 
         # the ridge magnitude follows the recombined data scale, so drift
         # is linear in ridge_scale; a near-zero ridge exposes the exact
@@ -97,7 +91,7 @@ class TestLoss:
                 M = rng.normal(size=(7, 7))
                 if np.linalg.cond(M) <= 1e2:
                     break
-            other = loss(Recombined(nd, M), poly_augmented, ridge_scale=1e-16)
+            other = _trace_loss(None, M @ P, M @ Q, 1e-16, grad=False)[0]
             assert abs(other - base) <= 1e-9
 
 
@@ -200,21 +194,6 @@ def _exact_solve(G, B):
     return W[:, n:]
 
 
-class _Given:
-    """A dictionary stand-in whose values on ``Z`` (zeros) and ``Z+`` (ones) are given."""
-
-    def __init__(self, P, Q):
-        self.P, self.Q = P, Q
-
-    def eval_aug(self, Z):
-        return self.P if Z[0, 0] == 0 else self.Q
-
-
-def _given_batch(N):
-    return AugmentedSnapshots(Z=np.zeros((3, N)), Zplus=np.ones((3, N)), state_dim=2,
-                              input_dim=1)
-
-
 class TestTraceLossKernel:
     """The QR kernel against the normal equations it replaces."""
 
@@ -229,7 +208,7 @@ class TestTraceLossKernel:
         Q = np.roll(P, 1, axis=1) + 1e-6 * rng.normal(size=(6, 40))
         assert min(np.linalg.cond(P @ P.T), np.linalg.cond(Q @ Q.T)) > 1e10
         exact, dP_exact, dQ_exact = _normal_equations(P, Q, 1e-10, exact=True)
-        value = loss(_Given(P, Q), _given_batch(40), ridge_scale=1e-10)
+        value = _trace_loss(None, P, Q, 1e-10, grad=False)[0]
         assert float(abs(Fraction(value) - exact) / exact) <= 1e-11
 
         value, dP, dQ = _trace_loss(None, P, Q, 1e-10, grad=True)

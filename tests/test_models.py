@@ -1,5 +1,6 @@
 """Tests for separable model extraction, baselines, rollouts, and serialization."""
 
+import dataclasses
 import warnings
 from fractions import Fraction
 
@@ -11,15 +12,20 @@ from kooplift.dynamics import ControlSystem, SnapshotSet, simulate
 from kooplift.errors import (ConfigError, DegenerateData, DimensionMismatch,
                              NonFiniteState, RankDeficientAtInput, RankWarning,
                              UnknownInputValue)
-from kooplift.models import (bilinear_as_separable, evaluate_rollouts,
+from kooplift.models import (bilinear_as_separable, bilinear_baseline, evaluate_rollouts,
                              extract_normal, extract_pseudoinverse,
                              fit_bilinear_baseline, fit_linear_baseline,
-                             head_dictionary, load_model, model_from_json,
+                             head_dictionary, linear_baseline, load_model, model_from_json,
                              model_to_json, predict_observable, rollout,
                              save_model, states_from_lifted, with_decoder)
-from kooplift.edmd import CHUNK, _stream_r
-from kooplift.models import _bilinear_baseline, _linear_baseline
-from kooplift.observables import StateDictionary, eval_matrix
+from kooplift.edmd import CHUNK
+from kooplift.observables import NormalDictionary, StateDictionary, eval_matrix
+
+
+def _streamed(psi, ss):
+    """The streamed R of ``ss`` under the control-independent extension of ``psi``."""
+    return kl.stream(NormalDictionary(psi, None, ss.X.shape[0], ss.U.shape[0]),
+                     kl.to_augmented(ss))
 
 
 def _hand_transition(params, u):
@@ -180,7 +186,7 @@ def _protocol_models(poly_model, poly_augmented, poly_snapshots):
         warnings.simplefilter("ignore", RankWarning)
         headless_model = with_decoder(
             extract_normal(kl.fit_edmd(*headless.eval_pair(poly_augmented)), headless),
-            poly_snapshots.X)
+            kl.stream(headless, poly_augmented))
         return {
             "separable": poly_model,
             "separable_without_A12": extract_normal(
@@ -563,7 +569,7 @@ class TestStateReadout:
         Z = eval_matrix(psi, poly_snapshots.X[:, :5])
         with pytest.raises(ConfigError, match="decoder"):
             states_from_lifted(model, Z)
-        model = with_decoder(model, poly_snapshots.X)
+        model = with_decoder(model, _streamed(psi, poly_snapshots))
         assert model.decoder[1] <= 1e-12
         np.testing.assert_allclose(states_from_lifted(model, Z),
                                    poly_snapshots.X[:, :5], atol=1e-10)
@@ -571,7 +577,7 @@ class TestStateReadout:
 
 class TestModelSerialization:
     def test_separable_round_trip(self, poly_model, poly_snapshots, tmp_path):
-        model = with_decoder(poly_model, poly_snapshots.X)
+        model = with_decoder(poly_model, _streamed(poly_model.basis, poly_snapshots))
         path = save_model(model, tmp_path / "model.json")
         back = load_model(path)
         rng = np.random.default_rng(15)
@@ -707,15 +713,15 @@ class TestLeastSquaresKernel:
         nd = kl.example_poly_normal_basis()
         ss = poly_snapshots
         assert ss.n_snapshots > CHUNK
-        d = _stream_r(nd, kl.to_augmented(ss))
+        d = kl.stream(nd, kl.to_augmented(ss))
         psi = self._poly_psi()
         PX, PXp = eval_matrix(psi, ss.X), eval_matrix(psi, ss.Xplus)
-        linear = _linear_baseline(psi, d)
+        linear = linear_baseline(psi, d)
         np.testing.assert_allclose(np.hstack([linear.A, linear.B]),
                                    self._lstsq(np.vstack([PX, ss.U]), PXp), rtol=0, atol=1e-10)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RankWarning)
-            bilinear = _bilinear_baseline(psi, d, include_input_term)
+            bilinear = bilinear_baseline(psi, d, include_input_term)
         blocks = [PX, PX * ss.U[0]] + ([ss.U] if include_input_term else [])
         got = np.hstack([bilinear.A, *bilinear.Bs] + ([bilinear.C] if include_input_term else []))
         np.testing.assert_allclose(got, self._lstsq(np.vstack(blocks), PXp), rtol=0, atol=1e-10)
@@ -725,6 +731,20 @@ class TestLeastSquaresKernel:
         psi = StateDictionary(dim=3, fn=lambda x: np.array([x[0] + x[1], x[0] - x[1], x[0] ** 2]),
                               names=("sum", "diff", "sq"), domain_dim=2)
         X = poly_snapshots.X
-        D, resid = kl.models.fit_state_decoder(psi, X)
+        assert X.shape[1] > CHUNK
+        D, resid = _streamed(psi, poly_snapshots).state_decoder()
         np.testing.assert_allclose(D, self._lstsq(eval_matrix(psi, X), X), rtol=0, atol=1e-12)
         assert resid <= 1e-12
+
+    def test_decoder_refuses_a_stream_of_another_shape(self, poly_snapshots, poly_augmented):
+        headless = kl.parametric_family("polynomial", state_dim=2, input_dim=1, s=8,
+                                        l=5, fixed_head=None, total_degree=2, seed=2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RankWarning)
+            model = extract_normal(kl.fit_edmd(*headless.eval_pair(poly_augmented)), headless)
+        with pytest.raises(DimensionMismatch, match=r"l = 4, n = 2; the model has l = 5, n = 2"):
+            with_decoder(model, kl.stream(kl.example_poly_normal_basis(), poly_augmented))
+        d = kl.stream(headless, poly_augmented)
+        with pytest.raises(DimensionMismatch, match=r"l = 5, n = 3; the model has l = 5, n = 2"):
+            with_decoder(model, dataclasses.replace(d, n=3))
+        assert with_decoder(model, d).decoder[1] < 1
