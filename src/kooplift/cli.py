@@ -44,6 +44,14 @@ with identical inputs reproduces its outputs byte for byte, so
 :func:`main` puts the wall-clock time in a separate ``timing.json``
 sidecar, written when the command returns and only if it wrote an
 output: a command that fails before writing leaves no files.
+
+The commands read model and dictionary files with the library's own
+loaders (:func:`~kooplift.models.load_model`,
+:func:`~kooplift.observables.load_dictionary`) and the ``learn`` config
+with the same reader, and write every JSON output with the same writer
+(:mod:`kooplift._jsonfile`).  So a refused file fails alike in a
+command and in a library call: a :class:`ConfigError` whose message
+starts with the file's path.
 """
 
 from __future__ import annotations
@@ -59,6 +67,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
+from ._jsonfile import read_json, require_file, write_json
 from .dynamics import (
     BUILTIN_SYSTEMS,
     ExperimentPlan,
@@ -87,7 +96,7 @@ from .errors import (
 from .models import (
     evaluate_rollouts,
     extract_normal,
-    model_from_json,
+    load_model,
     model_to_json,
     rollout,
     states_from_lifted,
@@ -95,9 +104,9 @@ from .models import (
 )
 from .observables import (
     EXAMPLE_POLY_BASIS,
-    dictionary_from_json,
     dictionary_to_json,
     example_poly_normal_basis,
+    load_dictionary,
 )
 
 _USAGE_ERRORS = (ConfigError, DimensionMismatch, UnknownInputValue)
@@ -123,12 +132,9 @@ def _config_hash(cfg: dict) -> str:
     return hashlib.sha256(_canonical(cfg).encode()).hexdigest()[:12]
 
 
-def _file_digest(path) -> str:
-    return _sha256(path)[:12]
-
-
-def _write_json(path: Path, obj: dict) -> None:
-    path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
+def _file_digest(path, what: str) -> str:
+    """The short digest that stamps outputs made from the ``what`` file at ``path``."""
+    return _sha256(require_file(path, what))[:12]
 
 
 class _Outputs:
@@ -167,9 +173,7 @@ class _Outputs:
         return self.directory / name
 
     def json(self, name: str, obj: dict) -> Path:
-        path = self._path(name)
-        _write_json(path, {**obj, "meta": self.meta})
-        return path
+        return write_json(self._path(name), {**obj, "meta": self.meta})
 
     def csv(self, name: str, header: str, rows) -> Path:
         path = self._path(name)
@@ -187,36 +191,6 @@ class _Outputs:
 # Input files and arguments
 
 
-def _require_file(path, what: str) -> Path:
-    path = Path(path)
-    if not path.is_file():
-        problem = "is not a file" if path.exists() else "does not exist"
-        raise ConfigError(f"{what} file {path} {problem}")
-    return path
-
-
-def _read_json(path, what: str, build):
-    """``build`` of the JSON object in a ``what`` file.
-
-    The one reader of the JSON files the commands take.  A file that is
-    missing, not valid JSON or not a JSON object raises
-    :class:`ConfigError`, and ``build`` raising :class:`ConfigError` or
-    :class:`DimensionMismatch` raises the same kind of error; each message
-    starts with the file's path.
-    """
-    path = _require_file(path, what)
-    try:
-        obj = json.loads(path.read_text())
-    except ValueError as exc:
-        raise ConfigError(f"{path}: {what} file is not valid JSON ({exc})") from None
-    if not isinstance(obj, dict):
-        raise ConfigError(f"{path}: {what} file is not a JSON object")
-    try:
-        return build(obj)
-    except (ConfigError, DimensionMismatch) as err:
-        raise type(err)(f"{path}: {err}") from None
-
-
 def _parse_floats(text: str, what: str) -> np.ndarray:
     try:
         return np.array([float(t) for t in text.split(",") if t.strip() != ""])
@@ -230,7 +204,7 @@ def _load_augmented(data_path: str):
     The file is hashed once: the digest stamps the outputs and tells
     :func:`load_snapshots` whether the CSV's binary copy may be used.
     """
-    sha256 = _sha256(_require_file(data_path, "data"))
+    sha256 = _sha256(require_file(data_path, "data"))
     return sha256[:12], to_augmented(load_snapshots(data_path, sha256))
 
 
@@ -244,7 +218,7 @@ def _dictionary_inputs(args, out: _Outputs):
     data, aug = _load_augmented(args.data)
     spec = args.dictionary
     if Path(spec).is_file():
-        digest, nd = _file_digest(spec), _read_json(spec, "dictionary", dictionary_from_json)
+        digest, nd = _file_digest(spec, "dictionary"), load_dictionary(spec)
     elif spec == EXAMPLE_POLY_BASIS:
         digest, nd = spec, example_poly_normal_basis()
     else:
@@ -335,7 +309,7 @@ def cmd_consistency(args, out: _Outputs) -> int:
 
 
 def cmd_learn(args, out: _Outputs) -> int:
-    config = _read_json(args.config, "config", lambda obj: learning_mod.config_from_json(
+    config = read_json(args.config, "config", lambda obj: learning_mod.config_from_json(
         obj if args.seed is None else {**obj, "seed": args.seed}))
     data, aug = _load_augmented(args.data)
     out.stamp(config.seed, {"data": data, "config": learning_mod.config_to_json(config)})
@@ -345,7 +319,7 @@ def cmd_learn(args, out: _Outputs) -> int:
         raise ConfigError(f"{args.config}: {err}") from None
     out.json("dictionary.json", dictionary_to_json(nd))
     out.json("train_report.json", learning_mod.report_to_json(report))
-    header, *rows = learning_mod._curve_lines(report)
+    header, *rows = learning_mod.curve_lines(report)
     out.csv("train_curve.csv", header, rows)
     if report.aborted:
         print("training aborted on persistent non-finite loss; "
@@ -376,16 +350,14 @@ def cmd_extract(args, out: _Outputs) -> int:
 
 
 def cmd_predict(args, out: _Outputs) -> int:
-    model_path = _require_file(args.model, "model")
-    inputs_path = _require_file(args.inputs, "input")
     out.stamp(args.seed, {
-        "model": _file_digest(model_path),
+        "model": _file_digest(args.model, "model"),
         "x0": args.x0,
-        "inputs": _file_digest(inputs_path),
+        "inputs": _file_digest(args.inputs, "input"),
     })
-    model = _read_json(model_path, "model", model_from_json)
+    model = load_model(args.model)
     x0 = _parse_floats(args.x0, "--x0")
-    U = _read_inputs(inputs_path)
+    U = _read_inputs(Path(args.inputs))
     try:
         Z = rollout(model, x0, U, input_dim=U.shape[0])
         states = states_from_lifted(model, Z)
@@ -417,10 +389,9 @@ def _unique_names(paths) -> list[str]:
 def cmd_compare(args, out: _Outputs) -> int:
     if len(args.models) < 2:
         raise ConfigError("compare requires at least 2 model files")
-    paths = [_require_file(path, "model") for path in args.models]
     out.stamp(args.seed, {
         "system": args.system,
-        "models": [_file_digest(p) for p in paths],
+        "models": [_file_digest(path, "model") for path in args.models],
         "steps": args.steps,
         "seed": args.seed,
         "x0": args.x0,
@@ -428,8 +399,7 @@ def cmd_compare(args, out: _Outputs) -> int:
     })
     system = get_system(args.system, dt=args.dt)
     names = _unique_names(args.models)
-    models = {name: _read_json(path, "model", model_from_json)
-              for name, path in zip(names, paths)}
+    models = {name: load_model(path) for name, path in zip(names, args.models)}
     if args.x0 is not None:
         x0 = _parse_floats(args.x0, "--x0")
         if x0.size != system.state_dim:
@@ -455,26 +425,19 @@ def cmd_compare(args, out: _Outputs) -> int:
 
     traj = result["trajectories"]
     truth = traj["truth"][0]
-    U = traj["inputs"]
-    n, m = system.state_dim, system.input_dim
-    header = ["step"]
-    header += [f"u{j+1}" for j in range(m)]
-    header += [f"truth_x{i+1}" for i in range(n)]
-    for name in names:
-        header += [f"{name}_x{i+1}" for i in range(n)]
-    lines = []
-    for k in range(truth.shape[1]):
-        cells = [str(k)]
-        for j in range(m):
-            cells.append(repr(float(U[j, k])) if k < U.shape[1] else "nan")
-        cells.extend(repr(float(truth[i, k])) for i in range(n))
-        for name in names:
-            pred = traj[name][0]
-            if pred is None or k >= pred.shape[1]:
-                cells.extend("nan" for _ in range(n))
-            else:
-                cells.extend(repr(float(pred[i, k])) for i in range(n))
-        lines.append(",".join(cells))
+    n, m, T = system.state_dim, system.input_dim, truth.shape[1]
+
+    def padded(a, rows: int) -> np.ndarray:  # nan past a trajectory's end, or for none
+        full = np.full((rows, T), np.nan)
+        if a is not None:
+            full[:, :a.shape[1]] = a
+        return full
+
+    table = np.vstack([padded(traj["inputs"], m), truth,
+                       *(padded(traj[name][0], n) for name in names)])
+    header = (["step"] + [f"u{j+1}" for j in range(m)] + [f"truth_x{i+1}" for i in range(n)]
+              + [f"{name}_x{i+1}" for name in names for i in range(n)])
+    lines = (",".join([str(k), *(repr(float(v)) for v in table[:, k])]) for k in range(T))
     out.csv("trajectory.csv", ",".join(header), lines)
 
     for name in names:
@@ -597,8 +560,8 @@ def main(argv=None) -> int:
         print(f"error: numerical failure: {err}", file=sys.stderr)
         return 4
     if out.written:
-        _write_json(out.directory / "timing.json",
-                    {"command": args.command, "wall_time_s": time.perf_counter() - t0})
+        write_json(out.directory / "timing.json",
+                   {"command": args.command, "wall_time_s": time.perf_counter() - t0})
     return rc
 
 

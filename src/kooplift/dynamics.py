@@ -27,6 +27,7 @@ from typing import Callable
 
 import numpy as np
 
+from ._jsonfile import write_json
 from .errors import (
     ConfigError,
     DimensionMismatch,
@@ -550,9 +551,7 @@ def save_snapshots(ss: SnapshotSet, csv_path, manifest_extra: dict | None = None
     manifest.update(manifest_extra or {})
     manifest["csv_sha256"] = csv_hash.hexdigest()
     manifest["rows_sha256"] = rows_hash.hexdigest()
-    manifest_path = manifest_path_for(csv_path)
-    manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-    return manifest_path
+    return write_json(manifest_path_for(csv_path), manifest)
 
 
 def manifest_path_for(csv_path) -> Path:

@@ -95,6 +95,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ._jsonfile import any_value, check_json, integer, json_array, json_number, number, one_of
 from .dynamics import (
     AugmentedSnapshots,
     ControlSystem,
@@ -118,14 +119,7 @@ from .observables import (
     FAMILIES,
     NormalDictionary,
     TrainableNormalDictionary,
-    _any,
-    _integer,
-    _number,
-    _one_of,
-    check_json,
     example_poly_normal_basis,
-    json_array,
-    json_number,
     parametric_family,
 )
 
@@ -174,12 +168,12 @@ class TrainConfig:
 
     def __post_init__(self):
         what = "TrainConfig"
-        _integer(1)(self.epochs, "epochs", what)
-        _integer(1)(self.batch_size, "batch_size", what)
+        integer(1)(self.epochs, "epochs", what)
+        integer(1)(self.batch_size, "batch_size", what)
         if not (0.0 < self.lr_end <= self.lr_start < np.inf):
             raise ConfigError(f"{what}: need 0 < lr_end <= lr_start < inf, "
                               f"got {self.lr_start} -> {self.lr_end}")
-        _number(0.0)(self.ridge_scale, "ridge_scale", what)
+        number(0.0)(self.ridge_scale, "ridge_scale", what)
         if not (0.0 < self.split_fraction < 1.0):
             raise ConfigError("split_fraction must be in (0, 1)")
         if self.seed < 0:
@@ -188,8 +182,8 @@ class TrainConfig:
             raise ConfigError(f"{what}: need s >= l >= 1, got s={self.s}, l={self.l}")
         if not isinstance(self.family, dict):
             raise ConfigError(f"{what}: 'family' must be a JSON object, got {self.family!r}")
-        kind = _one_of(FAMILIES, "family kind")(self.family.get("kind"), "family.kind", what)
-        check_json({"kind": (_any, ...), **FAMILIES[kind]}, self.family, what, "family")
+        kind = one_of(FAMILIES, "family kind")(self.family.get("kind"), "family.kind", what)
+        check_json({"kind": (any_value, ...), **FAMILIES[kind]}, self.family, what, "family")
 
 
 @dataclasses.dataclass
@@ -646,14 +640,14 @@ def _scale(value, path: str, what: str) -> list:
 # ``loss_mode`` is read from files written before the held-out metric
 # became the exact index, and dropped: it is no longer a choice.
 _CONFIG = {
-    "family": (_any, ...),
-    "s": (_integer(), None), "l": (_integer(), None),
-    "epochs": (_integer(), 100), "batch_size": (_integer(), 200),
+    "family": (any_value, ...),
+    "s": (integer(), None), "l": (integer(), None),
+    "epochs": (integer(), 100), "batch_size": (integer(), 200),
     "lr_start": (json_number, 5e-4), "lr_end": (json_number, 1e-6),
-    "seed": (_integer(), 0),
+    "seed": (integer(), 0),
     "x_scale": (_scale, None), "u_scale": (_scale, None),
     "ridge_scale": (json_number, 1e-10), "split_fraction": (json_number, 0.5),
-    "loss_mode": (_one_of(("trace", "max_eig"), "loss_mode"), None),
+    "loss_mode": (one_of(("trace", "max_eig"), "loss_mode"), None),
 }
 
 
@@ -699,7 +693,8 @@ def report_to_json(report: TrainReport, include_timing: bool = False) -> dict:
     return out
 
 
-def _curve_lines(report: TrainReport) -> list[str]:
+def curve_lines(report: TrainReport) -> list[str]:
+    """The lines of the per-epoch curve CSV, its header first, without newlines."""
     lines = ["epoch,lr,train_loss,val_proximity"]
     for i, (lr, tr, va) in enumerate(zip(report.lr_schedule, report.train_curve,
                                          report.val_curve)):
@@ -710,5 +705,5 @@ def _curve_lines(report: TrainReport) -> list[str]:
 def report_to_csv(report: TrainReport, path) -> Path:
     """Per-epoch curve CSV: epoch, learning rate, train loss, held-out proximity."""
     path = Path(path)
-    path.write_text("\n".join(_curve_lines(report)) + "\n")
+    path.write_text("\n".join(curve_lines(report)) + "\n")
     return path

@@ -5,9 +5,11 @@ input-dependent matrix: ``z+ = A_of(u) z`` where ``A_of(u) = A11 +
 A12 Gtilde(u)``.  Lifted linear, bilinear, and switched-linear models are
 special cases; this module fits all of them from snapshot data, converts
 between them where exact embeddings exist, rolls out predictions, and
-saves and loads each of them.  A linear model is a bilinear one with no
-``B_i`` terms (:func:`LinearLiftedModel` builds it), so one class and one
-least-squares fitter serve both baselines.
+saves and loads each of them as a JSON file through the one checker,
+reader and writer of :mod:`kooplift._jsonfile`, against the table of
+the model's kind kept here beside its class.  A linear model is a
+bilinear one with no ``B_i`` terms (:func:`LinearLiftedModel` builds
+it), so one class and one least-squares fitter serve both baselines.
 
 Every lifted model speaks one transition protocol, the universal form
 ``z_{k+1} = A_k z_k + b_k``: ``transitions(U)`` returns the per-step maps
@@ -31,12 +33,24 @@ residual.
 from __future__ import annotations
 
 import dataclasses
-import json
 import warnings
 from pathlib import Path
 
 import numpy as np
 
+from ._jsonfile import (
+    FILE_KEYS,
+    any_value,
+    boolean,
+    check_json,
+    equal,
+    list_of,
+    number,
+    numeric,
+    one_of,
+    read_json,
+    write_json,
+)
 from .dynamics import ControlSystem, SnapshotSet, _simulate_many, to_augmented
 from .edmd import ConsistencyReport, EdmdFit, PINV_CUTOFF, StreamedR, fit_edmd, stream
 from .errors import (
@@ -52,15 +66,6 @@ from .observables import (
     InputMatrixFunction,
     NormalDictionary,
     StateDictionary,
-    _FILE_KEYS,
-    _any,
-    _boolean,
-    _equal,
-    _list_of,
-    _number,
-    _numeric,
-    _one_of,
-    check_json,
     dictionary_from_json,
     dictionary_to_json,
     eval_matrix,
@@ -696,8 +701,8 @@ def _switched_matrices(m: int, l: int):
     Each entry's ``u`` has length m and its ``A`` is l x l; a repeated
     input value is refused, since the dict would keep only one matrix.
     """
-    entry = {"u": (_numeric(m), ...), "A": (_numeric(l, l), ...)}
-    entries = _list_of(lambda value, path, what: check_json(entry, value, what, path),
+    entry = {"u": (numeric(m), ...), "A": (numeric(l, l), ...)}
+    entries = list_of(lambda value, path, what: check_json(entry, value, what, path),
                        "one or more objects with keys 'u' and 'A'", least=1)
     return lambda value, path, what: _by_input(
         ((f["u"], f["A"]) for f in entries(value, path, what)), what, path, ".u")
@@ -711,14 +716,14 @@ def _model_table(kind: str, source: NormalDictionary) -> dict:
     separable model with no input rows has null off-diagonal blocks.
     """
     l, r, m = source.l, source.s - source.l, source.input_dim
-    block = _numeric if r else lambda *shape: _equal(None)
-    return {"separable": {"l": (_equal(l), None), "s": (_equal(l + r), None),
-                          "A11": (_numeric(l, l), ...), "A12": (block(l, r), ...),
+    block = numeric if r else lambda *shape: equal(None)
+    return {"separable": {"l": (equal(l), None), "s": (equal(l + r), None),
+                          "A11": (numeric(l, l), ...), "A12": (block(l, r), ...),
                           "A21": (block(r, l), None), "A22": (block(r, r), None),
-                          "source_index": (_number(0.0, 1.0), None)},
-            "linear": {"A": (_numeric(l, l), ...), "B": (_numeric(l, m), ...)},
-            "bilinear": {"A": (_numeric(l, l), ...), "Bs": (_numeric(m, l, l), ...),
-                         "C": (_numeric(l, m), None), "advisory": (_boolean, False)},
+                          "source_index": (number(0.0, 1.0), None)},
+            "linear": {"A": (numeric(l, l), ...), "B": (numeric(l, m), ...)},
+            "bilinear": {"A": (numeric(l, l), ...), "Bs": (numeric(m, l, l), ...),
+                         "C": (numeric(l, m), None), "advisory": (boolean, False)},
             "switched": {"matrices": (_switched_matrices(m, l), ...)}}[kind]
 
 
@@ -749,7 +754,7 @@ def model_from_json(obj: dict):
     ``kind`` picks the class, and the dictionary under its ``source_key``
     is rebuilt first (:func:`~kooplift.observables.dictionary_from_json`),
     since its basis fixes the shape of every matrix: l rows of H, s - l
-    input rows, m inputs and n states.  :func:`~kooplift.observables.
+    input rows, m inputs and n states.  :func:`~kooplift._jsonfile.
     check_json` then checks the object against one table: the keys every
     kind shares (``format``, ``kind``, ``meta``, the descriptor and ``decoder``,
     whose ``D`` is n x l and whose ``residual`` is a finite number >= 0)
@@ -764,22 +769,25 @@ def model_from_json(obj: dict):
     if not isinstance(obj, dict) or obj.get("format") != MODEL_FORMAT:
         raise ConfigError("not a kooplift model JSON object")
     what = "kooplift model JSON object"
-    cls = _MODEL_CLASSES[_one_of(_MODEL_CLASSES, "model kind")(obj.get("kind"), "kind", what)]
+    cls = _MODEL_CLASSES[one_of(_MODEL_CLASSES, "model kind")(obj.get("kind"), "kind", what)]
     if cls.source_key not in obj:
         raise ConfigError(f"{what} has no {cls.source_key!r} key")
     source = dictionary_from_json(obj[cls.source_key], what, cls.source_key)
-    decoder = {"D": (_numeric(source.state_dim, source.l), ...), "residual": (_number(0.0), ...)}
-    f = check_json({**_FILE_KEYS, cls.source_key: (_any, ...), "decoder": (decoder, None),
+    decoder = {"D": (numeric(source.state_dim, source.l), ...), "residual": (number(0.0), ...)}
+    f = check_json({**FILE_KEYS, cls.source_key: (any_value, ...), "decoder": (decoder, None),
                     **_model_table(obj["kind"], source)}, obj, what)
     decoder = None if f["decoder"] is None else (f["decoder"]["D"], f["decoder"]["residual"])
     return cls._from_json(f, head_dictionary(source), decoder)
 
 
 def save_model(model, path) -> Path:
-    path = Path(path)
-    path.write_text(json.dumps(model_to_json(model), indent=2, sort_keys=True) + "\n")
-    return path
+    return write_json(path, model_to_json(model))
 
 
 def load_model(path):
-    return model_from_json(json.loads(Path(path).read_text()))
+    """The model in the file at ``path``.
+
+    A file that is missing, not a JSON object or not a model raises
+    :class:`ConfigError` whose message starts with the path.
+    """
+    return read_json(path, "model", model_from_json)

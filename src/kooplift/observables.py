@@ -16,20 +16,36 @@ control-independent extension — without leaving the spanned space.
 
 The module also provides parametric normal-form families (polynomial, MLP,
 residual MLP) with a flat parameter vector and exact reverse-accumulation
-gradients, used by the dictionary-learning module.
+gradients, used by the dictionary-learning module.  Builtin and parametric
+dictionaries save and load as JSON files (:func:`save_dictionary`,
+:func:`load_dictionary`) through the one checker, reader and writer of
+:mod:`kooplift._jsonfile`; the tables they are checked against,
+:data:`FAMILIES` and a dictionary file's keys, stay here beside the
+families they build.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import itertools
-import json
-from numbers import Integral, Real
 from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
 
+from ._jsonfile import (
+    FILE_KEYS,
+    check_json,
+    equal,
+    integer,
+    json_array,
+    list_of,
+    numeric,
+    one_of,
+    read_json,
+    string,
+    write_json,
+)
 from .errors import ConfigError, DimensionMismatch, RankDeficientProbe
 
 Array = np.ndarray
@@ -909,7 +925,7 @@ def parametric_family(kind: str, *, state_dim: int, input_dim: int, s: int, l: i
     if kind == EXAMPLE_POLY_BASIS:
         raise ConfigError(f"{kind!r} is a builtin dictionary, not a parametric family")
     what = "parametric_family"
-    spec = check_json(FAMILIES[_one_of(FAMILIES, "family kind")(kind, "kind", what)], params, what)
+    spec = check_json(FAMILIES[one_of(FAMILIES, "family kind")(kind, "kind", what)], params, what)
     if s < l or l < 1:
         raise ConfigError(f"need s >= l >= 1, got s={s}, l={l}")
     head = spec.pop("fixed_head")
@@ -990,123 +1006,10 @@ def example_poly_normal_basis(truncate: Sequence[str] = ()) -> NormalDictionary:
 
 
 # ----------------------------------------------------------------------
-# JSON tables: dictionary families and the files kooplift reads
+# Dictionary families and files
 #
-# A table maps each key of a JSON object to ``(check, default)``; a default
-# of ``...`` marks a required key.  A check takes a value, its key path and
-# the name of the object that holds it, and returns the value as the reader
-# uses it or raises ConfigError naming the path.  A table is itself the
-# check of a nested object.  :func:`check_json` applies a table.
-
-
-def json_number(value, path: str, what: str, integer: bool = False):
-    """``value`` when it is a JSON number, or an integer with ``integer``.
-
-    Anything else, a boolean or a numeric string included, raises
-    :class:`ConfigError` naming ``path`` inside the JSON object ``what``.
-    """
-    if isinstance(value, bool) or not isinstance(value, Integral if integer else Real):
-        kind = "an integer" if integer else "a number"
-        raise ConfigError(f"{what}: {path!r} must be {kind}, got {value!r}")
-    return value
-
-
-def json_array(value, path: str, what: str, shape: tuple) -> Array:
-    """``value`` as a float array of ``shape``; a None in ``shape`` allows any length.
-
-    A value that is not a numeric array of that shape (a string, a ragged
-    nesting, a boolean or null entry) raises :class:`ConfigError` naming
-    ``path`` inside the JSON object ``what``.
-    """
-    try:
-        a = np.asarray(value)
-    except ValueError:  # a ragged nesting
-        a = np.asarray(None)
-    if (a.dtype.kind not in "iuf" or a.ndim != len(shape)
-            or any(k is not None and k != d for k, d in zip(shape, a.shape))):
-        dims = " x ".join("n" if k is None else str(k) for k in shape)
-        raise ConfigError(f"{what}: {path!r} must be a numeric array of shape {dims}")
-    return a.astype(float)
-
-
-def _number(low=-np.inf, high=np.inf, integer: bool = False):
-    """The check of a finite number in ``[low, high]``, of an integer with ``integer``."""
-
-    def check(value, path: str, what: str):
-        if not (low <= json_number(value, path, what, integer) <= high
-                and (integer or np.isfinite(value))):
-            bounds = f">= {low}" + (f" and <= {high}" if high < np.inf else "")
-            raise ConfigError(f"{what}: {path!r} must be {'' if integer else 'finite and '}"
-                              f"{bounds}, got {value!r}")
-        return int(value) if integer else float(value)
-
-    return check
-
-
-def _integer(low=-np.inf):
-    """The check of an integer of at least ``low``."""
-    return _number(low, integer=True)
-
-
-def _numeric(*shape):
-    """The check of a numeric array of ``shape``, by :func:`json_array`."""
-    return lambda value, path, what: json_array(value, path, what, shape)
-
-
-def _list_of(item, of: str, least: int = 0):
-    """The check of a list of at least ``least`` entries, each passing ``item``.
-
-    ``of`` names the entries in the error.
-    """
-
-    def check(value, path: str, what: str) -> list:
-        if not isinstance(value, (list, tuple)) or len(value) < least:
-            raise ConfigError(f"{what}: {path!r} must be a list of {of}, got {value!r}")
-        return [item(v, f"{path}[{i}]", what) for i, v in enumerate(value)]
-
-    return check
-
-
-def _instance(kind: type, noun: str):
-    """The check of a value of type ``kind``; ``noun`` names it in the error."""
-
-    def check(value, path: str, what: str):
-        if not isinstance(value, kind):
-            raise ConfigError(f"{what}: {path!r} must be {noun}, got {value!r}")
-        return value
-
-    return check
-
-
-_string, _boolean = _instance(str, "a string"), _instance(bool, "true or false")
-
-
-def _one_of(choices, noun: str):
-    """The check of a string among ``choices``; ``noun`` names it in the error."""
-
-    def check(value, path: str, what: str) -> str:
-        if not isinstance(value, str) or value not in choices:
-            need = f"one of {sorted(choices)}" if isinstance(value, str) else "a string"
-            raise ConfigError(f"{what}: unknown {noun} {value!r}; {path!r} must be {need}")
-        return value
-
-    return check
-
-
-def _any(value, path: str, what: str):
-    """Any value: the check of a key its reader checks outside the table."""
-    return value
-
-
-def _equal(want):
-    """The check of a key that is written from ``want`` and never read."""
-
-    def check(value, path: str, what: str):
-        if type(value) is not type(want) or value != want:
-            raise ConfigError(f"{what}: {path!r} must be {want!r} to agree, got {value!r}")
-        return value
-
-    return check
+# The tables of :mod:`kooplift._jsonfile`: each maps a key to ``(check,
+# default)``, and :func:`~kooplift._jsonfile.check_json` applies them.
 
 
 def _fixed_head(value, path: str, what: str):
@@ -1116,7 +1019,7 @@ def _fixed_head(value, path: str, what: str):
     """
     if value is None or isinstance(value, str) and value == "state":
         return value
-    head = _list_of(_integer(0), "integers")(value, path, what)
+    head = list_of(integer(0), "integers")(value, path, what)
     if len(set(head)) < len(head):
         raise ConfigError(f"{what}: {path!r} must be distinct state coordinates, got {head}")
     return head
@@ -1125,48 +1028,19 @@ def _fixed_head(value, path: str, what: str):
 # The parameters every parametric family takes.
 _PARAMETRIC = {
     "fixed_head": (_fixed_head, "state"),
-    "seed": (_integer(0), 0),
-    "activation": (_one_of(_ACTIVATIONS, "activation"), "softplus"),
+    "seed": (integer(0), 0),
+    "activation": (one_of(_ACTIVATIONS, "activation"), "softplus"),
 }
 
 # kind -> the table of its parameters.  The builtin basis takes only the
 # bottom-block rows to drop.
 FAMILIES = {
-    EXAMPLE_POLY_BASIS: {"truncate": (_list_of(_string, "strings"), ())},
-    "polynomial": {"total_degree": (_integer(1), ...), **_PARAMETRIC},
-    "mlp": {"widths": (_list_of(_integer(1), "one or more integers", least=1), ...),
+    EXAMPLE_POLY_BASIS: {"truncate": (list_of(string, "strings"), ())},
+    "polynomial": {"total_degree": (integer(1), ...), **_PARAMETRIC},
+    "mlp": {"widths": (list_of(integer(1), "one or more integers", least=1), ...),
             **_PARAMETRIC},
-    "residual_mlp": {"blocks": (_integer(1), ...), "width": (_integer(1), ...), **_PARAMETRIC},
+    "residual_mlp": {"blocks": (integer(1), ...), "width": (integer(1), ...), **_PARAMETRIC},
 }
-
-
-def check_json(table: dict, obj, what: str, path: str = "") -> dict:
-    """``obj`` checked against ``table``, defaults filled in.
-
-    The one check of every JSON object kooplift reads, and of a family's
-    parameters (:data:`FAMILIES`).  ``obj`` must be a JSON object that
-    holds every required key and no key ``table`` lacks, and each value
-    must pass its check; nested tables are checked alike.  Unknown keys
-    are refused first, then missing ones, then the values in table order.
-    The first failure raises :class:`ConfigError` naming the key's path
-    inside the object ``what``: ``path`` is the path of ``obj`` itself
-    (``"dims"``), so a nested key is named as ``dims.s``.  The result holds
-    every key of ``table``: the value as its check returns it, or the
-    default for a key left out or, where the default is None, null.
-    """
-    where, prefix = (repr(path), f"{path}.") if path else ("the top level", "")
-    if not isinstance(obj, dict):
-        raise ConfigError(f"{what}: {where} is not a JSON object")
-    for key in obj:
-        if key not in table:
-            raise ConfigError(f"{what}: unknown key; {where} takes no {key!r} key "
-                              f"({prefix + key!r}), only {list(table)}")
-    for key, (_, default) in table.items():
-        if default is ... and key not in obj:
-            raise ConfigError(f"{what} has no {prefix + key!r} key")
-    return {key: default if obj.get(key) is None and (key not in obj or default is None)
-            else check_json(check, obj[key], what, prefix + key) if isinstance(check, dict)
-            else check(obj[key], prefix + key, what) for key, (check, default) in table.items()}
 
 
 # ----------------------------------------------------------------------
@@ -1175,11 +1049,7 @@ def check_json(table: dict, obj, what: str, path: str = "") -> dict:
 
 DICTIONARY_FORMAT = "kooplift-dictionary-v1"
 
-# The keys every dictionary and model file has besides its kind's: ``format``
-# and ``kind``, which the readers check first, and ``meta``, the provenance
-# stamp the command line adds to the files it writes, which is not read.
-_FILE_KEYS = {"format": (_any, ...), "kind": (_any, ...), "meta": (_any, None)}
-_DIMS = {key: (_integer(1), ...) for key in ("state_dim", "input_dim", "s", "l")}
+_DIMS = {key: (integer(1), ...) for key in ("state_dim", "input_dim", "s", "l")}
 
 
 def dictionary_to_json(nd: NormalDictionary) -> dict:
@@ -1199,12 +1069,12 @@ def _dictionary_table(kind: str) -> dict:
     ``u_scale`` follow from the dictionary built.
     """
     if kind == EXAMPLE_POLY_BASIS:
-        return {**_FILE_KEYS, "dims": (_DIMS, None), **FAMILIES[kind]}
+        return {**FILE_KEYS, "dims": (_DIMS, None), **FAMILIES[kind]}
     spec = {key: entry for key, entry in FAMILIES[kind].items() if key != "fixed_head"}
-    return {**_FILE_KEYS, "dims": (_DIMS, ...), "spec": (spec, ...),
-            "fixed_head": (_fixed_head, ...), "parameters": (_numeric(None), ...),
-            "fixed_head_tags": (_list_of(_string, "strings"), None),
-            "x_scale": (_numeric(None), None), "u_scale": (_numeric(None), None)}
+    return {**FILE_KEYS, "dims": (_DIMS, ...), "spec": (spec, ...),
+            "fixed_head": (_fixed_head, ...), "parameters": (numeric(None), ...),
+            "fixed_head_tags": (list_of(string, "strings"), None),
+            "x_scale": (numeric(None), None), "u_scale": (numeric(None), None)}
 
 
 def dictionary_from_json(obj: dict, what: str = "kooplift dictionary JSON object",
@@ -1227,7 +1097,7 @@ def dictionary_from_json(obj: dict, what: str = "kooplift dictionary JSON object
         raise ConfigError(f"{what}: {path!r} is not a kooplift dictionary JSON object"
                           if path else "not a kooplift dictionary JSON object")
     prefix = f"{path}." if path else ""
-    kind = _one_of(FAMILIES, "dictionary kind")(obj.get("kind"), prefix + "kind", what)
+    kind = one_of(FAMILIES, "dictionary kind")(obj.get("kind"), prefix + "kind", what)
     d = check_json(_dictionary_table(kind), obj, what, path)
     if kind == EXAMPLE_POLY_BASIS:
         nd = example_poly_normal_basis(d["truncate"])
@@ -1238,15 +1108,18 @@ def dictionary_from_json(obj: dict, what: str = "kooplift dictionary JSON object
     written = dictionary_to_json(nd)
     for key in ("dims", "fixed_head_tags"):  # written from the dictionary, not read
         if d.get(key) is not None:
-            _equal(written[key])(d[key], prefix + key, what)
+            equal(written[key])(d[key], prefix + key, what)
     return nd
 
 
 def save_dictionary(nd: NormalDictionary, path) -> Path:
-    path = Path(path)
-    path.write_text(json.dumps(dictionary_to_json(nd), indent=2, sort_keys=True) + "\n")
-    return path
+    return write_json(path, dictionary_to_json(nd))
 
 
 def load_dictionary(path) -> NormalDictionary:
-    return dictionary_from_json(json.loads(Path(path).read_text()))
+    """The dictionary in the file at ``path``.
+
+    A file that is missing, not a JSON object or not a dictionary raises
+    :class:`ConfigError` whose message starts with the path.
+    """
+    return read_json(path, "dictionary", dictionary_from_json)

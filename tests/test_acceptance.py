@@ -9,8 +9,11 @@ byte for byte.
 
 import dataclasses
 import json
+import multiprocessing
+import os
 import time
 import warnings
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -272,40 +275,69 @@ def _compute_c6():
     return out
 
 
+def _c7_pipeline(name, seed):
+    """One criterion-7 pipeline: train on motor ``name`` with ``seed``, then roll out."""
+    system = kl.get_system(name)
+    plan = kl.ExperimentPlan(num_experiments=1000,
+                             steps_per_experiment=10,
+                             rng_seed=seed, input_mode="constant")
+    config = TrainConfig(
+        family={"kind": "residual_mlp", "blocks": 2, "width": 32,
+                "seed": seed},
+        s=20, l=4, epochs=150, batch_size=200,
+        lr_start=5e-4, lr_end=1e-6, seed=seed,
+        x_scale=[1 / 5, 1 / 80], u_scale=[1 / 2],
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        res = pipeline(config, system, plan, eval_steps=600)
+    rmse = res.evaluation["rmse"]
+    sep, lin, bil = (rmse[n]["rmse"][1]
+                     for n in ("separable", "linear", "bilinear"))
+    return {
+        "seed": seed,
+        "proximity_train": float(
+            res.train_report.final_proximity_train),
+        "x2_rmse": {"separable": float(sep), "linear": float(lin),
+                    "bilinear": float(bil)},
+        "separable_strictly_best": bool(sep < lin and sep < bil),
+    }
+
+
+# The BLAS thread-count variables, all set to 1 while criterion 7's
+# workers start.  A worker loads BLAS as soon as it unpickles its first
+# task (the task imports numpy), so only the environment it starts with
+# can pin it.
+_ONE_THREAD = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
 def _compute_c7():
+    """Six independent pipelines, two motors x seeds 0-2, in two one-thread workers.
+
+    Each pipeline's results depend only on its own seeds and on the BLAS
+    thread count, which the workers pin to one, so they do not depend on
+    which worker runs them or in what order.
+    """
     t0 = time.perf_counter()
+    names, seeds = ("dc_motor_tanh", "dc_motor_tanhcos"), (0, 1, 2)
+    saved = {key: os.environ.get(key) for key in _ONE_THREAD}
+    os.environ.update(dict.fromkeys(_ONE_THREAD, "1"))
+    try:
+        with ProcessPoolExecutor(2, mp_context=multiprocessing.get_context("spawn")) as pool:
+            runs = list(pool.map(_c7_pipeline, [name for name in names for _ in seeds],
+                                 [seed for _ in names for seed in seeds]))
+    finally:
+        for key, value in saved.items():
+            if value is None:
+                os.environ.pop(key, None)
+            else:
+                os.environ[key] = value
     out = {}
-    for name in ("dc_motor_tanh", "dc_motor_tanhcos"):
-        system = kl.get_system(name)
-        runs = []
-        for seed in (0, 1, 2):
-            plan = kl.ExperimentPlan(num_experiments=1000,
-                                     steps_per_experiment=10,
-                                     rng_seed=seed, input_mode="constant")
-            config = TrainConfig(
-                family={"kind": "residual_mlp", "blocks": 2, "width": 32,
-                        "seed": seed},
-                s=20, l=4, epochs=150, batch_size=200,
-                lr_start=5e-4, lr_end=1e-6, seed=seed,
-                x_scale=[1 / 5, 1 / 80], u_scale=[1 / 2],
-            )
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                res = pipeline(config, system, plan, eval_steps=600)
-            rmse = res.evaluation["rmse"]
-            sep, lin, bil = (rmse[n]["rmse"][1]
-                             for n in ("separable", "linear", "bilinear"))
-            runs.append({
-                "seed": seed,
-                "proximity_train": float(
-                    res.train_report.final_proximity_train),
-                "x2_rmse": {"separable": float(sep), "linear": float(lin),
-                            "bilinear": float(bil)},
-                "separable_strictly_best": bool(sep < lin and sep < bil),
-            })
+    for i, name in enumerate(names):
+        mine = runs[i * len(seeds):(i + 1) * len(seeds)]
         out[name] = {
-            "runs": runs,
-            "wins": int(sum(r["separable_strictly_best"] for r in runs)),
+            "runs": mine,
+            "wins": int(sum(r["separable_strictly_best"] for r in mine)),
         }
     out["runtime_s_budget"] = 1800.0
     out["_runtime"] = time.perf_counter() - t0

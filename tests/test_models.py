@@ -1,8 +1,10 @@
 """Tests for separable model extraction, baselines, rollouts, and serialization."""
 
 import dataclasses
+import json
 import warnings
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -636,6 +638,25 @@ class TestModelSerialization:
         model = fit_linear_baseline(head_dictionary(nd), poly_snapshots)
         nd.set_params(nd.get_params() + 1.0)
         assert model_to_json(model)["head_of"]["parameters"] == nd.get_params().tolist()
+
+    @pytest.mark.parametrize("text, want", [("{bad", "is not valid JSON"),
+                                            ("[]", "is not a JSON object"),
+                                            (None, "does not exist"),
+                                            ("no A11", "has no 'A11' key")],
+                             ids=["not_json", "list", "missing", "no_A11"])
+    def test_load_names_the_file(self, tmp_path, text, want):
+        """A refused file fails as the command line's reader does: ConfigError, path first."""
+        path = tmp_path / "model.json"
+        if text == "no A11":
+            obj = json.loads((Path(__file__).parent / "fixtures" / "model_separable.json")
+                             .read_text())
+            del obj["A11"]
+            text = json.dumps(obj)
+        if text is not None:
+            path.write_text(text)
+        with pytest.raises(ConfigError) as err:
+            load_model(path)
+        assert str(err.value).startswith(str(path)) and want in str(err.value)
 
     def test_foreign_json_rejected(self):
         with pytest.raises(ConfigError):

@@ -634,3 +634,16 @@ class TestSerialization:
     def test_rejects_foreign_json(self):
         with pytest.raises(ConfigError):
             kl.dictionary_from_json({"format": "something-else"})
+
+    @pytest.mark.parametrize("text, want", [("{bad", "is not valid JSON"),
+                                            ("[]", "is not a JSON object"),
+                                            (None, "does not exist")],
+                             ids=["not_json", "list", "missing"])
+    def test_load_names_the_file(self, tmp_path, text, want):
+        """A refused file fails as the command line's reader does: ConfigError, path first."""
+        path = tmp_path / "dict.json"
+        if text is not None:
+            path.write_text(text)
+        with pytest.raises(ConfigError) as err:
+            kl.load_dictionary(path)
+        assert str(err.value).startswith(str(path)) and want in str(err.value)
