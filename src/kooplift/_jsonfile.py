@@ -218,6 +218,16 @@ def read_json(path, what: str, build):
         raise type(err)(f"{path}: {err}") from None
 
 
+def json_float(value):
+    """``value`` as a float, or None (JSON null) when it is not finite.
+
+    ``json.dumps`` writes ``Infinity`` and ``NaN``, which strict JSON
+    parsers refuse, so the writers of non-finite metrics map them here.
+    """
+    value = float(value)
+    return value if np.isfinite(value) else None
+
+
 def write_json(path, obj: dict) -> Path:
     """Write ``obj`` to ``path`` in kooplift's one JSON text form; return the path."""
     path = Path(path)

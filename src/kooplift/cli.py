@@ -51,7 +51,11 @@ loaders (:func:`~kooplift.models.load_model`,
 with the same reader, and write every JSON output with the same writer
 (:mod:`kooplift._jsonfile`).  So a refused file fails alike in a
 command and in a library call: a :class:`ConfigError` whose message
-starts with the file's path.
+starts with the file's path.  Likewise every CSV table a command writes,
+and the ``predict --inputs`` file it reads, go through the one writer
+and reader of :mod:`kooplift._csvfile`, as snapshot CSVs do; the
+commands hash input files with its :func:`~kooplift._csvfile.sha256`.
+A non-finite RMSE is ``inf`` in ``rmse.csv`` and null in ``rmse.json``.
 """
 
 from __future__ import annotations
@@ -67,13 +71,11 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from ._jsonfile import read_json, require_file, write_json
+from ._csvfile import next_row, read_rows, sha256, write_csv
+from ._jsonfile import json_float, read_json, require_file, write_json
 from .dynamics import (
     BUILTIN_SYSTEMS,
     ExperimentPlan,
-    _next_row,
-    _read_rows,
-    _sha256,
     get_system,
     load_snapshots,
     run_experiments,
@@ -134,7 +136,7 @@ def _config_hash(cfg: dict) -> str:
 
 def _file_digest(path, what: str) -> str:
     """The short digest that stamps outputs made from the ``what`` file at ``path``."""
-    return _sha256(require_file(path, what))[:12]
+    return sha256(require_file(path, what))[:12]
 
 
 class _Outputs:
@@ -175,10 +177,9 @@ class _Outputs:
     def json(self, name: str, obj: dict) -> Path:
         return write_json(self._path(name), {**obj, "meta": self.meta})
 
-    def csv(self, name: str, header: str, rows) -> Path:
-        path = self._path(name)
-        path.write_text("\n".join(["# " + self._comment(), header, *rows]) + "\n")
-        return path
+    def csv(self, name: str, header: str, rows, lead=None) -> Path:
+        """The float array ``rows`` as the CSV table ``name``, under the stamp's ``#`` line."""
+        return write_csv(self._path(name), header, rows, lead, comment=self._comment())
 
     def snapshots(self, name: str, ss) -> Path:
         """A snapshot CSV with its binary copy and its manifest, which holds ``meta``."""
@@ -204,8 +205,8 @@ def _load_augmented(data_path: str):
     The file is hashed once: the digest stamps the outputs and tells
     :func:`load_snapshots` whether the CSV's binary copy may be used.
     """
-    sha256 = _sha256(require_file(data_path, "data"))
-    return sha256[:12], to_augmented(load_snapshots(data_path, sha256))
+    digest = sha256(require_file(data_path, "data"))
+    return digest[:12], to_augmented(load_snapshots(data_path, digest))
 
 
 def _dictionary_inputs(args, out: _Outputs):
@@ -239,14 +240,14 @@ def _read_inputs(path: Path) -> np.ndarray:
     :class:`ConfigError` naming its file line.
     """
     with path.open() as f:
-        first = _next_row(f, 0)
+        first = next_row(f, 0)
         U = np.empty((0, 0))
         if first is not None:
             lineno, line = first
             if not line.startswith("u"):
                 f.seek(0)
                 lineno = 0
-            U = _read_rows(path, f, lineno, line.count(",") + 1)
+            U = read_rows(path, f, lineno, line.count(",") + 1)
     if U.shape[0] == 0:
         raise ConfigError(f"{path}: input sequence is empty")
     return U.T
@@ -284,8 +285,7 @@ def cmd_edmd(args, out: _Outputs) -> int:
     aug, nd, cutoff = _dictionary_inputs(args, out)
     d = edmd_mod.stream(nd, aug)
     fit = edmd_mod.fit_edmd(d.cols("P").T, d.cols("Q").T, cutoff=cutoff)
-    path = out.csv("K.csv", ",".join(f"k{j+1}" for j in range(fit.K.shape[1])),
-                   (",".join(repr(float(v)) for v in row) for row in fit.K))
+    path = out.csv("K.csv", ",".join(f"k{j+1}" for j in range(fit.K.shape[1])), fit.K)
     out.json("edmd_report.json", {
         "s": int(fit.K.shape[0]),
         "n_snapshots": int(aug.n_snapshots),
@@ -319,8 +319,7 @@ def cmd_learn(args, out: _Outputs) -> int:
         raise ConfigError(f"{args.config}: {err}") from None
     out.json("dictionary.json", dictionary_to_json(nd))
     out.json("train_report.json", learning_mod.report_to_json(report))
-    header, *rows = learning_mod.curve_lines(report)
-    out.csv("train_curve.csv", header, rows)
+    out.csv("train_curve.csv", *learning_mod.curve_table(report))
     if report.aborted:
         print("training aborted on persistent non-finite loss; "
               "partial report written", file=sys.stderr)
@@ -364,11 +363,8 @@ def cmd_predict(args, out: _Outputs) -> int:
     except NonFiniteState as err:
         print(f"error: model rollout diverged: {err}", file=sys.stderr)
         return 4
-    n = states.shape[0]
-    header = "step," + ",".join(f"x{i+1}" for i in range(n))
-    rows = (f"{k}," + ",".join(repr(float(states[i, k])) for i in range(n))
-            for k in range(states.shape[1]))
-    path = out.csv("prediction.csv", header, rows)
+    header = "step," + ",".join(f"x{i+1}" for i in range(states.shape[0]))
+    path = out.csv("prediction.csv", header, states.T, lead=range(states.shape[1]))
     print(f"wrote {path} ({states.shape[1]} rows)")
     return 0
 
@@ -414,18 +410,17 @@ def cmd_compare(args, out: _Outputs) -> int:
         "system": args.system,
         "n_steps": int(args.steps),
         "x0": [float(v) for v in x0],
-        "rmse": result["rmse"],
+        "rmse": {name: {**r, "rmse": [json_float(v) for v in r["rmse"]]}
+                 for name, r in result["rmse"].items()},
     })
-    rows = []
-    for name in names:
-        per_state = result["rmse"][name]["rmse"]
-        for i, v in enumerate(per_state):
-            rows.append(f"{name},x{i+1},{float(v)!r}")
-    out.csv("rmse.csv", "model,state,rmse", rows)
+    n, m = system.state_dim, system.input_dim
+    out.csv("rmse.csv", "model,state,rmse",
+            np.array([[v] for name in names for v in result["rmse"][name]["rmse"]]),
+            lead=[f"{name},x{i+1}" for name in names for i in range(n)])
 
     traj = result["trajectories"]
     truth = traj["truth"][0]
-    n, m, T = system.state_dim, system.input_dim, truth.shape[1]
+    T = truth.shape[1]
 
     def padded(a, rows: int) -> np.ndarray:  # nan past a trajectory's end, or for none
         full = np.full((rows, T), np.nan)
@@ -437,8 +432,7 @@ def cmd_compare(args, out: _Outputs) -> int:
                        *(padded(traj[name][0], n) for name in names)])
     header = (["step"] + [f"u{j+1}" for j in range(m)] + [f"truth_x{i+1}" for i in range(n)]
               + [f"{name}_x{i+1}" for name in names for i in range(n)])
-    lines = (",".join([str(k), *(repr(float(v)) for v in table[:, k])]) for k in range(T))
-    out.csv("trajectory.csv", ",".join(header), lines)
+    out.csv("trajectory.csv", ",".join(header), table.T, lead=range(T))
 
     for name in names:
         rmse = result["rmse"][name]["rmse"]

@@ -10,16 +10,16 @@ Step maps act on column blocks ``(n, B), (m, B) -> (n, B)``, so a batch of
 experiments advances in lockstep, one column each.
 
 The module also provides an RK4 discretizer for continuous-time dynamics,
-batch experiment generation with seeded randomness, and CSV persistence of
-snapshot datasets, with a digest-checked binary copy that spares a reload
-the parse.
+batch experiment generation with seeded randomness, and the snapshot
+CSV: :func:`save_snapshots` and :func:`load_snapshots` turn a
+:class:`SnapshotSet` into a table of :mod:`kooplift._csvfile` and back.
+That module holds the CSV text format, the digest-checked binary copy
+that spares a reload the parse, and the manifest reader.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import io
-import json
 import math
 import warnings
 from pathlib import Path
@@ -27,7 +27,7 @@ from typing import Callable
 
 import numpy as np
 
-from ._jsonfile import write_json
+from ._csvfile import next_row, read_copy, read_manifest, read_rows, write_csv
 from .errors import (
     ConfigError,
     DimensionMismatch,
@@ -171,24 +171,11 @@ class ExperimentPlan:
     def __post_init__(self):
         if self.num_experiments < 1 or self.steps_per_experiment < 1:
             raise ConfigError("experiment counts must be >= 1")
-        mode = _canonical_mode(self.input_mode)
-        object.__setattr__(self, "input_mode", mode)
-        if mode == "piecewise" and self.hold_steps < 1:
+        if self.input_mode not in ("constant", "piecewise"):
+            raise ConfigError(f"unknown input_mode {self.input_mode!r}; "
+                              "expected 'constant' or 'piecewise'")
+        if self.input_mode == "piecewise" and self.hold_steps < 1:
             raise ConfigError("hold_steps must be >= 1")
-
-
-def _canonical_mode(mode: str) -> str:
-    aliases = {
-        "constant": "constant",
-        "constant-per-experiment": "constant",
-        "piecewise": "piecewise",
-        "piecewise-constant": "piecewise",
-    }
-    if mode not in aliases:
-        raise ConfigError(
-            f"unknown input_mode {mode!r}; expected 'constant' or 'piecewise'"
-        )
-    return aliases[mode]
 
 
 def _check_vector(v, k: int, what: str) -> Array:
@@ -462,7 +449,7 @@ def to_augmented(ss: SnapshotSet) -> AugmentedSnapshots:
 
 
 # ----------------------------------------------------------------------
-# CSV persistence
+# Snapshot CSVs: tables of :mod:`kooplift._csvfile`, one row per snapshot
 
 
 def _csv_header(n: int, m: int) -> str:
@@ -474,72 +461,21 @@ def _csv_header(n: int, m: int) -> str:
     return ",".join(cols)
 
 
-def _format_rows(rows: Array) -> str:
-    """The CSV lines of a block of rows, each value written with ``repr``.
-
-    ``repr`` runs once per distinct bit pattern of the block, not once per
-    field: snapshot data repeat most values (a successor state is the next
-    snapshot's state, a held input repeats over its experiment).  Bit
-    patterns rather than values keep ``0.0`` apart from ``-0.0``.
-    """
-    bits = np.ascontiguousarray(rows, dtype=np.float64).view(np.int64)
-    distinct, inverse = np.unique(bits, return_inverse=True)
-    texts = np.array([*map(repr, distinct.view(np.float64).tolist()), ",", "\n"], dtype=object)
-    # Interleave field indices with separators; numpy 1.x returns a flat
-    # inverse and numpy 2.x one shaped like ``bits``, so reshape explicitly.
-    index = np.full((bits.shape[0], 2 * bits.shape[1]), len(distinct))
-    index[:, 0::2] = inverse.reshape(bits.shape)
-    index[:, -1] = len(distinct) + 1
-    return "".join(texts[index].ravel().tolist())
-
-
 def save_snapshots(ss: SnapshotSet, csv_path, manifest_extra: dict | None = None,
                    comment: str | None = None) -> Path:
     """Write a snapshot CSV (one row per snapshot), its binary copy and a JSON manifest.
 
-    The manifest records ``{n, m, N, seed, system_name, dt}`` next to the
-    CSV as ``<stem>.manifest.json``.  Floats are written with ``repr`` so
-    the round trip is exact and byte-reproducible.  ``comment`` becomes a
-    leading ``#`` line (provenance stamps); readers skip such lines.
-
-    ``<stem>.npy`` holds the ``(N, 2n + m)`` float64 rows that parsing the
-    CSV returns: the saved bits, except that every NaN is the one the
-    parser gives for ``nan`` (``repr`` drops a NaN's sign and payload).
-    The manifest's ``csv_sha256`` and ``rows_sha256`` are the sha256 of
-    the two files' bytes, which :func:`load_snapshots` checks before it
-    uses the copy.  The manifest is written last, so a write that fails
-    part-way leaves none vouching for files that do not match it.
-
-    Rows are formatted and written in blocks of 1000, so memory does not
-    grow with N; within a block each distinct bit pattern is formatted
-    once and its text reused for every field that holds it.
+    A row is ``x1..xn, u1..um, x1p..xnp``.  The manifest records ``{n, m,
+    N, seed, system_name, dt}`` and ``manifest_extra`` next to the CSV as
+    ``<stem>.manifest.json``, with the sha256 of the CSV and of its binary
+    copy ``<stem>.npy``, which :func:`load_snapshots` checks before it
+    uses the copy.  Floats are written with ``repr`` so the round trip is
+    exact and byte-reproducible.  ``comment`` becomes a leading ``#``
+    line (provenance stamps); readers skip such lines.  The text format,
+    the copy and the manifest's digests are those of
+    :func:`kooplift._csvfile.write_csv`.  Returns the manifest's path.
     """
-    csv_path = Path(csv_path)
-    if _rows_path(csv_path) == csv_path:
-        raise ConfigError(f"{csv_path}: a snapshot CSV may not take its binary copy's name")
     n, m = ss.X.shape[0], ss.U.shape[0]
-    npy_header = io.BytesIO()
-    np.lib.format.write_array_header_1_0(npy_header, {
-        "descr": np.lib.format.dtype_to_descr(np.dtype(np.float64)),
-        "fortran_order": False,
-        "shape": (ss.n_snapshots, 2 * n + m),
-    })
-    csv_hash, rows_hash = _new_sha256(), _new_sha256()
-    with csv_path.open("wb") as f, _rows_path(csv_path).open("wb") as g:
-
-        def put(out, digest, data):
-            out.write(data)
-            digest.update(data)
-
-        head = "" if comment is None else "# " + comment + "\n"
-        put(f, csv_hash, (head + _csv_header(n, m) + "\n").encode())
-        put(g, rows_hash, npy_header.getvalue())
-        for s in range(0, ss.n_snapshots, 1000):
-            block = (ss.X[:, s:s + 1000], ss.U[:, s:s + 1000], ss.Xplus[:, s:s + 1000])
-            rows = np.concatenate(block).T.copy()
-            rows[np.isnan(rows)] = np.nan
-            put(f, csv_hash, _format_rows(rows).encode())
-            put(g, rows_hash, rows)
     manifest = {
         "n": n,
         "m": m,
@@ -549,163 +485,31 @@ def save_snapshots(ss: SnapshotSet, csv_path, manifest_extra: dict | None = None
         "dt": ss.meta.get("dt"),
     }
     manifest.update(manifest_extra or {})
-    manifest["csv_sha256"] = csv_hash.hexdigest()
-    manifest["rows_sha256"] = rows_hash.hexdigest()
-    return write_json(manifest_path_for(csv_path), manifest)
-
-
-def manifest_path_for(csv_path) -> Path:
-    csv_path = Path(csv_path)
-    return csv_path.with_name(csv_path.stem + ".manifest.json")
-
-
-def _rows_path(csv_path: Path) -> Path:
-    return csv_path.with_name(csv_path.stem + ".npy")
-
-
-def _new_sha256():
-    # Imported here: loading hashlib (OpenSSL) would add about 4 ms to
-    # ``import kooplift``, which needs no digest.
-    import hashlib
-
-    return hashlib.sha256()
-
-
-def _sha256(path) -> str:
-    """The sha256 hex digest of a file's bytes, read through one 64 KiB buffer."""
-    digest = _new_sha256()
-    buffer = memoryview(bytearray(1 << 16))
-    with open(path, "rb", buffering=0) as f:
-        while size := f.readinto(buffer):
-            digest.update(buffer[:size])
-    return digest.hexdigest()
-
-
-def _is_number(field: str) -> bool:
-    """Whether numpy's C reader parses ``field``: ``float``'s grammar without
-    the digit-group underscores and non-ASCII digits that ``float`` also takes."""
-    field = field.strip()
-    if "_" in field or not field.isascii():
-        return False
-    try:
-        float(field)
-    except ValueError:
-        return False
-    return True
-
-
-def _malformed_row(csv_path, body, width: int) -> ConfigError:
-    """The error naming the first malformed row of ``body``, ``(line number, text)`` pairs."""
-    for i, line in body:
-        parts = line.split(",")
-        if len(parts) != width:
-            return ConfigError(f"{csv_path}: malformed CSV row at line {i} (expected {width} fields)")
-        if not all(map(_is_number, parts)):
-            return ConfigError(f"{csv_path}: malformed CSV row at line {i} (non-numeric field)")
-    return ConfigError(f"{csv_path}: malformed snapshot CSV")
-
-
-def _next_row(f, lineno: int):
-    """Read the open text file ``f`` up to its next line that is neither blank
-    nor a ``#`` comment; ``lineno`` is the number of the line read last.
-    Returns ``(line number, stripped line)``, or ``None`` at the end."""
-    while line := f.readline():
-        lineno += 1
-        line = line.strip()
-        if line and not line.startswith("#"):
-            return lineno, line
-    return None
-
-
-def _read_rows(csv_path, f, lineno: int, width: int) -> Array:
-    """Parse the rows left in the open text file ``f`` into an ``(N, width)`` array.
-
-    ``lineno`` is the number of the line read last.  One ``np.loadtxt``
-    call, numpy's C tokenizer, parses a clean remainder.  Blank lines
-    holding whitespace and ``#`` lines between rows make it fail; then the
-    rows are re-read without them and parsed again, and if that fails too,
-    :func:`_malformed_row` rescans them to name the first bad one.
-    """
-    start = f.tell()
-    if _next_row(f, lineno) is None:
-        return np.empty((0, width))
-    f.seek(start)
-    try:
-        data = np.loadtxt(f, delimiter=",", comments=None, ndmin=2)
-    except ValueError:
-        data = None
-    if data is not None and data.shape[1] == width:
-        return data
-    f.seek(start)
-    rows = [(i, ln.strip()) for i, ln in enumerate(f.read().split("\n"), start=lineno + 1)
-            if ln.strip() and not ln.lstrip().startswith("#")]
-    try:
-        data = np.loadtxt([ln for _, ln in rows], delimiter=",", comments=None, ndmin=2)
-    except ValueError:
-        raise _malformed_row(csv_path, rows, width) from None
-    if data.shape[1] != width:
-        raise _malformed_row(csv_path, rows, width)
-    return data
-
-
-def _stored_rows(csv_path: Path, manifest: dict, width: int, csv_sha256: str | None):
-    """The rows of the binary copy beside ``csv_path``, or None unless it is verified.
-
-    It is returned only when the CSV's digest (``csv_sha256`` when the
-    caller has it, else computed) is the manifest's ``csv_sha256``, the
-    copy's digest is its ``rows_sha256``, and the copy is a C-ordered
-    float64 ``(N, width)`` array, N being the manifest's.
-    """
-    path = _rows_path(csv_path)
-    try:
-        if (_sha256(path) != manifest["rows_sha256"]
-                or (csv_sha256 or _sha256(csv_path)) != manifest["csv_sha256"]):
-            return None
-        rows = np.load(path)
-    except (KeyError, OSError, ValueError):
-        return None
-    if (rows.dtype != np.float64 or rows.shape != (manifest.get("N"), width)
-            or not rows.flags.c_contiguous):
-        return None
-    return rows
-
-
-def _read_manifest(mpath: Path) -> dict:
-    """The manifest at ``mpath``; :class:`ConfigError` unless it is a JSON object."""
-    try:
-        raw = json.loads(mpath.read_text())
-    except ValueError as exc:
-        raise ConfigError(f"{mpath}: snapshot manifest is not valid JSON ({exc})") from None
-    if not isinstance(raw, dict):
-        raise ConfigError(f"{mpath}: snapshot manifest is not a JSON object")
-    return raw
+    return write_csv(csv_path, _csv_header(n, m), np.concatenate([ss.X, ss.U, ss.Xplus]).T,
+                     comment=comment, manifest=manifest)
 
 
 def load_snapshots(csv_path, csv_sha256: str | None = None) -> SnapshotSet:
     """Load a snapshot CSV written by :func:`save_snapshots`.
 
     When the manifest's digests vouch for both the CSV and its binary copy
-    ``<stem>.npy`` (see :func:`save_snapshots`), the rows come from the
-    copy, bit-identical to what the parse gives, and the CSV is read only
-    for its header and its digest.  ``csv_sha256``, the sha256 hex digest
-    of the CSV's bytes, spares that read when the caller has it already.
-    A CSV edited after writing, a missing, edited or truncated copy, or a
-    manifest without the digests (files written by earlier versions)
-    sends the load to the parse below, silently.
+    ``<stem>.npy``, the rows come from the copy, bit-identical to what the
+    parse gives, and the CSV is read only for its header and its digest.
+    ``csv_sha256``, the sha256 hex digest of the CSV's bytes, spares that
+    read when the caller has it already.  A CSV edited after writing, a
+    missing, edited or truncated copy, or a manifest without the digests
+    (files written by earlier versions) sends the load to the parse,
+    silently.
 
     Blank lines and lines starting with ``#`` are skipped.  Raises
     :class:`ConfigError` naming the file line number on any malformed row,
-    and naming the manifest when it is not a JSON object.
-    The rows are parsed by numpy's C reader (``np.loadtxt``), whose float
-    grammar is ``float``'s without digit-group underscores: ``1_0`` is a
-    non-numeric field.  They are rescanned one by one only to name a
-    malformed one.
+    and naming the manifest when it is not a JSON object.  The rows are
+    parsed by numpy's C reader (:func:`kooplift._csvfile.read_rows`).
     """
     csv_path = Path(csv_path)
-    mpath = manifest_path_for(csv_path)
-    raw = _read_manifest(mpath) if mpath.exists() else None
+    manifest = read_manifest(csv_path)
     with csv_path.open() as f:
-        first = _next_row(f, 0)
+        first = next_row(f, 0)
         if first is None:
             raise ConfigError(f"{csv_path}: empty snapshot CSV")
         lineno, line = first
@@ -714,10 +518,11 @@ def load_snapshots(csv_path, csv_sha256: str | None = None) -> SnapshotSet:
         m = sum(1 for c in header if c.startswith("u"))
         if n == 0 or m == 0 or header != _csv_header(n, m).split(","):
             raise ConfigError(f"{csv_path}: unrecognized snapshot CSV header {line!r}")
-        data = None if raw is None else _stored_rows(csv_path, raw, 2 * n + m, csv_sha256)
+        data = read_copy(csv_path, manifest, 2 * n + m, csv_sha256)
         if data is None:
-            data = _read_rows(csv_path, f, lineno, 2 * n + m)
-    meta = {} if raw is None else {key: raw.get(key) for key in ("system_name", "seed", "dt")}
+            data = read_rows(csv_path, f, lineno, 2 * n + m)
+    meta = {} if manifest is None else {key: manifest.get(key)
+                                        for key in ("system_name", "seed", "dt")}
     return SnapshotSet(X=data[:, :n].T, Xplus=data[:, n + m :].T, U=data[:, n : n + m].T, meta=meta)
 
 

@@ -45,9 +45,8 @@ holds, so ``Z`` and ``Z+`` share it; P and Q are read off that one pass.
 The backward pass takes ``[dL/dP | dL/dQ]`` together: H on ``2N``
 columns, Gtilde on ``N`` columns with the two upstream signals summed.
 :func:`loss` is the same kernel without the gradients, so it equals the
-step's value bit for bit.  It evaluates through ``eval_pair``, which runs
-Gtilde once on the held input; it also accepts any object that only has
-``eval_aug``, and then evaluates it on ``Z`` and ``Z+`` in turn.
+step's value bit for bit.  It evaluates the dictionary through
+``eval_pair``, which runs Gtilde once on the held input.
 
 Each epoch costs one extra pass, on the held-out half only: the training
 curve is the mean of the epoch's minibatch losses, which the steps have
@@ -95,7 +94,9 @@ from pathlib import Path
 
 import numpy as np
 
-from ._jsonfile import any_value, check_json, integer, json_array, json_number, number, one_of
+from ._csvfile import write_csv
+from ._jsonfile import (any_value, check_json, integer, json_array, json_float, json_number,
+                        number, one_of)
 from .dynamics import (
     AugmentedSnapshots,
     ControlSystem,
@@ -664,12 +665,6 @@ def config_from_json(obj: dict) -> TrainConfig:
     return TrainConfig(**config)
 
 
-def _json_float(v):
-    """Strict-JSON float: non-finite values map to null."""
-    v = float(v)
-    return v if np.isfinite(v) else None
-
-
 def report_to_json(report: TrainReport, include_timing: bool = False) -> dict:
     """JSON-ready training report.
 
@@ -678,11 +673,11 @@ def report_to_json(report: TrainReport, include_timing: bool = False) -> dict:
     Non-finite entries (possible on aborted runs) serialize as null.
     """
     out = {
-        "train_curve": [_json_float(v) for v in report.train_curve],
-        "val_curve": [_json_float(v) for v in report.val_curve],
-        "lr_schedule": [_json_float(v) for v in report.lr_schedule],
-        "final_proximity_train": _json_float(report.final_proximity_train),
-        "final_proximity_test": _json_float(report.final_proximity_test),
+        "train_curve": [json_float(v) for v in report.train_curve],
+        "val_curve": [json_float(v) for v in report.val_curve],
+        "lr_schedule": [json_float(v) for v in report.lr_schedule],
+        "final_proximity_train": json_float(report.final_proximity_train),
+        "final_proximity_test": json_float(report.final_proximity_test),
         "nan_batches": int(report.nan_batches),
         "aborted": bool(report.aborted),
         "best_epoch": int(report.best_epoch),
@@ -693,17 +688,16 @@ def report_to_json(report: TrainReport, include_timing: bool = False) -> dict:
     return out
 
 
-def curve_lines(report: TrainReport) -> list[str]:
-    """The lines of the per-epoch curve CSV, its header first, without newlines."""
-    lines = ["epoch,lr,train_loss,val_proximity"]
-    for i, (lr, tr, va) in enumerate(zip(report.lr_schedule, report.train_curve,
-                                         report.val_curve)):
-        lines.append(f"{i},{lr!r},{tr!r},{va!r}")
-    return lines
+def curve_table(report: TrainReport) -> tuple[str, Array, range]:
+    """The per-epoch curve as a CSV table: ``(header, rows, epochs)``.
+
+    A row holds the epoch's learning rate, training loss and held-out
+    proximity; its epoch index leads it in the file.
+    """
+    rows = np.column_stack([report.lr_schedule, report.train_curve, report.val_curve])
+    return "epoch,lr,train_loss,val_proximity", rows, range(len(rows))
 
 
 def report_to_csv(report: TrainReport, path) -> Path:
     """Per-epoch curve CSV: epoch, learning rate, train loss, held-out proximity."""
-    path = Path(path)
-    path.write_text("\n".join(curve_lines(report)) + "\n")
-    return path
+    return write_csv(path, *curve_table(report))

@@ -392,26 +392,27 @@ def _roll(model, Z0: Array, U: Array) -> tuple[Array, Array]:
     """Step the lifted block ``Z0`` (L, B) through the inputs ``U`` (m, T).
 
     Returns the trajectories, shape (L, T+1, B), and for each column the
-    first step at which it became non-finite (0 if it never did).  A
-    failed column is reset to zero, so it raises no further overflow, and
-    its later entries mean nothing; the loop ends once every column has
-    failed.
+    first step at which it became non-finite (0 if it never did).  That
+    record is how divergence is reported, so numpy's overflow warnings
+    are silenced.  A failed column is reset to zero and its later entries
+    mean nothing; the loop ends once every column has failed.
     """
     T = U.shape[1]
     out = np.empty((T + 1,) + Z0.shape)
     out[0] = Z0
     failed = np.zeros(Z0.shape[1], dtype=int)
     A, b = model.transitions(U) if T else (None, None)
-    for k in range(T):
-        Z = out[k + 1]
-        np.matmul(A[k], out[k], out=Z)
-        if b is not None:
-            Z += b[:, k, None]
-        if not np.isfinite(Z).all():
-            failed[(failed == 0) & ~np.isfinite(Z).all(axis=0)] = k + 1
-            if failed.all():
-                break
-            Z[:, failed > 0] = 0.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(T):
+            Z = out[k + 1]
+            np.matmul(A[k], out[k], out=Z)
+            if b is not None:
+                Z += b[:, k, None]
+            if not np.isfinite(Z).all():
+                failed[(failed == 0) & ~np.isfinite(Z).all(axis=0)] = k + 1
+                if failed.all():
+                    break
+                Z[:, failed > 0] = 0.0
     return out.transpose(1, 0, 2), failed
 
 

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import kooplift as kl
-from kooplift import cli
+from kooplift import _csvfile, cli
 from kooplift.edmd import CHUNK
 from kooplift.models import (MODEL_FORMAT, extract_normal, load_model, rollout,
                              states_from_lifted, with_decoder)
@@ -413,6 +413,27 @@ class TestCompare:
         assert len(traj) == 2 + 51
 
 
+    def test_diverging_model_writes_strict_json(self, poly_model_file, tmp_path):
+        """A diverged model's RMSEs are null in ``rmse.json`` and ``inf`` in ``rmse.csv``."""
+        payload = json.loads(poly_model_file.read_text())
+        payload["A11"] = (np.asarray(payload["A11"]) * 1e200).tolist()
+        blown = tmp_path / "blown.json"
+        blown.write_text(json.dumps(payload))
+        rc = _run(["compare", "--system", "example_poly", "--models", str(poly_model_file),
+                   str(blown), "--steps", "20", "--seed", "5", "--out", str(tmp_path / "out")])
+        assert rc == 0
+
+        def refuse(constant):
+            raise ValueError(f"non-standard JSON constant {constant}")
+
+        text = (tmp_path / "out" / "rmse.json").read_text()
+        payload = json.loads(text, parse_constant=refuse)
+        assert payload["rmse"]["blown"] == {"diverged_at": 2, "rmse": [None, None]}
+        assert all(v < 1e-8 for v in payload["rmse"]["model"]["rmse"])
+        table = (tmp_path / "out" / "rmse.csv").read_text().strip().split("\n")
+        assert table[-2:] == ["blown,x1,inf", "blown,x2,inf"]
+
+
 class TestSwitchedModelFile:
     """A saved switched model runs through ``predict``, but not ``compare``."""
 
@@ -554,7 +575,7 @@ class TestDataFile:
                                                   command):
         """The command's digest stamps the outputs and vouches for the binary copy."""
         hashed, parsed = [], []
-        sha256, read_rows = kl.dynamics._sha256, kl.dynamics._read_rows
+        sha256, read_rows = _csvfile.sha256, _csvfile.read_rows
 
         def counted_sha256(path):
             hashed.append(Path(path))
@@ -564,9 +585,9 @@ class TestDataFile:
             parsed.append(args[0])
             return read_rows(*args)
 
-        monkeypatch.setattr(cli, "_sha256", counted_sha256)
-        monkeypatch.setattr(kl.dynamics, "_sha256", counted_sha256)
-        monkeypatch.setattr(kl.dynamics, "_read_rows", counted_read_rows)
+        monkeypatch.setattr(cli, "sha256", counted_sha256)
+        monkeypatch.setattr(_csvfile, "sha256", counted_sha256)
+        monkeypatch.setattr(kl.dynamics, "read_rows", counted_read_rows)
         config = tmp_path / "config.json"
         config.write_text(json.dumps({"family": {"kind": "example_poly_basis"}}))
         extra = (["--config", str(config)] if command == "learn"
@@ -595,8 +616,8 @@ class TestStampContract:
         inputs.write_text("u1\n0.5\n-0.3\n")
         assert _run(["predict", "--model", str(poly_model_file), "--x0", "0.3,-0.4",
                      "--inputs", str(inputs), "--seed", "2", "--out", str(tmp_path)]) == 0
-        cfg = {"command": "predict", "model": kl.dynamics._sha256(poly_model_file)[:12],
-               "x0": "0.3,-0.4", "inputs": kl.dynamics._sha256(inputs)[:12]}
+        cfg = {"command": "predict", "model": _csvfile.sha256(poly_model_file)[:12],
+               "x0": "0.3,-0.4", "inputs": _csvfile.sha256(inputs)[:12]}
         head = (tmp_path / "prediction.csv").read_text().split("\n")[0]
         assert head == f"# kooplift {kl.__version__} seed=2 config={cli._config_hash(cfg)}"
 
@@ -606,7 +627,7 @@ class TestStampContract:
         assert _run(["compare", "--system", "example_poly", "--models", str(poly_model_file),
                      str(poly_model_file), "--steps", "10", "--seed", "5",
                      "--out", str(tmp_path)] + extra) == 0
-        digest = kl.dynamics._sha256(poly_model_file)[:12]
+        digest = _csvfile.sha256(poly_model_file)[:12]
         cfg = {"command": "compare", "system": "example_poly", "models": [digest, digest],
                "steps": 10, "seed": 5, "x0": x0, "dt": 0.005}
         meta = json.loads((tmp_path / "rmse.json").read_text())["meta"]
@@ -662,7 +683,7 @@ class TestTolOption:
     def test_dictionary_commands_hash_it(self, poly_dataset, tmp_path, command, stamped):
         assert _run([command, "--data", str(poly_dataset), "--dictionary",
                      "example_poly_basis", "--tol", "1e-9", "--out", str(tmp_path)]) == 0
-        cfg = {"command": command, "data": kl.dynamics._sha256(poly_dataset)[:12],
+        cfg = {"command": command, "data": _csvfile.sha256(poly_dataset)[:12],
                "dictionary": "example_poly_basis", "tol": 1e-9}
         meta = json.loads((tmp_path / stamped).read_text())["meta"]
         assert meta["config_hash"] == cli._config_hash(cfg)

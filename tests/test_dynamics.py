@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import kooplift as kl
-from kooplift import dynamics
+from kooplift import _csvfile, dynamics
 from kooplift.dynamics import (
     augmented_step,
     dc_motor_tanh,
@@ -270,6 +270,14 @@ class TestRunExperiments:
         assert u[0] == u[1] and u[2] == u[3] and u[4] == u[5]
         assert u[0] != u[2]
 
+    @pytest.mark.parametrize("mode", ["constant-per-experiment", "piecewise-constant",
+                                      "Constant", ""])
+    def test_only_the_two_input_modes_are_accepted(self, mode):
+        with pytest.raises(ConfigError) as exc:
+            kl.ExperimentPlan(1, 6, rng_seed=9, input_mode=mode)
+        assert str(exc.value) == (f"unknown input_mode {mode!r}; "
+                                  "expected 'constant' or 'piecewise'")
+
 
 def _flare_system():
     """Batched map whose experiments overflow at different steps.
@@ -404,6 +412,16 @@ class TestSnapshotCsv:
             np.testing.assert_array_equal(got, ref)
             np.testing.assert_array_equal(np.signbit(got), np.signbit(ref))
 
+    @pytest.mark.parametrize("lead", [None, ["0", "1", "model,x1"]], ids=["no_lead", "lead"])
+    def test_formatter_equals_joined_reprs(self, lead):
+        rows = np.array([[0.0, -0.0, np.nan, -np.nan],
+                         [np.inf, -np.inf, 5e-324, -5e-324],
+                         [1e16, 0.1, -2.5e-310, 1.7976931348623157e308]])
+        want = [",".join(map(repr, row)) for row in rows.tolist()]
+        if lead is not None:
+            want = [f"{item},{line}" for item, line in zip(lead, want)]
+        assert _csvfile.format_rows(rows, lead) == "".join(line + "\n" for line in want)
+
     @pytest.mark.parametrize("N", [CSV_BLOCK - 1, CSV_BLOCK, CSV_BLOCK + 1, 2 * CSV_BLOCK + 7])
     @pytest.mark.parametrize("mode", ["constant", "piecewise"])
     def test_bytes_equal_per_value_repr_formatter_on_experiments(self, tmp_path, mode, N):
@@ -533,13 +551,13 @@ def _rows_bits(ss):
 def parses(monkeypatch):
     """Count the loads that parse the CSV rather than take the binary copy."""
     calls = []
-    read_rows = dynamics._read_rows
+    read_rows = dynamics.read_rows
 
     def counted(*args):
         calls.append(args[0])
         return read_rows(*args)
 
-    monkeypatch.setattr(dynamics, "_read_rows", counted)
+    monkeypatch.setattr(dynamics, "read_rows", counted)
     return calls
 
 
@@ -580,7 +598,7 @@ class TestSnapshotBinaryCopy:
 
     def test_manifest_holds_the_digests_of_both_files(self, saved):
         ss, path = saved
-        manifest = json.loads(kl.dynamics.manifest_path_for(path).read_text())
+        manifest = json.loads(_csvfile.manifest_path_for(path).read_text())
         npy = path.with_name("snaps.npy")
         assert manifest["csv_sha256"] == hashlib.sha256(path.read_bytes()).hexdigest()
         assert manifest["rows_sha256"] == hashlib.sha256(npy.read_bytes()).hexdigest()
@@ -617,7 +635,7 @@ class TestSnapshotBinaryCopy:
                                       ("rows_sha256",)])
     def test_manifest_of_an_earlier_version_is_parsed(self, saved, parses, keys):
         ss, path = saved
-        mpath = kl.dynamics.manifest_path_for(path)
+        mpath = _csvfile.manifest_path_for(path)
         manifest = json.loads(mpath.read_text())
         for key in keys:
             del manifest[key]
@@ -628,7 +646,7 @@ class TestSnapshotBinaryCopy:
 
     def test_copy_of_another_row_count_is_not_used(self, saved, parses):
         ss, path = saved
-        mpath = kl.dynamics.manifest_path_for(path)
+        mpath = _csvfile.manifest_path_for(path)
         manifest = json.loads(mpath.read_text())
         manifest["N"] -= 1
         mpath.write_text(json.dumps(manifest))
@@ -654,7 +672,7 @@ class TestSnapshotBinaryCopy:
         path.with_name("snaps.npy").mkdir()
         with pytest.raises(OSError):
             kl.save_snapshots(poly_snapshots, path)
-        assert not kl.dynamics.manifest_path_for(path).exists()
+        assert not _csvfile.manifest_path_for(path).exists()
 
 
 class TestBuiltins:

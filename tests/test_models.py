@@ -501,12 +501,15 @@ class TestEvaluateRollouts:
         assert out["trajectories"]["inputs"].shape == (1, 30)
 
     def test_divergent_model_scores_infinity(self, poly_system):
+        """The divergence is reported, not numpy's overflow warnings."""
         psi = _identity_basis()
         bad = kl.models.LinearLiftedModel(
             psi=psi, A=1e200 * np.eye(2), B=np.zeros((2, 1)))
-        with np.errstate(over="ignore"):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
             out = evaluate_rollouts(poly_system, {"bad": bad},
                                     x0s=[[0.5, 0.5]], n_steps=10, seed=13)
+        assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
         assert np.isinf(out["rmse"]["bad"]["rmse"]).all()
         assert out["rmse"]["bad"]["diverged_at"] is not None
 
