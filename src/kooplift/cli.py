@@ -25,11 +25,11 @@ compare
     plus a per-step trajectory CSV suitable for plotting.
 
 ``edmd``, ``consistency`` and ``extract`` take ``--tol``, the relative
-cutoff of the pseudo-inverses' singular values; the other subcommands
-have no numerical cutoff and reject it.
+cutoff of the pseudo-inverses' singular values, a finite number in
+[0, 1); the other subcommands have no numerical cutoff and reject it.
 
 Exit codes: 0 success, 2 usage or configuration error (a negative
-``--seed``, ``compare --steps`` below 1, an input file that is missing
+``--seed``, a ``--tol`` outside [0, 1), ``compare --steps`` below 1, an input file that is missing
 or a directory, or a config, model or dictionary file that is not a JSON
 object, lacks a key, holds a family key its kind does not take, or holds
 a value of the wrong type, range or shape, included), 3 simulation
@@ -61,6 +61,7 @@ A non-finite RMSE is ``inf`` in ``rmse.csv`` and null in ``rmse.json``.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import re
@@ -445,7 +446,24 @@ def cmd_compare(args, out: _Outputs) -> int:
 # Parser
 
 
+def _tol(text: str) -> float:
+    """The value of ``--tol``: a finite number in [0, 1)."""
+    try:
+        tol = float(text)
+    except ValueError:
+        tol = float("nan")
+    if not 0.0 <= tol < 1.0:
+        raise argparse.ArgumentTypeError(f"must be a finite number in [0, 1), got {text!r}")
+    return tol
+
+
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process.
+
+    The parsed arguments name the command; :func:`main` looks its
+    ``cmd_*`` function up in this module at each call.
+    """
     parser = argparse.ArgumentParser(
         prog="kooplift",
         description="Lifted linear-parameter modeling of controlled dynamics.",
@@ -459,16 +477,15 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="seed recorded in outputs and used for any sampling")
         p.add_argument("--out", default=".", help="output directory")
 
-    def dictionary_command(name, func, text):
+    def dictionary_command(name, text):
         p = sub.add_parser(name, help=text)
         p.add_argument("--data", required=True, help="snapshot CSV")
         p.add_argument("--dictionary", required=True,
                        help="dictionary JSON file or builtin name")
-        p.add_argument("--tol", type=float, default=None,
+        p.add_argument("--tol", type=_tol, default=None,
                        help="relative cutoff of the pseudo-inverses' singular "
                             "values (default: edmd.PINV_CUTOFF)")
         common(p)
-        p.set_defaults(func=func)
 
     p = sub.add_parser("simulate", help="generate a snapshot dataset")
     p.add_argument("--system", required=True,
@@ -481,20 +498,16 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="steps each piecewise input value is held")
     p.add_argument("--dt", type=float, default=0.005)
     common(p)
-    p.set_defaults(func=cmd_simulate)
 
-    dictionary_command("edmd", cmd_edmd, "fit the lifted one-step matrix")
-    dictionary_command("consistency", cmd_consistency,
-                       "consistency index and certificate")
+    dictionary_command("edmd", "fit the lifted one-step matrix")
+    dictionary_command("consistency", "consistency index and certificate")
 
     p = sub.add_parser("learn", help="train a dictionary on a dataset")
     p.add_argument("--data", required=True, help="snapshot CSV")
     p.add_argument("--config", required=True, help="training config JSON")
     common(p, seed_default=None)
-    p.set_defaults(func=cmd_learn)
 
-    dictionary_command("extract", cmd_extract,
-                       "extract the input-state separable model")
+    dictionary_command("extract", "extract the input-state separable model")
 
     p = sub.add_parser("predict", help="roll a saved model forward")
     p.add_argument("--model", required=True, help="model JSON file")
@@ -503,7 +516,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--inputs", required=True,
                    help="input-sequence CSV, one row per step")
     common(p)
-    p.set_defaults(func=cmd_predict)
 
     p = sub.add_parser("compare",
                        help="compare saved models against simulated truth")
@@ -516,7 +528,6 @@ def _build_parser() -> argparse.ArgumentParser:
                         "from the state box using the seed)")
     p.add_argument("--dt", type=float, default=0.005)
     common(p)
-    p.set_defaults(func=cmd_compare)
 
     return parser
 
@@ -543,7 +554,7 @@ def main(argv=None) -> int:
     t0 = time.perf_counter()
     out = _Outputs(args.out, args.command)
     try:
-        rc = args.func(args, out)
+        rc = globals()[f"cmd_{args.command}"](args, out)
     except _USAGE_ERRORS as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

@@ -319,10 +319,10 @@ def loss_gradient(nd: TrainableNormalDictionary, batch: AugmentedSnapshots,
     U = batch.Z[n:]
     if not np.array_equal(U, batch.Zplus[n:]):
         U = np.hstack([U, batch.Zplus[n:]])
-    fwd = nd._forward(np.hstack([batch.Z[:n], batch.Zplus[:n]]), U, grad=True)
+    fwd = nd._nets.forward(np.hstack([batch.Z[:n], batch.Zplus[:n]]), U, grad=True)
     Phi = nd._stack(fwd[0], fwd[1])
     value, dP, dQ = _trace_loss(nd, Phi[:, :B], Phi[:, B:], ridge_scale, grad=True)
-    grad = nd._backward(fwd, np.hstack([dP, dQ]))
+    grad = nd._nets.backward(fwd, np.hstack([dP, dQ]))
     if not np.all(np.isfinite(grad)):
         raise NonFiniteGradient(
             f"gradient is not finite (parameter norm {_param_norm(nd)})")

@@ -394,15 +394,16 @@ def _roll(model, Z0: Array, U: Array) -> tuple[Array, Array]:
     Returns the trajectories, shape (L, T+1, B), and for each column the
     first step at which it became non-finite (0 if it never did).  That
     record is how divergence is reported, so numpy's overflow warnings
-    are silenced.  A failed column is reset to zero and its later entries
+    are silenced, those of the transitions (the dictionary at the inputs)
+    included.  A failed column is reset to zero and its later entries
     mean nothing; the loop ends once every column has failed.
     """
     T = U.shape[1]
     out = np.empty((T + 1,) + Z0.shape)
     out[0] = Z0
     failed = np.zeros(Z0.shape[1], dtype=int)
-    A, b = model.transitions(U) if T else (None, None)
     with np.errstate(over="ignore", invalid="ignore"):
+        A, b = model.transitions(U) if T else (None, None)
         for k in range(T):
             Z = out[k + 1]
             np.matmul(A[k], out[k], out=Z)

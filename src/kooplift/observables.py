@@ -651,6 +651,98 @@ def monomial_featurizer(n_vars: int, degree: int):
     return featurize, [_monomial_name(e) for e in exps]
 
 
+class _Nets:
+    """What a trainable dictionary evaluates through: its networks, head and scales.
+
+    ``h_net`` gives the free rows of H and ``g_net`` the entries of
+    Gtilde (either may be None).  The first ``len(fixed_head)`` rows of
+    H are those state coordinates; ``x_scale`` and ``u_scale``
+    premultiply incoming coordinates and the head rows are divided by
+    ``x_scale`` again.  The object holds no reference to a dictionary:
+    ``H`` and ``Gtilde`` of a :class:`TrainableNormalDictionary` call
+    :meth:`eval_H` and :meth:`eval_Gt` of it, so the dictionary is freed
+    as soon as its last reference goes.
+    """
+
+    def __init__(self, h_net, g_net, fixed_head: tuple, x_scale: Array, u_scale: Array,
+                 s: int, l: int):
+        self.h_net = h_net
+        self.g_net = g_net
+        self.fixed_head = fixed_head
+        self.x_scale = x_scale
+        self.u_scale = u_scale
+        self.s = s
+        self.l = l
+        self.size = sum(net.size for net in (h_net, g_net) if net is not None)
+        # H's rows are multiplied by t: 1 / x_scale on the head, 1 elsewhere.
+        self.t = np.ones(l)
+        for r, idx in enumerate(fixed_head):
+            self.t[r] = 1.0 / x_scale[idx]
+
+    def forward(self, X: Array | None, U: Array | None, grad: bool = False):
+        """One pass of both networks: ``(Hm, Gt, caches)``.
+
+        ``Hm`` is H at the columns of ``X``, shape ``(l, Nx)``; ``Gt`` is
+        Gtilde at the columns of ``U``, shape ``(s-l, l, Nu)``.  Either is
+        None when its argument is (``Gt`` also when ``s == l``).  With
+        ``grad``, ``caches`` holds what :meth:`backward` needs from the two
+        networks, the activation derivatives included; without it the
+        networks keep no caches and compute no derivatives.
+        """
+        t = self.t
+        Hm = Gt = h_cache = g_cache = None
+        if X is not None:
+            Xs = X * self.x_scale[:, None]
+            rows = [Xs[list(self.fixed_head)]] if self.fixed_head else []
+            if self.h_net is not None:
+                out, h_cache = self.h_net.forward(Xs, grad)
+                rows.append(out)
+            Hm = (np.vstack(rows) if rows else np.zeros((0, X.shape[1]))) * t[:, None]
+        if U is not None and self.g_net is not None:
+            flat, g_cache = self.g_net.forward(U * self.u_scale[:, None], grad)
+            Gt = flat.reshape(self.s - self.l, self.l, U.shape[1]) / t[None, :, None]
+        return Hm, Gt, (h_cache, g_cache)
+
+    def backward(self, fwd, Wbar: Array) -> Array:
+        """Gradient of ``sum(Wbar * Phi)`` with respect to the parameters.
+
+        ``Phi = [Hm; Gtilde Hm]`` is stacked from ``fwd = (Hm, Gt, caches)``
+        as :meth:`NormalDictionary._stack` stacks it.  Exact reverse
+        accumulation through the normal-form structure: the upstream
+        signal splits into the top block (direct H gradient) and the
+        bottom block, which distributes onto both ``H`` (through
+        ``Gtilde(u)``) and ``Gtilde`` (through outer products with H,
+        summed over the column groups that share an input).  Each network
+        writes its layers' gradients into its slice of one vector, laid
+        out like the dictionary's ``theta``.
+        """
+        Hm, Gt, (h_cache, g_cache) = fwd
+        t = self.t
+        l = self.l
+        dH = Wbar[:l]
+        grad = np.zeros(self.size)
+        if Gt is not None:
+            Nu = Gt.shape[2]
+            c = Hm.shape[1] // max(Nu, 1)
+            W_bot = Wbar[l:].reshape(self.s - l, c, Nu)
+            dH = dH + np.einsum("ijN,icN->jcN", Gt, W_bot).reshape(l, Hm.shape[1])
+            dGt = np.einsum("icN,jcN->ijN", W_bot, Hm.reshape(l, c, Nu))
+        # Chain through the head rescale, then drop the frozen head rows.
+        if self.h_net is not None:
+            self.h_net.backward(h_cache, (dH * t[:, None])[len(self.fixed_head):], grad)
+        if Gt is not None:
+            self.g_net.backward(g_cache, (dGt / t[None, :, None]).reshape(-1, Nu),
+                                grad[grad.size - self.g_net.size:])
+        return grad
+
+    def eval_H(self, X: Array) -> Array:
+        return self.forward(X, None)[0]
+
+    def eval_Gt(self, U: Array) -> Array:
+        """Gtilde stacked over columns: shape (s-l, l, N)."""
+        return self.forward(None, U)[1]
+
+
 class TrainableNormalDictionary(NormalDictionary):
     """A normal-form dictionary whose free entries are parameterized maps.
 
@@ -671,15 +763,19 @@ class TrainableNormalDictionary(NormalDictionary):
     each view on its own and so break the sharing: copy a dictionary
     through :func:`dictionary_to_json` and :func:`dictionary_from_json`.
 
-    Every evaluation goes through one private forward, which runs each
-    network once and returns the H and Gtilde blocks with their caches,
-    and every gradient through one private backward.  :meth:`eval_aug`,
+    The two networks, the fixed head, the scales, ``s`` and ``l`` are
+    held in one private object, ``_nets``, with the one forward that every
+    evaluation runs (each network once, returning the H and Gtilde blocks
+    with their caches) and the one backward that every gradient runs.
+    ``H`` and ``Gtilde`` hold that object's evaluation functions, not the
+    dictionary, so no dictionary is in a reference cycle and each is freed
+    as soon as its last reference goes.  :meth:`eval_aug`,
     :meth:`eval_pair` (inherited; it runs the networks through ``H`` and
-    ``Gtilde``) and :meth:`vjp_aug` use them on data blocks; a training step
-    (:func:`kooplift.learning.loss_gradient`) uses them once for ``Z``
-    and ``Z+`` together: H on both state blocks, and Gtilde once on the
-    input the augmented map holds, so one forward and one backward per
-    step.
+    ``Gtilde``) and :meth:`vjp_aug` use the forward and backward on data
+    blocks; a training step (:func:`kooplift.learning.loss_gradient`) uses
+    them once for ``Z`` and ``Z+`` together: H on both state blocks, and
+    Gtilde once on the input the augmented map holds, so one forward and
+    one backward per step.
 
     ``x_scale`` / ``u_scale`` premultiply incoming coordinates and the
     fixed-head rows are divided by ``x_scale`` again, so a dictionary
@@ -691,24 +787,19 @@ class TrainableNormalDictionary(NormalDictionary):
                  fixed_head: Sequence[int], h_net, g_net, theta: Array, spec: dict,
                  x_scale=None, u_scale=None):
         self.kind = kind
-        self._state_dim = state_dim
-        self._input_dim = input_dim
-        self._s = s
-        self._l = l
         self.fixed_head = tuple(int(i) for i in fixed_head)
-        self.h_net = h_net
-        self.g_net = g_net
         self.theta = theta
         self.spec = dict(spec)
         self.x_scale = np.ones(state_dim) if x_scale is None else np.asarray(x_scale, float)
         self.u_scale = np.ones(input_dim) if u_scale is None else np.asarray(u_scale, float)
+        self._nets = _Nets(h_net, g_net, self.fixed_head, self.x_scale, self.u_scale, s, l)
         head_names = tuple(f"x{i + 1}" for i in self.fixed_head)
         free_names = tuple(f"{kind}{j + 1}" for j in range(l - len(self.fixed_head)))
-        H = StateDictionary(dim=l, fn=self._eval_H, names=head_names + free_names,
+        H = StateDictionary(dim=l, fn=self._nets.eval_H, names=head_names + free_names,
                             domain_dim=state_dim)
         Gt = None
         if s > l:
-            Gt = InputMatrixFunction(rows=s - l, cols=l, fn=self._eval_Gt,
+            Gt = InputMatrixFunction(rows=s - l, cols=l, fn=self._nets.eval_Gt,
                                      domain_dim=input_dim)
         super().__init__(H, Gt, state_dim, input_dim)
 
@@ -731,73 +822,6 @@ class TrainableNormalDictionary(NormalDictionary):
 
     # -- evaluation ---------------------------------------------------
 
-    def _head_rescale(self) -> Array:
-        t = np.ones(self._l)
-        for r, idx in enumerate(self.fixed_head):
-            t[r] = 1.0 / self.x_scale[idx]
-        return t
-
-    def _forward(self, X: Array | None, U: Array | None, grad: bool = False):
-        """One pass of both networks: ``(Hm, Gt, caches)``.
-
-        ``Hm`` is H at the columns of ``X``, shape ``(l, Nx)``; ``Gt`` is
-        Gtilde at the columns of ``U``, shape ``(s-l, l, Nu)``.  Either is
-        None when its argument is (``Gt`` also when ``s == l``).  With
-        ``grad``, ``caches`` holds what :meth:`_backward` needs from the two
-        networks, the activation derivatives included; without it the
-        networks keep no caches and compute no derivatives.
-        """
-        t = self._head_rescale()
-        Hm = Gt = h_cache = g_cache = None
-        if X is not None:
-            Xs = X * self.x_scale[:, None]
-            rows = [Xs[list(self.fixed_head)]] if self.fixed_head else []
-            if self.h_net is not None:
-                out, h_cache = self.h_net.forward(Xs, grad)
-                rows.append(out)
-            Hm = (np.vstack(rows) if rows else np.zeros((0, X.shape[1]))) * t[:, None]
-        if U is not None and self.g_net is not None:
-            flat, g_cache = self.g_net.forward(U * self.u_scale[:, None], grad)
-            Gt = flat.reshape(self._s - self._l, self._l, U.shape[1]) / t[None, :, None]
-        return Hm, Gt, (h_cache, g_cache)
-
-    def _backward(self, fwd, Wbar: Array) -> Array:
-        """Gradient of ``sum(Wbar * self._stack(Hm, Gt))`` with respect to the parameters.
-
-        Exact reverse accumulation through the normal-form structure: the
-        upstream signal splits into the top block (direct H gradient) and
-        the bottom block, which distributes onto both ``H`` (through
-        ``Gtilde(u)``) and ``Gtilde`` (through outer products with H,
-        summed over the column groups that share an input).  Each network
-        writes its layers' gradients into its slice of one vector, laid
-        out like ``theta``.
-        """
-        Hm, Gt, (h_cache, g_cache) = fwd
-        t = self._head_rescale()
-        l = self._l
-        dH = Wbar[:l]
-        grad = np.zeros(self.theta.size)
-        if Gt is not None:
-            Nu = Gt.shape[2]
-            c = Hm.shape[1] // max(Nu, 1)
-            W_bot = Wbar[l:].reshape(self._s - l, c, Nu)
-            dH = dH + np.einsum("ijN,icN->jcN", Gt, W_bot).reshape(l, Hm.shape[1])
-            dGt = np.einsum("icN,jcN->ijN", W_bot, Hm.reshape(l, c, Nu))
-        # Chain through the head rescale, then drop the frozen head rows.
-        if self.h_net is not None:
-            self.h_net.backward(h_cache, (dH * t[:, None])[len(self.fixed_head):], grad)
-        if Gt is not None:
-            self.g_net.backward(g_cache, (dGt / t[None, :, None]).reshape(-1, Nu),
-                                grad[grad.size - self.g_net.size:])
-        return grad
-
-    def _eval_H(self, X: Array) -> Array:
-        return self._forward(X, None)[0]
-
-    def _eval_Gt(self, U: Array) -> Array:
-        """Gtilde stacked over columns: shape (s-l, l, N)."""
-        return self._forward(None, U)[1]
-
     # One pass of each network, one after the other, so the caches of one
     # are freed before the other runs: ``Z`` may be a whole dataset.  Bound
     # here too, because the benchmark's tracer looks methods up per class.
@@ -806,12 +830,12 @@ class TrainableNormalDictionary(NormalDictionary):
     def vjp_aug(self, Z: Array, Wbar: Array) -> Array:
         """Gradient of ``sum(Wbar * Phi(Z))`` with respect to the parameters.
 
-        One :meth:`_forward` on ``Z`` and one :meth:`_backward` of
-        ``Wbar``.  Training does not come through here: its step runs the
-        same two functions once on ``Z`` and ``Z+`` together.
+        One forward on ``Z`` and one backward of ``Wbar``.  Training does
+        not come through here: its step runs the same two functions once
+        on ``Z`` and ``Z+`` together.
         """
-        fwd = self._forward(*self._split(Z), grad=True)
-        return self._backward(fwd, np.asarray(Wbar, dtype=float))
+        fwd = self._nets.forward(*self._split(Z), grad=True)
+        return self._nets.backward(fwd, np.asarray(Wbar, dtype=float))
 
     def with_input_scaling(self, x_scale, u_scale) -> "TrainableNormalDictionary":
         """Rebase onto unscaled coordinates.
@@ -825,17 +849,17 @@ class TrainableNormalDictionary(NormalDictionary):
         :class:`ConfigError` naming it.
         """
         x_scale, u_scale = (np.ones(k) if v is None else json_array(v, key, "input scaling", (k,))
-                            for key, v, k in (("x_scale", x_scale, self._state_dim),
-                                              ("u_scale", u_scale, self._input_dim)))
+                            for key, v, k in (("x_scale", x_scale, self.state_dim),
+                                              ("u_scale", u_scale, self.input_dim)))
         return TrainableNormalDictionary(
             kind=self.kind,
-            state_dim=self._state_dim,
-            input_dim=self._input_dim,
-            s=self._s,
-            l=self._l,
+            state_dim=self.state_dim,
+            input_dim=self.input_dim,
+            s=self.s,
+            l=self.l,
             fixed_head=self.fixed_head,
-            h_net=self.h_net,
-            g_net=self.g_net,
+            h_net=self._nets.h_net,
+            g_net=self._nets.g_net,
             theta=self.theta,
             spec=self.spec,
             x_scale=x_scale * self.x_scale,

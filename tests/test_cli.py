@@ -15,7 +15,7 @@ from kooplift import _csvfile, cli
 from kooplift.edmd import CHUNK
 from kooplift.models import (MODEL_FORMAT, extract_normal, load_model, rollout,
                              states_from_lifted, with_decoder)
-from kooplift.observables import DICTIONARY_FORMAT, TrainableNormalDictionary
+from kooplift.observables import DICTIONARY_FORMAT, _Nets
 
 
 def _run(argv):
@@ -219,8 +219,8 @@ class TestExtractPredict:
         dict_path = tmp_path / "dictionary.json"
         kl.save_dictionary(nd, dict_path)
         columns = []
-        eval_H = TrainableNormalDictionary._eval_H
-        monkeypatch.setattr(TrainableNormalDictionary, "_eval_H",
+        eval_H = _Nets.eval_H
+        monkeypatch.setattr(_Nets, "eval_H",
                             lambda self, X: columns.append(X.shape[1]) or eval_H(self, X))
         assert _run(["extract", "--data", str(poly_dataset), "--dictionary", str(dict_path),
                      "--out", str(tmp_path / "out")]) == 0
@@ -316,6 +316,19 @@ class TestExtractPredict:
         assert rc == 4
         assert not (out / "prediction.csv").exists()
         assert not (out / "timing.json").exists()
+
+    def test_overflowing_dictionary_prints_only_the_error(self, poly_model_file, tmp_path):
+        """The dictionary's own overflow at the inputs is reported by the exit-4 line alone."""
+        inputs = tmp_path / "inputs.csv"
+        inputs.write_text("u1\n" + "1e300\n" * 5)
+        proc = subprocess.run([sys.executable, "-m", "kooplift.cli", "predict",
+                               "--model", str(poly_model_file), "--x0", "0.3,-0.4",
+                               "--inputs", str(inputs), "--out", str(tmp_path / "out")],
+                              env=_one_thread_env(), capture_output=True, text=True,
+                              timeout=300)
+        assert proc.returncode == 4
+        assert proc.stderr == ("error: model rollout diverged: "
+                               "lifted state became non-finite at step 1\n")
 
     def test_empty_input_sequence_rejected(self, poly_model_file, tmp_path,
                                            capsys):
@@ -688,6 +701,22 @@ class TestTolOption:
         meta = json.loads((tmp_path / stamped).read_text())["meta"]
         assert meta["config_hash"] == cli._config_hash(cfg)
 
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "2", "1", "-1", "-1e-300"])
+    @pytest.mark.parametrize("command", ["edmd", "consistency", "extract"])
+    def test_outside_the_unit_interval_is_refused(self, poly_dataset, tmp_path, capsys,
+                                                  command, tol):
+        with pytest.raises(SystemExit) as exc:
+            _run([command, "--data", str(poly_dataset), "--dictionary", "example_poly_basis",
+                  f"--tol={tol}", "--out", str(tmp_path / "out")])
+        assert exc.value.code == 2
+        assert (f"argument --tol: must be a finite number in [0, 1), got {tol!r}"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "out").exists()
+
+    def test_zero_is_accepted(self, poly_dataset, tmp_path):
+        assert _run(["consistency", "--data", str(poly_dataset), "--dictionary",
+                     "example_poly_basis", "--tol", "0", "--out", str(tmp_path)]) == 0
+
 
 def _dictionary_json(**edits):
     """A polynomial dictionary's JSON object, with top-level ``edits``."""
@@ -1017,6 +1046,24 @@ class TestDeterminism:
                             if f.name != "timing.json"})
         assert sorted(outputs[0]) == ["consistency.json", "extract_report.json", "model.json"]
         assert outputs[0] == outputs[1]
+
+
+class TestMemory:
+    def test_two_commands_leave_no_reference_cycle(self, poly_dataset, tmp_path,
+                                                   cyclic_garbage):
+        """The parser is built once per process; models and results go by refcount."""
+        inputs = tmp_path / "inputs.csv"
+        inputs.write_text("u1\n0.5\n-0.3\n")
+
+        def two_commands():
+            assert _run(["extract", "--data", str(poly_dataset), "--dictionary",
+                         "example_poly_basis", "--out", str(tmp_path / "extract")]) == 0
+            assert _run(["predict", "--model", str(tmp_path / "extract" / "model.json"),
+                         "--x0", "0.3,-0.4", "--inputs", str(inputs),
+                         "--out", str(tmp_path / "predict")]) == 0
+
+        left = cyclic_garbage(two_commands)
+        assert not left, sorted({type(obj).__qualname__ for obj in left})
 
 
 class TestVersion:

@@ -732,6 +732,21 @@ class TestPipeline:
             with pytest.raises(DegenerateData, match=r"Psi\(X\) is not finite at snapshot 0"):
                 pipeline(config, ss)
 
+    def test_leaves_no_reference_cycle(self, cyclic_garbage):
+        """A motor run's dictionaries, networks and parameters go with their last reference."""
+        plan = kl.ExperimentPlan(num_experiments=40, steps_per_experiment=5, rng_seed=5)
+        config = TrainConfig(family={"kind": "residual_mlp", "blocks": 1, "width": 8, "seed": 2},
+                             s=9, l=4, epochs=2, batch_size=50, seed=2,
+                             x_scale=[1 / 5, 1 / 80], u_scale=[1 / 2])
+
+        def run():
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                pipeline(config, kl.dc_motor_tanh(), plan, eval_steps=20)
+
+        left = cyclic_garbage(run)
+        assert not left, sorted({type(obj).__qualname__ for obj in left})
+
     def test_system_without_plan_rejected(self, poly_system):
         config = TrainConfig(family={"kind": "example_poly_basis"})
         with pytest.raises(ConfigError):

@@ -9,7 +9,7 @@ import pytest
 
 import kooplift as kl
 from kooplift.errors import ConfigError, DimensionMismatch, RankDeficientProbe
-from kooplift.models import extract_normal
+from kooplift.models import extract_normal, head_dictionary
 from kooplift.observables import (FAMILIES, _coefficient_stack, _monomial_exponents,
                                   _sigmoid, _softplus)
 
@@ -630,6 +630,20 @@ class TestSerialization:
         Z = _random_aug(np.random.default_rng(16))
         np.testing.assert_allclose(nd.eval_aug(Z), nd2.eval_aug(Z),
                                    rtol=0, atol=1e-14)
+
+    def test_loaded_rebased_head_leaves_no_reference_cycle(self, tmp_path, cyclic_garbage):
+        """``load_dictionary`` -> ``with_input_scaling`` -> ``head_dictionary``: freed by refcount."""
+        path = tmp_path / "dict.json"
+        kl.save_dictionary(kl.parametric_family("residual_mlp", state_dim=2, input_dim=1,
+                                                s=7, l=4, blocks=1, width=5, seed=7), path)
+        X = np.random.default_rng(18).uniform(-1, 1, (2, 10))
+
+        def chain():
+            nd = kl.load_dictionary(path).with_input_scaling([2.0, 0.5], [1.5])
+            return kl.eval_matrix(head_dictionary(nd), X)
+
+        left = cyclic_garbage(chain)
+        assert not left, sorted({type(obj).__qualname__ for obj in left})
 
     def test_rejects_foreign_json(self):
         with pytest.raises(ConfigError):
